@@ -15,7 +15,7 @@ from typing import NamedTuple, TYPE_CHECKING
 from .detector import DetectorState, mitigate
 
 if TYPE_CHECKING:
-    from .solver import WindowGraph
+    from .solver import SolverParams, WindowGraph
 
 SLOW_CHANNEL_PERIOD_S = 180.0
 
@@ -68,13 +68,15 @@ def next_auth_time(sched: AuthSchedule, k: int) -> int:
 
 
 def on_authentication(event: AuthEvent, state: DetectorState,
-                      graph: "WindowGraph", sched: AuthSchedule) -> AuthResult:
+                      graph: "WindowGraph", sched: AuthSchedule,
+                      params: "SolverParams" = None) -> AuthResult:
     """Apply one authentication outcome to the detector state and window.
 
     Success overrides the detector: the latch is cleared even if it was set
     by a (now disproven) detection, and GPS is trusted for the next window's
     worth of steps.  Failure latches, strips GPS from the window, and keeps
-    GPS excluded until the next successful authentication.
+    GPS excluded until the next successful authentication; ``params`` are
+    the solver settings for re-optimizing the stripped window.
     """
     if event.time_index % sched.epoch_length_steps != 0:
         raise ValueError(
@@ -86,5 +88,5 @@ def on_authentication(event: AuthEvent, state: DetectorState,
         return AuthResult("gps-readmitted", graph,
                           event.time_index + graph.window_capacity, False)
     state.spoofed_flag = True
-    cleaned = mitigate(graph, state)
+    cleaned = mitigate(graph, state, params)
     return AuthResult("gps-excluded", cleaned, event.time_index, True)

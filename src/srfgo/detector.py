@@ -12,9 +12,9 @@ against an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple, TYPE_CHECKING
+from typing import Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -39,13 +39,6 @@ class DetectorConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
 
-class TrialRecord(NamedTuple):
-    time_index: int
-    q: float
-    tau: float
-    decision: str
-
-
 @dataclass
 class DetectorState:
     """Mutable per-run detector state.
@@ -57,8 +50,6 @@ class DetectorState:
 
     spoofed_flag: bool = False
     gps_excluded: bool = False
-    trials: int = 0
-    statistic_history: list[TrialRecord] = field(default_factory=list)
 
 
 def test_statistic(graph: "WindowGraph") -> Optional[Tuple[float, int]]:
@@ -180,20 +171,17 @@ def threshold(cfg: DetectorConfig, n: int) -> float:
 
 
 def decide(q: float, tau: float, state: DetectorState,
-           time_index: int = 0, monitoring: bool = True) -> str:
-    """Run one detection trial and record it.
+           monitoring: bool = True) -> str:
+    """Run one detection trial and return its decision.
 
     Strict comparison: q == tau is authentic.  A crossing latches
     ``spoofed_flag``; once latched every later trial reports spoof-detected
     regardless of q.  With ``monitoring=False`` (authentication trust window)
-    the trial is logged but a crossing does not latch.
+    a crossing does not latch.  The caller keeps the trial log.
     """
     if monitoring and q > tau:
         state.spoofed_flag = True
-    decision = "spoof-detected" if state.spoofed_flag else "authentic"
-    state.trials += 1
-    state.statistic_history.append(TrialRecord(time_index, q, tau, decision))
-    return decision
+    return "spoof-detected" if state.spoofed_flag else "authentic"
 
 
 def mitigate(graph: "WindowGraph", state: DetectorState,

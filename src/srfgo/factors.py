@@ -3,14 +3,16 @@
 Residual conventions (all "measured minus predicted"):
 
 - GPS:      e = rho_meas - |t_i - s|           (scalar, meters)
-- odometry: e = log(pred^-1 * Z)               (6-vector), pred = x_{i+1} x_i^-1
+- odometry: e = log(pred^-1 * Z)               (6-vector), pred = x_i^-1 x_{i+1}
 - anchor:   e = log(x^-1 * prior)              (6-vector)
 
-Jacobians are closed-form in the right-perturbation convention
-x <- x * exp(delta) and are checked against central finite differences in the
-test suite.  For the odometry factor the two node Jacobians are exact
-negatives of each other, which the window optimizer exploits when it
-accumulates the block-tridiagonal normal equations.
+Residuals and closed-form Jacobians (right perturbation x <- x * exp(delta))
+exist once, as batched kernels over stacked arrays: ``gps_errors``/
+``gps_jacobians``, ``odometry_errors``/``odometry_jacobians`` and
+``anchor_errors``/``anchor_jacobians``.  The window optimizer runs them on a
+whole window; ``linearize`` runs them on one factor, so the test suite's
+finite-difference checks of ``linearize`` (against the per-pose references
+``gps_residual`` and ``odom_residual``) cover the optimizer's Jacobians.
 """
 
 from __future__ import annotations
@@ -148,45 +150,85 @@ def odom_residual(factor: OdometryFactor, x_i: Pose, x_ip1: Pose) -> np.ndarray:
     return liegroup.ominus(factor.measured_transform, odom_predict(x_i, x_ip1))
 
 
-def _linearize_gps(factor: GpsFactor, pose: Pose) -> Linearization:
-    diff = pose.translation - factor.sat_position
-    r = float(np.linalg.norm(diff))
-    if r < COINCIDENT_EPSILON:
+# -- batched kernels: leading axis = factor -------------------------------
+
+def _between(rot_a, t_a, rot_b, t_b) -> tuple[np.ndarray, np.ndarray]:
+    """Relative transforms a^-1 b."""
+    rot_at = np.swapaxes(rot_a, -1, -2)
+    return rot_at @ rot_b, (rot_at @ (t_b - t_a)[..., None])[..., 0]
+
+
+def _log(rot: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return liegroup.se3_log_arrays(rot, t) if len(rot) else np.zeros((0, 6))
+
+
+def gps_errors(t: np.ndarray, sat: np.ndarray, meas: np.ndarray) -> tuple:
+    """(residuals, t - sat, ranges) of pseudoranges from receiver positions t;
+    gps_jacobians reuses the last two."""
+    diff = t - sat
+    ranges = np.linalg.norm(diff, axis=-1)
+    if ranges.size and np.min(ranges) < COINCIDENT_EPSILON:
         raise DegenerateGeometryError(
-            f"receiver-satellite distance {r:.3e} m below {COINCIDENT_EPSILON:g} m")
-    los = diff / r
-    jac = np.zeros((1, 6))
+            f"receiver-satellite distance {np.min(ranges):.3e} m below {COINCIDENT_EPSILON:g} m")
+    return meas - ranges, diff, ranges
+
+
+def gps_jacobians(rot: np.ndarray, diff: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """(m, 3) translational blocks; the rotational blocks are identically zero."""
+    los = diff / ranges[..., None]
     # d|t + R dr - s|/d dr = los^T R; residual has opposite sign.
-    jac[0, 3:] = -(los @ pose.rotation)
-    residual = np.array([factor.measured_range - r])
-    return Linearization(residual, (factor.node_index,), (jac,))
+    return -np.einsum("ni,nij->nj", los, rot)
 
 
-def _linearize_odometry(factor: OdometryFactor, x_i: Pose, x_ip1: Pose) -> Linearization:
-    z = factor.measured_transform
-    pred = odom_predict(x_i, x_ip1)
-    e = liegroup.ominus(z, pred)
+def odometry_errors(rot_i, t_i, rot_j, t_j, z_rot, z_t) -> tuple:
+    """(residuals, pred rotations, pred translations), pred = x_i^-1 x_j;
+    odometry_jacobians reuses pred."""
+    rot_pred, t_pred = _between(rot_i, t_i, rot_j, t_j)
+    return _log(*_between(rot_pred, t_pred, z_rot, z_t)), rot_pred, t_pred
+
+
+def odometry_jacobians(e, rot_pred, t_pred) -> tuple[np.ndarray, np.ndarray]:
+    """(J_i, J_j) of odometry residuals e about predictions pred."""
     # e(d_i, d_j) = log(exp(-d_j) pred^-1 exp(d_i) z): the j slot enters on
     # the left of exp(e), the i slot folds through Ad(pred^-1), so
     # J_i = -J_j Ad(pred^-1) exactly.
+    rot_pi = np.swapaxes(rot_pred, -1, -2)
+    t_pi = -(rot_pi @ t_pred[..., None])[..., 0]
+    ad = liegroup.adjoint_arrays(rot_pi, t_pi)
     j_j = -liegroup.se3_left_jacobian_inv(e)
-    j_i = -j_j @ liegroup.adjoint(liegroup.inverse(pred))
-    return Linearization(e, (factor.from_index, factor.to_index), (j_i, j_j))
+    return -j_j @ ad, j_j
 
 
-def _linearize_anchor(factor: AnchorFactor, pose: Pose) -> Linearization:
-    e = liegroup.ominus(factor.prior_pose, pose)
-    jac = -liegroup.se3_left_jacobian_inv(e)
-    return Linearization(e, (factor.node_index,), (jac,))
+def anchor_errors(rot, t, prior_rot, prior_t) -> np.ndarray:
+    return _log(*_between(rot, t, prior_rot, prior_t))
+
+
+def anchor_jacobians(e: np.ndarray) -> np.ndarray:
+    return -liegroup.se3_left_jacobian_inv(e)
+
+
+def _stacked(pose: Pose) -> tuple[np.ndarray, np.ndarray]:
+    return pose.rotation[None], pose.translation[None]
 
 
 def linearize(factor, current_states: Mapping[int, Pose]) -> Linearization:
-    """Residual and Jacobians for one factor about the given node estimates."""
+    """Residual and Jacobians for one factor about the given node estimates,
+    from the batched kernels on a stack of one."""
     if isinstance(factor, GpsFactor):
-        return _linearize_gps(factor, current_states[factor.node_index])
+        rot, t = _stacked(current_states[factor.node_index])
+        e, diff, ranges = gps_errors(t, factor.sat_position, factor.measured_range)
+        jac = np.zeros((1, 6))
+        jac[:, 3:] = gps_jacobians(rot, diff, ranges)
+        return Linearization(e, (factor.node_index,), (jac,))
     if isinstance(factor, OdometryFactor):
-        return _linearize_odometry(factor, current_states[factor.from_index],
-                                   current_states[factor.to_index])
+        e, rot_pred, t_pred = odometry_errors(
+            *_stacked(current_states[factor.from_index]),
+            *_stacked(current_states[factor.to_index]),
+            *_stacked(factor.measured_transform))
+        j_i, j_j = odometry_jacobians(e, rot_pred, t_pred)
+        return Linearization(e[0], (factor.from_index, factor.to_index), (j_i[0], j_j[0]))
     if isinstance(factor, AnchorFactor):
-        return _linearize_anchor(factor, current_states[factor.node_index])
+        e = anchor_errors(*_stacked(current_states[factor.node_index]),
+                          *_stacked(factor.prior_pose))
+        return Linearization(e[0], (factor.node_index,), (anchor_jacobians(e)[0],))
     raise TypeError(f"unknown factor type {type(factor).__name__}")

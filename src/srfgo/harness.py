@@ -27,13 +27,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import factors as fmod
-from .chimera import AuthEvent, AuthSchedule, next_auth_time, on_authentication
+from .chimera import AuthEvent, AuthSchedule, on_authentication, slow_channel
 from .detector import DetectorConfig, DetectorState, decide, mitigate, threshold
 from .detector import test_statistic as window_statistic
 from .factors import AnchorFactor, GpsFactor, OdometryFactor
 from .liegroup import (Pose, compose, quaternion_to_rotation,
                        rotation_to_quaternion)
-from .simkit import EPOCH_S, MeasurementStream, Scenario, build_measurements
+from .simkit import MeasurementStream, Scenario, build_measurements
 from .solver import SolverParams, WindowGraph
 
 MODES = ("odometry-only", "naive-fgo", "sr-fgo")
@@ -61,7 +61,7 @@ class RunConfig:
 
     @property
     def auth_schedule(self) -> AuthSchedule:
-        return AuthSchedule(int(round(EPOCH_S / self.scenario.dt)))
+        return slow_channel(self.scenario.dt)
 
 
 @dataclass
@@ -187,10 +187,8 @@ def _batch_ends(n_steps: int, shift: int):
     return ends
 
 
-def run(cfg, mode: str = None) -> RunRecord:
+def run(cfg: RunConfig) -> RunRecord:
     """Execute one simulation run and return its record."""
-    if not isinstance(cfg, RunConfig):
-        cfg = RunConfig(scenario=cfg, mode=mode)
     scenario = cfg.scenario
     stream = build_measurements(scenario)
     truth = scenario.truth
@@ -276,7 +274,7 @@ def run(cfg, mode: str = None) -> RunRecord:
                 q, n = stat
                 tau = threshold(cfg.detector, n)
                 was_latched = det_state.spoofed_flag
-                decision = decide(q, tau, det_state, time_index=k_end,
+                decision = decide(q, tau, det_state,
                                   monitoring=k_end > trust_until)
                 detections.append({"time_s": k_end * dt, "q": q, "tau": tau,
                                    "n": n, "decision": decision})
@@ -289,7 +287,8 @@ def run(cfg, mode: str = None) -> RunRecord:
                 outcome = auth_outcome(k_end)
                 if sr_mode:
                     result = on_authentication(AuthEvent(k_end, outcome),
-                                               det_state, graph, sched)
+                                               det_state, graph, sched,
+                                               solver_params)
                     graph = result.graph
                     log_auth(k_end, outcome, result.action)
                     failsafe = failsafe or result.failsafe

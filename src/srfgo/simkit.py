@@ -1,19 +1,23 @@
-"""Scenario generation: trajectories, satellites, measurements, Monte Carlo.
+"""Scenario generation: trajectories, satellites, spoofing, measurements.
 
 Everything here is deterministic given a seed.  Measurement noise flows
 through dedicated named streams (see rngutil) so that the GPS draw sequence
 is identical whether or not a spoofer is active; the spoofed stream differs
 from the nominal one only through the injected trajectory bias.
+
+Scenarios are built from command-line settings by ``srfgo.cli``, and seed
+sweeps run through ``srfgo sweep``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .chimera import SLOW_CHANNEL_PERIOD_S
 from .liegroup import (Pose, compose, exp, inverse,
                        quaternion_to_rotation, rotation_to_quaternion)
 from .rngutil import (GPS_STREAM, ODOMETRY_STREAM, TRAJECTORY_STREAM,
@@ -22,7 +26,6 @@ from .rngutil import (GPS_STREAM, ODOMETRY_STREAM, TRAJECTORY_STREAM,
 DT_DEFAULT = 0.1
 SIGMA_GPS_DEFAULT = 7.0
 SIGMA_ICP_DEFAULT = (0.01, 0.01, 0.01, 0.05, 0.05, 0.05)
-EPOCH_S = 180.0
 
 EARTH_RADIUS_M = 6.371e6
 GPS_ORBIT_ALTITUDE_M = 2.02e7
@@ -238,9 +241,10 @@ class Scenario:
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         duration = (len(self.truth) - 1) * self.dt
-        if duration < EPOCH_S:
+        if duration < SLOW_CHANNEL_PERIOD_S:
             raise ValueError(
-                f"trajectory covers {duration:.1f} s; need >= one {EPOCH_S:.0f} s epoch")
+                f"trajectory covers {duration:.1f} s; "
+                f"need >= one {SLOW_CHANNEL_PERIOD_S:.0f} s epoch")
         # Nodes live on the odometry grid; GPS epochs must land on nodes.
         if abs(self.odom_rate_hz * self.dt - 1.0) > 1e-9:
             raise ValueError("odometry rate must equal the node rate 1/dt")
@@ -260,9 +264,6 @@ class Scenario:
     @property
     def gps_every_steps(self) -> int:
         return int(round(1.0 / (self.gps_rate_hz * self.dt)))
-
-    def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -300,76 +301,3 @@ def build_measurements(scenario: Scenario) -> MeasurementStream:
                      scenario.sigma_icp, rng_odom)
         for i in range(scenario.steps))
     return MeasurementStream(odometry, gps_epochs)
-
-
-_TRAJECTORY_KEYS = {"kind", "duration_s", "speed_mps", "path"}
-_SPOOF_KEYS = {"t_start_s", "ramp_rate_mps", "direction"}
-_SCENARIO_KEYS = {"trajectory", "dt", "num_satellites", "gps_rate_hz",
-                  "odom_rate_hz", "sigma_gps", "sigma_icp", "spoof", "seed"}
-
-
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
-
-
-def scenario_from_config(cfg: dict) -> Scenario:
-    """Build a Scenario from a plain JSON-style dict; unknown keys rejected."""
-    _reject_unknown(cfg, _SCENARIO_KEYS, "scenario")
-    traj_cfg = cfg.get("trajectory", {})
-    _reject_unknown(traj_cfg, _TRAJECTORY_KEYS, "trajectory")
-    dt = float(cfg.get("dt", DT_DEFAULT))
-    seed = int(cfg.get("seed", 0))
-    if "path" in traj_cfg:
-        truth = load_trajectory(traj_cfg["path"])
-    else:
-        truth = gen_trajectory(
-            traj_cfg.get("kind", "straight"),
-            float(traj_cfg.get("duration_s", 200.0)),
-            float(traj_cfg.get("speed_mps", 10.0)),
-            seed, dt)
-    spoof = None
-    if cfg.get("spoof") is not None:
-        spoof_cfg = cfg["spoof"]
-        _reject_unknown(spoof_cfg, _SPOOF_KEYS, "spoof")
-        spoof = SpoofProfile(
-            t_start=float(spoof_cfg.get("t_start_s", 100.0)),
-            ramp_rate=float(spoof_cfg.get("ramp_rate_mps", 1.0)),
-            direction=tuple(spoof_cfg.get("direction", EAST)))
-    return Scenario(
-        truth=truth,
-        dt=dt,
-        constellation=Constellation(int(cfg.get("num_satellites", 8))),
-        gps_rate_hz=float(cfg.get("gps_rate_hz", 1.0)),
-        odom_rate_hz=float(cfg.get("odom_rate_hz", 1.0 / dt)),
-        sigma_gps=float(cfg.get("sigma_gps", SIGMA_GPS_DEFAULT)),
-        sigma_icp=tuple(cfg.get("sigma_icp", SIGMA_ICP_DEFAULT)),
-        spoof=spoof,
-        seed=seed)
-
-
-def monte_carlo(scenario: Scenario, mode: str, runs: int, base_seed: int):
-    """Run the pipeline `runs` times with seeds base_seed + index.
-
-    Returns (records, summary): the per-run records in index order plus
-    aggregate statistics.  A run that fails is recorded as an error entry
-    rather than aborting the sweep.
-    """
-    from . import harness  # deferred: harness builds on this module
-
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    records = []
-    failures = []
-    for index in range(runs):
-        run_scenario = scenario.with_seed(base_seed + index)
-        try:
-            records.append(harness.run(run_scenario, mode))
-        except Exception as err:  # noqa: BLE001 - sweep survives one bad run
-            failures.append({"run": index, "error": f"{type(err).__name__}: {err}"})
-            records.append(None)
-    summary = harness.summarize_runs(
-        [r for r in records if r is not None], mode=mode, base_seed=base_seed)
-    summary["failures"] = failures
-    return records, summary

@@ -4,9 +4,10 @@ The window holds the most recent nodes at odometry cadence, one odometry
 factor per consecutive pair, GPS pseudorange factors on the nodes that carry
 a GPS epoch, and a single anchor prior on the oldest node.  The normal
 equations H delta = -b are therefore block-tridiagonal in 6x6 blocks; we
-assemble the blocks vectorized across factors and solve with a banded
-Cholesky factorization.  Levenberg-Marquardt damping wraps the Gauss-Newton
-step: lambda starts at damping_init, divides by 10 on an accepted step and
+assemble the blocks from the batched kernels of srfgo.factors, applied to
+every factor of the window at once, and solve with a banded Cholesky
+factorization.  Levenberg-Marquardt damping wraps the Gauss-Newton step:
+lambda starts at damping_init, divides by 10 on an accepted step and
 multiplies by 10 on a rejected one, so accepted objectives never increase.
 
 Estimates update by right perturbation x <- x * exp(delta).
@@ -15,7 +16,7 @@ Estimates update by right perturbation x <- x * exp(delta).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -127,106 +128,75 @@ class WindowGraph:
         self.nodes = [(base + k, Pose(rot[k], t[k])) for k in range(len(self.nodes))]
 
     def _compile(self) -> dict:
-        """Factor arrays keyed for vectorized evaluation."""
+        """Factor arrays keyed for the batched kernels."""
         row_of = {i: k for k, (i, _) in enumerate(self.nodes)}
-        gps_rows, gps_sat, gps_meas, gps_w = [], [], [], []
-        odo_rows, odo_rot, odo_t, odo_info = [], [], [], []
-        anc_rows, anc_rot, anc_t, anc_info = [], [], [], []
-        for f in self.factors:
-            if isinstance(f, GpsFactor):
-                gps_rows.append(row_of[f.node_index])
-                gps_sat.append(f.sat_position)
-                gps_meas.append(f.measured_range)
-                gps_w.append(1.0 / f.sigma ** 2)
-            elif isinstance(f, OdometryFactor):
-                odo_rows.append(row_of[f.from_index])
-                odo_rot.append(f.measured_transform.rotation)
-                odo_t.append(f.measured_transform.translation)
-                odo_info.append(f.information)
-            else:
-                anc_rows.append(row_of[f.node_index])
-                anc_rot.append(f.prior_pose.rotation)
-                anc_t.append(f.prior_pose.translation)
-                anc_info.append(f.information)
+        gps = [f for f in self.factors if isinstance(f, GpsFactor)]
+        odo = [f for f in self.factors if isinstance(f, OdometryFactor)]
+        anc = [f for f in self.factors if isinstance(f, AnchorFactor)]
+
+        def arr(values, shape, dtype=float):
+            return np.array(values, dtype=dtype).reshape(shape)
+
         return {
-            "gps_rows": np.array(gps_rows, dtype=int),
-            "gps_sat": np.array(gps_sat, dtype=float).reshape(-1, 3),
-            "gps_meas": np.array(gps_meas, dtype=float),
-            "gps_w": np.array(gps_w, dtype=float),
-            "odo_rows": np.array(odo_rows, dtype=int),
-            "odo_rot": np.array(odo_rot, dtype=float).reshape(-1, 3, 3),
-            "odo_t": np.array(odo_t, dtype=float).reshape(-1, 3),
-            "odo_info": np.array(odo_info, dtype=float).reshape(-1, 6, 6),
-            "anc_rows": np.array(anc_rows, dtype=int),
-            "anc_rot": np.array(anc_rot, dtype=float).reshape(-1, 3, 3),
-            "anc_t": np.array(anc_t, dtype=float).reshape(-1, 3),
-            "anc_info": np.array(anc_info, dtype=float).reshape(-1, 6, 6),
+            "gps_rows": arr([row_of[f.node_index] for f in gps], -1, int),
+            "gps_sat": arr([f.sat_position for f in gps], (-1, 3)),
+            "gps_meas": arr([f.measured_range for f in gps], -1),
+            "gps_w": arr([1.0 / f.sigma ** 2 for f in gps], -1),
+            "odo_rows": arr([row_of[f.from_index] for f in odo], -1, int),
+            "odo_rot": arr([f.measured_transform.rotation for f in odo], (-1, 3, 3)),
+            "odo_t": arr([f.measured_transform.translation for f in odo], (-1, 3)),
+            "odo_info": arr([f.information for f in odo], (-1, 6, 6)),
+            "anc_rows": arr([row_of[f.node_index] for f in anc], -1, int),
+            "anc_rot": arr([f.prior_pose.rotation for f in anc], (-1, 3, 3)),
+            "anc_t": arr([f.prior_pose.translation for f in anc], (-1, 3)),
+            "anc_info": arr([f.information for f in anc], (-1, 6, 6)),
         }
 
     # -- residual evaluation ----------------------------------------------
 
     @staticmethod
     def _residuals(comp: dict, rot: np.ndarray, t: np.ndarray) -> dict:
-        out = {}
-        rows = comp["gps_rows"]
-        diff = t[rows] - comp["gps_sat"]
-        ranges = np.linalg.norm(diff, axis=-1)
-        if ranges.size and np.min(ranges) < fmod.COINCIDENT_EPSILON:
-            raise fmod.DegenerateGeometryError("receiver coincides with a satellite")
-        out["gps"] = comp["gps_meas"] - ranges
-        out["gps_ranges"] = ranges
-        out["gps_diff"] = diff
-
+        gps, gps_diff, gps_ranges = fmod.gps_errors(
+            t[comp["gps_rows"]], comp["gps_sat"], comp["gps_meas"])
         orow = comp["odo_rows"]
-        rot_i, t_i = rot[orow], t[orow]
-        rot_j, t_j = rot[orow + 1], t[orow + 1]
-        # Body-frame relative prediction x_i^-1 x_j.
-        rot_pred = np.swapaxes(rot_i, -1, -2) @ rot_j
-        t_pred = (np.swapaxes(rot_i, -1, -2) @ (t_j - t_i)[..., None])[..., 0]
-        rot_m = np.swapaxes(rot_pred, -1, -2) @ comp["odo_rot"]
-        t_m = (np.swapaxes(rot_pred, -1, -2) @ (comp["odo_t"] - t_pred)[..., None])[..., 0]
-        out["odometry"] = (liegroup.se3_log_arrays(rot_m, t_m)
-                           if orow.size else np.zeros((0, 6)))
-        out["odo_rot_pred"] = rot_pred
-        out["odo_t_pred"] = t_pred
-
+        odometry, rot_pred, t_pred = fmod.odometry_errors(
+            rot[orow], t[orow], rot[orow + 1], t[orow + 1],
+            comp["odo_rot"], comp["odo_t"])
         arow = comp["anc_rows"]
-        rot_x, t_x = rot[arow], t[arow]
-        rot_e = np.swapaxes(rot_x, -1, -2) @ comp["anc_rot"]
-        t_e = (np.swapaxes(rot_x, -1, -2) @ (comp["anc_t"] - t_x)[..., None])[..., 0]
-        out["anchor"] = (liegroup.se3_log_arrays(rot_e, t_e)
-                         if arow.size else np.zeros((0, 6)))
-        return out
+        anchor = fmod.anchor_errors(rot[arow], t[arow], comp["anc_rot"],
+                                    comp["anc_t"])
+        return {"gps": gps, "gps_diff": gps_diff, "gps_ranges": gps_ranges,
+                "odometry": odometry, "odo_rot_pred": rot_pred,
+                "odo_t_pred": t_pred, "anchor": anchor}
 
     @staticmethod
     def _objective_of(comp: dict, res: dict) -> float:
         total = float(np.dot(comp["gps_w"], res["gps"] ** 2))
-        if res["odometry"].size:
-            total += float(np.einsum("ni,nij,nj->", res["odometry"],
-                                     comp["odo_info"], res["odometry"]))
-        if res["anchor"].size:
-            total += float(np.einsum("ni,nij,nj->", res["anchor"],
-                                     comp["anc_info"], res["anchor"]))
+        total += float(np.einsum("ni,nij,nj->", res["odometry"],
+                                 comp["odo_info"], res["odometry"]))
+        total += float(np.einsum("ni,nij,nj->", res["anchor"],
+                                 comp["anc_info"], res["anchor"]))
         return total
+
+    def _evaluate(self) -> tuple[dict, dict]:
+        comp = self._compile()
+        return comp, self._residuals(comp, *self._stack_states())
 
     def objective(self) -> float:
         """Sum of information-normalized squared residuals over all factors."""
-        comp = self._compile()
-        rot, t = self._stack_states()
-        return self._objective_of(comp, self._residuals(comp, rot, t))
+        return self._objective_of(*self._evaluate())
 
     def gps_residuals(self) -> tuple[np.ndarray, np.ndarray]:
         """(residuals, sigmas) for the GPS factors at current estimates."""
-        comp = self._compile()
-        rot, t = self._stack_states()
-        res = self._residuals(comp, rot, t)
-        sigmas = 1.0 / np.sqrt(comp["gps_w"]) if comp["gps_w"].size else np.zeros(0)
-        return res["gps"], sigmas
+        comp, res = self._evaluate()
+        return res["gps"], 1.0 / np.sqrt(comp["gps_w"])
 
     # -- normal equations --------------------------------------------------
 
-    def _linearize(self, comp: dict, rot: np.ndarray, t: np.ndarray,
-                   res: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _assemble(self, comp: dict, rot: np.ndarray,
+                  res: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Diagonal and upper 6x6 blocks of H = sum J^T W J and the blocks
+        of the gradient sum J^T W e."""
         n = len(self.nodes)
         diag = np.zeros((n, 6, 6))
         upper = np.zeros((max(n - 1, 0), 6, 6))
@@ -234,9 +204,7 @@ class WindowGraph:
 
         rows = comp["gps_rows"]
         if rows.size:
-            los = res["gps_diff"] / res["gps_ranges"][..., None]
-            # d e / d rho = -(los^T R); rotational block identically zero.
-            jt = -np.einsum("ni,nij->nj", los, rot[rows])
+            jt = fmod.gps_jacobians(rot[rows], res["gps_diff"], res["gps_ranges"])
             w = comp["gps_w"]
             blocks = w[:, None, None] * jt[:, :, None] * jt[:, None, :]
             np.add.at(diag, (rows, slice(3, None), slice(3, None)), blocks)
@@ -245,35 +213,27 @@ class WindowGraph:
         orow = comp["odo_rows"]
         if orow.size:
             e = res["odometry"]
-            # J_j = -Jl^-1(e); the from-node slot folds through Ad(pred^-1),
-            # so J_i = -J_j Ad(pred^-1).
-            rot_pi = np.swapaxes(res["odo_rot_pred"], -1, -2)
-            t_pi = -(rot_pi @ res["odo_t_pred"][..., None])[..., 0]
-            ad = liegroup.adjoint_arrays(rot_pi, t_pi)
-            jl = liegroup.se3_left_jacobian_inv(e)
-            j_i = jl @ ad
-            info_ji = comp["odo_info"] @ j_i
-            info_jl = comp["odo_info"] @ jl
+            info = comp["odo_info"]
+            j_i, j_j = fmod.odometry_jacobians(e, res["odo_rot_pred"],
+                                               res["odo_t_pred"])
+            j_it = np.swapaxes(j_i, -1, -2)
+            j_jt = np.swapaxes(j_j, -1, -2)
+            info_jj = info @ j_j
             # One odometry factor per pair: rows are unique, plain scatter adds.
-            diag[orow] += np.swapaxes(j_i, -1, -2) @ info_ji
-            diag[orow + 1] += np.swapaxes(jl, -1, -2) @ info_jl
-            upper[orow] += -np.swapaxes(j_i, -1, -2) @ info_jl
-            g = np.einsum("nij,njk,nk->ni", np.swapaxes(j_i, -1, -2),
-                          comp["odo_info"], e)
-            g_j = np.einsum("nij,njk,nk->ni", np.swapaxes(jl, -1, -2),
-                            comp["odo_info"], e)
-            grad[orow] += g
-            grad[orow + 1] -= g_j
+            diag[orow] += j_it @ (info @ j_i)
+            diag[orow + 1] += j_jt @ info_jj
+            upper[orow] += j_it @ info_jj
+            grad[orow] += np.einsum("nij,njk,nk->ni", j_it, info, e)
+            grad[orow + 1] += np.einsum("nij,njk,nk->ni", j_jt, info, e)
 
         arow = comp["anc_rows"]
         if arow.size:
             e = res["anchor"]
-            jac = -liegroup.se3_left_jacobian_inv(e)
-            w_blk = np.swapaxes(jac, -1, -2) @ comp["anc_info"] @ jac
-            g = np.einsum("nij,njk,nk->ni", np.swapaxes(jac, -1, -2),
-                          comp["anc_info"], e)
-            np.add.at(diag, arow, w_blk)
-            np.add.at(grad, arow, g)
+            jac = fmod.anchor_jacobians(e)
+            jac_t = np.swapaxes(jac, -1, -2)
+            np.add.at(diag, arow, jac_t @ comp["anc_info"] @ jac)
+            np.add.at(grad, arow, np.einsum("nij,njk,nk->ni", jac_t,
+                                            comp["anc_info"], e))
         return diag, upper, grad
 
     @staticmethod
@@ -313,7 +273,7 @@ class WindowGraph:
 
         for iterations in range(1, params.max_iterations + 1):
             iter_started = time.perf_counter()
-            diag, upper, grad = self._linearize(comp, rot, t, res)
+            diag, upper, grad = self._assemble(comp, rot, res)
             accepted = False
             while True:
                 try:
@@ -397,7 +357,6 @@ class WindowGraph:
             raise ValueError(
                 f"shift {shift} would underflow a {len(self.nodes)}-node window")
         kept = self.nodes[shift:]
-        evicted = {i for i, _ in self.nodes[:shift]}
         kept_set = {i for i, _ in kept}
 
         def survives(f) -> bool:
@@ -412,7 +371,6 @@ class WindowGraph:
         factors.append(AnchorFactor(oldest_idx, oldest_pose, fmod.anchor_information()))
         nodes = list(kept)
         self._append_nodes(nodes, factors, new_nodes, new_factors)
-        del evicted
         return WindowGraph(nodes, factors, self.window_capacity)
 
     def strip_gps(self) -> "WindowGraph":

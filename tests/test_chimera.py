@@ -6,10 +6,10 @@ import pytest
 from srfgo import factors as fmod
 from srfgo.chimera import (AuthEvent, AuthResult, AuthSchedule, next_auth_time,
                            on_authentication, slow_channel)
-from srfgo.detector import DetectorState
+from srfgo.detector import DetectorState, mitigate
 from srfgo.factors import AnchorFactor, GpsFactor, OdometryFactor
 from srfgo.liegroup import Pose, compose, inverse
-from srfgo.solver import WindowGraph
+from srfgo.solver import SolverParams, WindowGraph
 
 
 class TestSchedule:
@@ -62,6 +62,23 @@ class TestOnAuthentication:
         assert result.failsafe
         assert state.spoofed_flag and state.gps_excluded
         assert not result.graph.gps_factors()
+
+    def test_failed_auth_reoptimizes_with_given_solver_params(self):
+        g = _window_with_gps()
+        g.optimize()  # the GPS bias pulls the estimates off the odometry chain
+        params = SolverParams(max_iterations=1, damping_init=1e3)
+        result = on_authentication(AuthEvent(1800, "failed"), DetectorState(), g,
+                                   AuthSchedule(1800), params)
+        expected = mitigate(g, DetectorState(spoofed_flag=True), params)
+        default = mitigate(g, DetectorState(spoofed_flag=True))
+        for k in g.times():
+            got = result.graph.estimate_of(k)
+            assert np.array_equal(got.rotation, expected.estimate_of(k).rotation)
+            assert np.array_equal(got.translation, expected.estimate_of(k).translation)
+        # The damped single step stops short of the default solve.
+        assert max(np.linalg.norm(result.graph.estimate_of(k).translation
+                                  - default.estimate_of(k).translation)
+                   for k in g.times()) > 1e-4
 
     def test_authentic_auth_clears_latch_and_readmits(self):
         g = _window_with_gps()

@@ -177,24 +177,15 @@ class TestDecide:
 
     def test_crossing_detects_and_latches(self):
         s = DetectorState()
-        assert decide(10.0 + 1e-9, 10.0, s, time_index=5) == "spoof-detected"
+        assert decide(10.0 + 1e-9, 10.0, s) == "spoof-detected"
         assert s.spoofed_flag
         # Latched: a quiet statistic still reports spoofed.
-        assert decide(0.0, 10.0, s, time_index=6) == "spoof-detected"
-        assert s.trials == 2
-        assert [r.decision for r in s.statistic_history] == ["spoof-detected"] * 2
+        assert decide(0.0, 10.0, s) == "spoof-detected"
 
     def test_trust_window_logs_without_latching(self):
         s = DetectorState()
         assert decide(99.0, 10.0, s, monitoring=False) == "authentic"
         assert not s.spoofed_flag
-        assert s.trials == 1 and s.statistic_history[0].q == 99.0
-
-    def test_history_records_fields(self):
-        s = DetectorState()
-        decide(3.0, 10.0, s, time_index=42)
-        rec = s.statistic_history[0]
-        assert rec.time_index == 42 and rec.q == 3.0 and rec.tau == 10.0
 
 
 class TestMitigate:

@@ -12,7 +12,7 @@ from srfgo.harness import (RunConfig, RunRecord, detection_stats,
                            epoch_false_alarm_probability, l2_errors, read_run,
                            run, summarize, summarize_runs, write_run)
 from srfgo.liegroup import Pose
-from srfgo.simkit import Scenario, SpoofProfile, gen_trajectory, monte_carlo
+from srfgo.simkit import Scenario, SpoofProfile, gen_trajectory
 
 SPEED = 10.0
 # Along-track at attack onset: circuit heading at t=100 s is 5.0 rad.
@@ -257,25 +257,10 @@ class TestSerialization:
 
 
 class TestMonteCarlo:
-    def test_seeds_and_aggregate(self):
-        scn = make_scenario()
-        records, summary = monte_carlo(scn, "odometry-only", runs=3,
-                                       base_seed=50)
-        assert [r.seed for r in records] == [50, 51, 52]
-        assert summary["runs"] == 3
-        assert summary["failures"] == []
-        assert summary["mean_error_m"]["per_run"] == [
-            r.summary["mean_error_m"] for r in records]
-
-    def test_repeatable(self):
-        scn = make_scenario()
-        first, _ = monte_carlo(scn, "odometry-only", runs=2, base_seed=9)
-        second, _ = monte_carlo(scn, "odometry-only", runs=2, base_seed=9)
-        assert first == second
-
     def test_summarize_runs_sorts_by_seed(self):
-        scn = make_scenario()
-        records, _ = monte_carlo(scn, "odometry-only", runs=3, base_seed=50)
+        records = [run(RunConfig(scenario=make_scenario(seed=seed),
+                                 mode="odometry-only"))
+                   for seed in (50, 51, 52)]
         shuffled = [records[2], records[0], records[1]]
         summary = summarize_runs(shuffled, mode="odometry-only", base_seed=50)
         assert summary["mean_error_m"]["per_run"] == [

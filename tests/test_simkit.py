@@ -12,7 +12,7 @@ from srfgo.simkit import (CIRCUIT_RADIUS_M, EARTH_RADIUS_M, GPS_ORBIT_ALTITUDE_M
                           build_measurements, gen_odometry, gen_pseudoranges,
                           gen_spoofed_pseudoranges, gen_trajectory,
                           load_trajectory, sat_positions, save_trajectory,
-                          scenario_from_config, spoof_bias)
+                          spoof_bias)
 
 
 class TestGenTrajectory:
@@ -290,33 +290,3 @@ class TestScenario:
             truth=truth, seed=5, spoof=SpoofProfile(t_start=100.0, ramp_rate=2.0)))
         for a, b in zip(nominal.odometry[::100], spoofed.odometry[::100]):
             assert np.array_equal(a.matrix(), b.matrix())
-
-
-class TestScenarioConfig:
-    def test_defaults(self):
-        scn = scenario_from_config({"trajectory": {"kind": "straight"}})
-        assert scn.steps == 2000
-        assert scn.sigma_gps == 7.0
-        assert scn.spoof is None
-
-    def test_spoof_section(self):
-        scn = scenario_from_config({
-            "trajectory": {"kind": "straight"},
-            "spoof": {"t_start_s": 100.0, "ramp_rate_mps": 0.5},
-        })
-        assert scn.spoof.ramp_rate == 0.5
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            scenario_from_config({"trajectory": {}, "speling": 1})
-        with pytest.raises(ValueError, match="unknown trajectory"):
-            scenario_from_config({"trajectory": {"knd": "straight"}})
-        with pytest.raises(ValueError, match="unknown spoof"):
-            scenario_from_config({"trajectory": {}, "spoof": {"rate": 1.0}})
-
-    def test_trajectory_from_file(self, tmp_path):
-        poses = gen_trajectory("straight", 200.0, 10.0, seed=1)
-        path = tmp_path / "traj.csv"
-        save_trajectory(path, poses)
-        scn = scenario_from_config({"trajectory": {"path": str(path)}})
-        assert scn.steps == 2000

@@ -7,7 +7,7 @@ import pytest
 
 from srfgo import factors as fmod
 from srfgo import liegroup
-from srfgo.factors import AnchorFactor, GpsFactor, OdometryFactor
+from srfgo.factors import AnchorFactor, GpsFactor, OdometryFactor, linearize
 from srfgo.liegroup import Pose, compose, exp, inverse
 from srfgo.solver import SolveReport, SolverParams, WindowGraph
 from conftest import random_pose, random_tangent
@@ -98,6 +98,56 @@ class TestObjective:
         o1 = WindowGraph([(0, pose)], [f1], 2).objective()
         o2 = WindowGraph([(0, pose)], [f2], 2).objective()
         assert o2 == o1 / 4.0
+
+
+class TestAssembly:
+    def test_blocks_match_dense_normal_equations(self, rng):
+        """The solver's scattered blocks equal sum J^T W J and sum J^T W e
+        built factor by factor from linearize()."""
+        n = 5
+        truth = truth_chain(rng, n)
+        facs = []
+        for k in range(n - 1):
+            meas = compose(compose(inverse(truth[k]), truth[k + 1]),
+                           exp(random_tangent(rng, max_angle=0.1, max_trans=0.2)))
+            a = rng.normal(size=(6, 6))
+            facs.append(OdometryFactor(k, k + 1, meas, a @ a.T + np.eye(6)))
+        for k in (1, 3, 3, 4):  # two GPS factors share node 3
+            direction = rng.normal(size=3)
+            sat = truth[k].translation + direction / np.linalg.norm(direction) * 1e3
+            facs.append(GpsFactor(k, sat, 1e3 + rng.normal() * 5.0, 5.0))
+        prior = compose(truth[0], exp(random_tangent(rng, max_angle=0.1, max_trans=0.5)))
+        facs.append(AnchorFactor(0, prior, fmod.anchor_information()))
+        start = [compose(p, exp(random_tangent(rng, max_angle=0.2, max_trans=1.0)))
+                 for p in truth]
+        g = WindowGraph(list(enumerate(start)), facs, window_capacity=n)
+
+        h = np.zeros((n, 6, n, 6))
+        b = np.zeros((n, 6))
+        states = g.estimates()
+        for f in facs:
+            lin = linearize(f, states)
+            w = (np.array([[f.sigma ** -2]]) if isinstance(f, GpsFactor)
+                 else f.information)
+            e = np.atleast_1d(lin.residual)
+            for a, j_a in zip(lin.node_indices, lin.jacobians):
+                b[a] += j_a.T @ w @ e
+                for c, j_c in zip(lin.node_indices, lin.jacobians):
+                    h[a, :, c, :] += j_a.T @ w @ j_c
+
+        comp = g._compile()
+        rot, t = g._stack_states()
+        diag, upper, grad = g._assemble(comp, rot, g._residuals(comp, rot, t))
+
+        idx = np.arange(n)
+        scale = np.max(np.abs(h))
+        close = dict(rtol=1e-9, atol=1e-9 * scale)
+        np.testing.assert_allclose(diag, h[idx, :, idx, :], **close)
+        np.testing.assert_allclose(upper, h[idx[:-1], :, idx[1:], :], **close)
+        np.testing.assert_allclose(grad, b, rtol=1e-9, atol=1e-9 * np.max(np.abs(b)))
+        # Block-tridiagonal: nothing beyond the first off-diagonal.
+        far = np.abs(idx[:, None] - idx[None, :]) > 1
+        assert not np.any(h.transpose(0, 2, 1, 3)[far])
 
 
 class TestOptimize:
