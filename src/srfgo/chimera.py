@@ -60,13 +60,6 @@ class AuthResult(NamedTuple):
     failsafe: bool
 
 
-def next_auth_time(sched: AuthSchedule, k: int) -> int:
-    """Smallest schedule multiple strictly greater than step k."""
-    if k < 0:
-        raise ValueError(f"time index must be >= 0, got {k}")
-    return (k // sched.epoch_length_steps + 1) * sched.epoch_length_steps
-
-
 def on_authentication(event: AuthEvent, state: DetectorState,
                       graph: "WindowGraph", sched: AuthSchedule,
                       params: "SolverParams" = None) -> AuthResult:

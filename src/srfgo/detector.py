@@ -195,7 +195,7 @@ def mitigate(graph: "WindowGraph", state: DetectorState,
     if not state.spoofed_flag:
         raise ValueError("mitigation requires a latched detection")
     state.gps_excluded = True
-    if not graph.gps_factors():
+    if not graph.gps_count():
         return graph
     stripped = graph.strip_gps()
     stripped.optimize(params)

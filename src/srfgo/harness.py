@@ -180,11 +180,9 @@ def _gps_factors_at(step: int, stream: MeasurementStream, sigma: float):
             for sat, rho in zip(sats, ranges)]
 
 
-def _batch_ends(n_steps: int, shift: int):
-    ends = list(range(shift, n_steps + 1, shift))
-    if not ends or ends[-1] != n_steps:
-        ends.append(n_steps)
-    return ends
+def _batch_ends(n_steps: int, shift: int, epoch: int):
+    """Window ends: every shift steps, every authentication epoch, the end."""
+    return sorted({*range(shift, n_steps, shift), *range(epoch, n_steps, epoch), n_steps})
 
 
 def run(cfg: RunConfig) -> RunRecord:
@@ -243,7 +241,8 @@ def run(cfg: RunConfig) -> RunRecord:
             log_auth(0, auth_outcome(0), "none")
 
         prev_end = 0
-        for k_end in _batch_ends(n_steps, cfg.window_shift):
+        for k_end in _batch_ends(n_steps, cfg.window_shift,
+                                 sched.epoch_length_steps):
             batch = list(range(prev_end + 1, k_end + 1))
             prev_end = k_end
             new_factors = []
@@ -253,7 +252,7 @@ def run(cfg: RunConfig) -> RunRecord:
                 if i in stream.gps_epochs and not det_state.gps_excluded:
                     new_factors += _gps_factors_at(i, stream, scenario.sigma_gps)
 
-            overflow = len(graph.nodes) + len(batch) - cfg.window_size
+            overflow = len(graph) + len(batch) - cfg.window_size
             if overflow > 0:
                 graph = graph.slide(batch, new_factors, overflow)
             else:
@@ -264,8 +263,6 @@ def run(cfg: RunConfig) -> RunRecord:
             opt_seconds.append(time.perf_counter() - started)
             iteration_counts.append(report.iterations)
             iteration_seconds.append(report.iteration_seconds)
-            for i in batch:
-                est[i] = graph.estimate_of(i)
 
             # The monitor runs in both graph modes so naive runs still log
             # an unmitigated trial sequence; only sr mode acts on a latch.
@@ -280,8 +277,6 @@ def run(cfg: RunConfig) -> RunRecord:
                                    "n": n, "decision": decision})
                 if sr_mode and det_state.spoofed_flag and not was_latched:
                     graph = mitigate(graph, det_state, solver_params)
-                    for i in batch:
-                        est[i] = graph.estimate_of(i)
 
             if k_end % sched.epoch_length_steps == 0:
                 outcome = auth_outcome(k_end)
@@ -294,11 +289,10 @@ def run(cfg: RunConfig) -> RunRecord:
                     failsafe = failsafe or result.failsafe
                     if outcome == "authentic":
                         trust_until = result.trust_until
-                    else:
-                        for i in batch:
-                            est[i] = graph.estimate_of(i)
                 else:
                     log_auth(k_end, outcome, "none")
+            for i in batch:
+                est[i] = graph.estimate_of(i)
 
         smoothed = [(step, graph.estimate_of(step)) for step in graph.times()]
 

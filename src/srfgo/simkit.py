@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chimera import SLOW_CHANNEL_PERIOD_S
+from .chimera import SLOW_CHANNEL_PERIOD_S, slow_channel
 from .liegroup import (Pose, compose, exp, inverse,
                        quaternion_to_rotation, rotation_to_quaternion)
 from .rngutil import (GPS_STREAM, ODOMETRY_STREAM, TRAJECTORY_STREAM,
@@ -240,6 +240,7 @@ class Scenario:
         object.__setattr__(self, "truth", tuple(self.truth))
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        slow_channel(self.dt)  # raises unless dt divides the authentication epoch
         duration = (len(self.truth) - 1) * self.dt
         if duration < SLOW_CHANNEL_PERIOD_S:
             raise ValueError(

@@ -2,13 +2,15 @@
 
 The window holds the most recent nodes at odometry cadence, one odometry
 factor per consecutive pair, GPS pseudorange factors on the nodes that carry
-a GPS epoch, and a single anchor prior on the oldest node.  The normal
-equations H delta = -b are therefore block-tridiagonal in 6x6 blocks; we
-assemble the blocks from the batched kernels of srfgo.factors, applied to
-every factor of the window at once, and solve with a banded Cholesky
-factorization.  Levenberg-Marquardt damping wraps the Gauss-Newton step:
-lambda starts at damping_init, divides by 10 on an accepted step and
-multiplies by 10 on a rejected one, so accepted objectives never increase.
+a GPS epoch, and a single anchor prior on the oldest node, all as arrays:
+stacked node states, and each factor compiled once, on entering the window,
+into the stacked arrays that the batched kernels of srfgo.factors take.
+The normal equations H delta = -b are block-tridiagonal in 6x6 blocks; we
+assemble the blocks from those kernels, applied to every factor at once,
+and solve with a banded Cholesky factorization.  Levenberg-Marquardt
+damping wraps the Gauss-Newton step: lambda starts at damping_init, divides
+by 10 on an accepted step and multiplies by 10 on a rejected one, so
+accepted objectives never increase.
 
 Estimates update by right perturbation x <- x * exp(delta).
 """
@@ -59,103 +61,88 @@ class SolveReport:
     iteration_seconds: float = 0.0
 
 
+def _compile(factors: Sequence, base: int) -> dict:
+    """Factor objects as the stacked arrays the batched kernels take, keyed
+    gps_*/odo_*/anc_* in input order; node references become rows relative
+    to the window's first step `base`."""
+    gps, odo, anc = ([f for f in factors if isinstance(f, kind)]
+                     for kind in (GpsFactor, OdometryFactor, AnchorFactor))
+    if len(gps) + len(odo) + len(anc) != len(factors):
+        raise TypeError("factors must be GpsFactor, OdometryFactor or AnchorFactor")
+
+    def arr(values, shape, dtype=float):
+        return np.array(values, dtype=dtype).reshape(shape)
+
+    return {
+        "gps_rows": arr([f.node_index - base for f in gps], -1, int),
+        "gps_sat": arr([f.sat_position for f in gps], (-1, 3)),
+        "gps_meas": arr([f.measured_range for f in gps], -1),
+        "gps_w": arr([1.0 / f.sigma ** 2 for f in gps], -1),
+        "odo_rows": arr([f.from_index - base for f in odo], -1, int),
+        "odo_rot": arr([f.measured_transform.rotation for f in odo], (-1, 3, 3)),
+        "odo_t": arr([f.measured_transform.translation for f in odo], (-1, 3)),
+        "odo_info": arr([f.information for f in odo], (-1, 6, 6)),
+        "anc_rows": arr([f.node_index - base for f in anc], -1, int),
+        "anc_rot": arr([f.prior_pose.rotation for f in anc], (-1, 3, 3)),
+        "anc_t": arr([f.prior_pose.translation for f in anc], (-1, 3)),
+        "anc_info": arr([f.information for f in anc], (-1, 6, 6)),
+    }
+
+
 class WindowGraph:
-    """Single-owner mutable window of (global time index, Pose) nodes."""
+    """Window over the consecutive time steps base .. base + n - 1, held as
+    arrays only: node estimates ``rot`` (n, 3, 3) and ``t`` (n, 3), and the
+    factor arrays ``comp`` compiled when the factors entered the window.
+
+    ``optimize`` replaces the estimates of this graph; ``append``, ``slide``
+    and ``strip_gps`` return a new graph and leave this one unchanged.
+    """
 
     def __init__(self, nodes: Sequence[tuple[int, Pose]], factors: Sequence,
                  window_capacity: int):
-        if window_capacity < 1:
-            raise ValueError("window capacity must be >= 1")
-        self.nodes = [(int(i), p) for i, p in nodes]
-        self.factors = list(factors)
+        idx = [int(i) for i, _ in nodes]
+        if any(b - a != 1 for a, b in zip(idx, idx[1:])):
+            raise ValueError("node time indices must be consecutive and increasing")
         self.window_capacity = int(window_capacity)
+        self.base = idx[0] if idx else 0
+        self.rot = np.array([p.rotation for _, p in nodes]).reshape(-1, 3, 3)
+        self.t = np.array([p.translation for _, p in nodes]).reshape(-1, 3)
+        self.comp = _compile(factors, self.base)
         self._validate()
 
     # -- structure ---------------------------------------------------------
 
     def _validate(self) -> None:
-        if not self.nodes:
+        n = len(self)
+        if n == 0:
             raise ValueError("window must hold at least one node")
-        if len(self.nodes) > self.window_capacity:
-            raise ValueError(
-                f"{len(self.nodes)} nodes exceed capacity {self.window_capacity}")
-        idx = [i for i, _ in self.nodes]
-        if any(b - a != 1 for a, b in zip(idx, idx[1:])):
-            raise ValueError("node time indices must be consecutive and increasing")
-        members = set(idx)
-        odo_pairs = set()
-        for f in self.factors:
-            if isinstance(f, GpsFactor):
-                refs = (f.node_index,)
-            elif isinstance(f, OdometryFactor):
-                refs = (f.from_index, f.to_index)
-                if (f.from_index, f.to_index) in odo_pairs:
-                    raise ValueError(
-                        f"duplicate odometry factor {f.from_index}->{f.to_index}")
-                odo_pairs.add((f.from_index, f.to_index))
-            elif isinstance(f, AnchorFactor):
-                refs = (f.node_index,)
-            else:
-                raise TypeError(f"unknown factor type {type(f).__name__}")
-            for r in refs:
-                if r not in members:
-                    raise ValueError(f"factor references node {r} outside the window")
-        for a, b in zip(idx, idx[1:]):
-            if (a, b) not in odo_pairs:
-                raise ValueError(f"nodes {a},{b} not linked by an odometry factor")
+        if n > self.window_capacity:  # also rejects a capacity below 1
+            raise ValueError(f"{n} nodes exceed capacity {self.window_capacity}")
+        for kind in ("gps", "anc"):
+            rows = self.comp[f"{kind}_rows"]
+            if np.any((rows < 0) | (rows >= n)):
+                raise ValueError(f"{kind} factor references a node outside the window")
+        # One comparison rejects duplicate, missing and dangling odometry.
+        if not np.array_equal(np.sort(self.comp["odo_rows"]), np.arange(n - 1)):
+            raise ValueError("odometry must link each consecutive node pair exactly once")
+
+    def __len__(self) -> int:
+        return len(self.t)
 
     def times(self) -> list[int]:
-        return [i for i, _ in self.nodes]
-
-    def estimates(self) -> dict[int, Pose]:
-        return dict(self.nodes)
+        return list(range(self.base, self.base + len(self)))
 
     def estimate_of(self, time_index: int) -> Pose:
-        return self.nodes[time_index - self.nodes[0][0]][1]
+        k = time_index - self.base
+        return Pose(self.rot[k], self.t[k])
 
-    def gps_factors(self) -> list[GpsFactor]:
-        return [f for f in self.factors if isinstance(f, GpsFactor)]
-
-    # -- stacked views -----------------------------------------------------
-
-    def _stack_states(self) -> tuple[np.ndarray, np.ndarray]:
-        rot = np.stack([p.rotation for _, p in self.nodes])
-        t = np.stack([p.translation for _, p in self.nodes])
-        return rot, t
-
-    def _write_states(self, rot: np.ndarray, t: np.ndarray) -> None:
-        base = self.nodes[0][0]
-        self.nodes = [(base + k, Pose(rot[k], t[k])) for k in range(len(self.nodes))]
-
-    def _compile(self) -> dict:
-        """Factor arrays keyed for the batched kernels."""
-        row_of = {i: k for k, (i, _) in enumerate(self.nodes)}
-        gps = [f for f in self.factors if isinstance(f, GpsFactor)]
-        odo = [f for f in self.factors if isinstance(f, OdometryFactor)]
-        anc = [f for f in self.factors if isinstance(f, AnchorFactor)]
-
-        def arr(values, shape, dtype=float):
-            return np.array(values, dtype=dtype).reshape(shape)
-
-        return {
-            "gps_rows": arr([row_of[f.node_index] for f in gps], -1, int),
-            "gps_sat": arr([f.sat_position for f in gps], (-1, 3)),
-            "gps_meas": arr([f.measured_range for f in gps], -1),
-            "gps_w": arr([1.0 / f.sigma ** 2 for f in gps], -1),
-            "odo_rows": arr([row_of[f.from_index] for f in odo], -1, int),
-            "odo_rot": arr([f.measured_transform.rotation for f in odo], (-1, 3, 3)),
-            "odo_t": arr([f.measured_transform.translation for f in odo], (-1, 3)),
-            "odo_info": arr([f.information for f in odo], (-1, 6, 6)),
-            "anc_rows": arr([row_of[f.node_index] for f in anc], -1, int),
-            "anc_rot": arr([f.prior_pose.rotation for f in anc], (-1, 3, 3)),
-            "anc_t": arr([f.prior_pose.translation for f in anc], (-1, 3)),
-            "anc_info": arr([f.information for f in anc], (-1, 6, 6)),
-        }
+    def gps_count(self) -> int:
+        return len(self.comp["gps_rows"])
 
     # -- residual evaluation ----------------------------------------------
 
-    @staticmethod
-    def _residuals(comp: dict, rot: np.ndarray, t: np.ndarray) -> dict:
+    def _residuals(self, rot: np.ndarray, t: np.ndarray) -> dict:
+        comp = self.comp
         gps, gps_diff, gps_ranges = fmod.gps_errors(
             t[comp["gps_rows"]], comp["gps_sat"], comp["gps_meas"])
         orow = comp["odo_rows"]
@@ -169,8 +156,8 @@ class WindowGraph:
                 "odometry": odometry, "odo_rot_pred": rot_pred,
                 "odo_t_pred": t_pred, "anchor": anchor}
 
-    @staticmethod
-    def _objective_of(comp: dict, res: dict) -> float:
+    def _objective_of(self, res: dict) -> float:
+        comp = self.comp
         total = float(np.dot(comp["gps_w"], res["gps"] ** 2))
         total += float(np.einsum("ni,nij,nj->", res["odometry"],
                                  comp["odo_info"], res["odometry"]))
@@ -178,26 +165,25 @@ class WindowGraph:
                                  comp["anc_info"], res["anchor"]))
         return total
 
-    def _evaluate(self) -> tuple[dict, dict]:
-        comp = self._compile()
-        return comp, self._residuals(comp, *self._stack_states())
-
     def objective(self) -> float:
         """Sum of information-normalized squared residuals over all factors."""
-        return self._objective_of(*self._evaluate())
+        return self._objective_of(self._residuals(self.rot, self.t))
 
     def gps_residuals(self) -> tuple[np.ndarray, np.ndarray]:
         """(residuals, sigmas) for the GPS factors at current estimates."""
-        comp, res = self._evaluate()
-        return res["gps"], 1.0 / np.sqrt(comp["gps_w"])
+        comp = self.comp
+        res, _, _ = fmod.gps_errors(self.t[comp["gps_rows"]], comp["gps_sat"],
+                                    comp["gps_meas"])
+        return res, 1.0 / np.sqrt(comp["gps_w"])
 
     # -- normal equations --------------------------------------------------
 
-    def _assemble(self, comp: dict, rot: np.ndarray,
+    def _assemble(self, rot: np.ndarray,
                   res: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Diagonal and upper 6x6 blocks of H = sum J^T W J and the blocks
         of the gradient sum J^T W e."""
-        n = len(self.nodes)
+        comp = self.comp
+        n = len(rot)
         diag = np.zeros((n, 6, 6))
         upper = np.zeros((max(n - 1, 0), 6, 6))
         grad = np.zeros((n, 6))
@@ -257,12 +243,11 @@ class WindowGraph:
         return delta
 
     def optimize(self, params: SolverParams | None = None) -> SolveReport:
-        """Damped Gauss-Newton to convergence; mutates node estimates."""
+        """Damped Gauss-Newton to convergence; replaces the node estimates."""
         params = params or SolverParams()
-        comp = self._compile()
-        rot, t = self._stack_states()
-        res = self._residuals(comp, rot, t)
-        obj = self._objective_of(comp, res)
+        rot, t = self.rot, self.t
+        res = self._residuals(rot, t)
+        obj = self._objective_of(res)
         history = [obj]
         damping = params.damping_init
         status = "max-iterations"
@@ -273,7 +258,7 @@ class WindowGraph:
 
         for iterations in range(1, params.max_iterations + 1):
             iter_started = time.perf_counter()
-            diag, upper, grad = self._assemble(comp, rot, res)
+            diag, upper, grad = self._assemble(rot, res)
             accepted = False
             while True:
                 try:
@@ -287,8 +272,8 @@ class WindowGraph:
                 step = delta.reshape(-1, 6)
                 rot_s, t_s = liegroup.se3_exp_arrays(step)
                 rot_new, t_new = liegroup.compose_arrays(rot, t, rot_s, t_s)
-                res_new = self._residuals(comp, rot_new, t_new)
-                obj_new = self._objective_of(comp, res_new)
+                res_new = self._residuals(rot_new, t_new)
+                obj_new = self._objective_of(res_new)
                 if obj_new <= obj:
                     accepted = True
                     damping = max(damping / 10.0, 1e-12)
@@ -314,7 +299,7 @@ class WindowGraph:
                 converged = True
                 break
 
-        self._write_states(rot, t)
+        self.rot, self.t = rot, t
         snapshot = {"gps": res["gps"].copy(), "odometry": res["odometry"].copy(),
                     "anchor": res["anchor"].copy()}
         return SolveReport(final_objective=obj, iterations=iterations,
@@ -324,56 +309,58 @@ class WindowGraph:
 
     # -- window maintenance ------------------------------------------------
 
-    def _append_nodes(self, nodes: list[tuple[int, Pose]], factors: list,
-                      new_nodes: Sequence[int], new_factors: Sequence) -> None:
-        """Dead-reckon initial estimates for new nodes from incoming odometry."""
-        odo_by_to = {f.to_index: f for f in new_factors if isinstance(f, OdometryFactor)}
-        est = dict(nodes)
-        for idx in new_nodes:
-            idx = int(idx)
-            f = odo_by_to.get(idx)
-            if f is None:
-                raise ValueError(f"no incoming odometry factor for new node {idx}")
-            prev = est.get(f.from_index)
-            if prev is None:
-                raise ValueError(f"odometry for node {idx} starts outside the window")
-            est[idx] = liegroup.compose(prev, f.measured_transform)
-            nodes.append((idx, est[idx]))
-        factors.extend(new_factors)
+    def _extend(self, base: int, rot: np.ndarray, t: np.ndarray, comp: dict,
+                new_nodes: Sequence[int], new_factors: Sequence) -> "WindowGraph":
+        """New graph over (rot, t, comp) plus new_factors and new_nodes, each
+        dead-reckoned from the previous node by its incoming odometry."""
+        incoming = {f.to_index: f.measured_transform for f in new_factors
+                    if isinstance(f, OdometryFactor)}
+        pose, rots, ts = Pose(rot[-1], t[-1]), [rot], [t]
+        for step, idx in enumerate(new_nodes, start=base + len(t)):
+            if int(idx) != step:
+                raise ValueError(f"new node {idx} does not continue the window at {step}")
+            if step not in incoming:
+                raise ValueError(f"no incoming odometry factor for new node {step}")
+            pose = liegroup.compose(pose, incoming[step])
+            rots.append(pose.rotation[None])
+            ts.append(pose.translation[None])
+        new = _compile(new_factors, base)
+        graph = WindowGraph.__new__(WindowGraph)
+        graph.window_capacity, graph.base = self.window_capacity, base
+        graph.rot, graph.t = np.concatenate(rots), np.concatenate(ts)
+        graph.comp = {key: np.concatenate([value, new[key]]) for key, value in comp.items()}
+        graph._validate()
+        return graph
 
     def append(self, new_nodes: Sequence[int], new_factors: Sequence) -> "WindowGraph":
         """Grow the window (no eviction); used while the window fills."""
-        nodes = list(self.nodes)
-        factors = list(self.factors)
-        self._append_nodes(nodes, factors, new_nodes, new_factors)
-        return WindowGraph(nodes, factors, self.window_capacity)
+        return self._extend(self.base, self.rot, self.t, self.comp,
+                            new_nodes, new_factors)
 
     def slide(self, new_nodes: Sequence[int], new_factors: Sequence,
               shift: int) -> "WindowGraph":
         """Evict the oldest `shift` nodes, append new ones, re-anchor."""
         if shift < 1:
             raise ValueError("shift must be >= 1")
-        if shift >= len(self.nodes):
+        if shift >= len(self):
             raise ValueError(
-                f"shift {shift} would underflow a {len(self.nodes)}-node window")
-        kept = self.nodes[shift:]
-        kept_set = {i for i, _ in kept}
-
-        def survives(f) -> bool:
-            if isinstance(f, GpsFactor):
-                return f.node_index in kept_set
-            if isinstance(f, OdometryFactor):
-                return f.from_index in kept_set and f.to_index in kept_set
-            return False  # anchor is re-attached below
-
-        factors = [f for f in self.factors if survives(f)]
-        oldest_idx, oldest_pose = kept[0]
-        factors.append(AnchorFactor(oldest_idx, oldest_pose, fmod.anchor_information()))
-        nodes = list(kept)
-        self._append_nodes(nodes, factors, new_nodes, new_factors)
-        return WindowGraph(nodes, factors, self.window_capacity)
+                f"shift {shift} would underflow a {len(self)}-node window")
+        # GPS and odometry rows on evicted nodes go, the rest move down by
+        # `shift`; the one anchor pins the new oldest node at its estimate.
+        keep = {"gps": self.comp["gps_rows"] >= shift,
+                "odo": self.comp["odo_rows"] >= shift}
+        comp = {key: value[keep[key[:3]]] for key, value in self.comp.items()
+                if key[:3] in keep}
+        comp["gps_rows"] -= shift
+        comp["odo_rows"] -= shift
+        comp.update(anc_rows=np.zeros(1, dtype=int), anc_rot=self.rot[shift:shift + 1],
+                    anc_t=self.t[shift:shift + 1],
+                    anc_info=fmod.anchor_information()[None])
+        return self._extend(self.base + shift, self.rot[shift:], self.t[shift:], comp,
+                            new_nodes, new_factors)
 
     def strip_gps(self) -> "WindowGraph":
         """Same window with every GPS factor removed."""
-        factors = [f for f in self.factors if not isinstance(f, GpsFactor)]
-        return WindowGraph(list(self.nodes), factors, self.window_capacity)
+        comp = {key: value[:0] if key.startswith("gps") else value
+                for key, value in self.comp.items()}
+        return self._extend(self.base, self.rot, self.t, comp, (), ())

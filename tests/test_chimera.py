@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from srfgo import factors as fmod
-from srfgo.chimera import (AuthEvent, AuthResult, AuthSchedule, next_auth_time,
-                           on_authentication, slow_channel)
+from srfgo.chimera import (AuthEvent, AuthResult, AuthSchedule, on_authentication,
+                           slow_channel)
 from srfgo.detector import DetectorState, mitigate
 from srfgo.factors import AnchorFactor, GpsFactor, OdometryFactor
 from srfgo.liegroup import Pose, compose, inverse
@@ -16,23 +16,11 @@ class TestSchedule:
     def test_slow_channel_steps(self):
         assert slow_channel(0.1).epoch_length_steps == 1800
 
-    def test_next_from_zero(self):
-        assert next_auth_time(slow_channel(0.1), 0) == 1800
-
-    def test_next_from_boundary(self):
-        # A step sitting exactly on the grid schedules the following epoch.
-        assert next_auth_time(slow_channel(0.1), 1800) == 3600
-
-    def test_next_just_before_boundary(self):
-        assert next_auth_time(AuthSchedule(60), 59) == 60
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AuthSchedule(0)
         with pytest.raises(ValueError):
             slow_channel(0.07)
-        with pytest.raises(ValueError):
-            next_auth_time(AuthSchedule(60), -1)
         with pytest.raises(ValueError):
             AuthEvent(1800, "maybe")
         with pytest.raises(ValueError):
@@ -61,7 +49,8 @@ class TestOnAuthentication:
         assert result.action == "gps-excluded"
         assert result.failsafe
         assert state.spoofed_flag and state.gps_excluded
-        assert not result.graph.gps_factors()
+        assert result.graph.gps_count() == 0
+        assert g.gps_count() == 3
 
     def test_failed_auth_reoptimizes_with_given_solver_params(self):
         g = _window_with_gps()

@@ -166,6 +166,23 @@ class TestOdometryOnly:
                               record.est_translations[-1])
 
 
+class TestAuthenticationEpochs:
+    def test_graph_modes_authenticate_when_shift_does_not_divide_epoch(self):
+        # 1800-step epochs are no multiple of the 7-step shift; windows
+        # still end on every epoch, so every mode authenticates there.
+        truth = gen_trajectory("circuit", 400.0, SPEED, seed=6008)
+        scn = Scenario(truth=truth, seed=6008,
+                       spoof=SpoofProfile(ramp_rate=1.0, direction=SPOOF_DIR))
+        records = {mode: run(RunConfig(scenario=scn, mode=mode, window_size=50,
+                                       window_shift=7))
+                   for mode in ("odometry-only", "naive-fgo", "sr-fgo")}
+        for record in records.values():
+            assert [row["time_s"] for row in record.auth_events] == [0.0, 180.0, 360.0]
+        sr = records["sr-fgo"]
+        assert [row["action"] for row in sr.auth_events[1:]] == ["gps-excluded"] * 2
+        assert sr.summary["failsafe"] is True
+
+
 class TestRunRecordInvariants:
     def test_series_lengths_agree(self, nominal_sr):
         n = len(nominal_sr.times_s)

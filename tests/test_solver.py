@@ -124,7 +124,7 @@ class TestAssembly:
 
         h = np.zeros((n, 6, n, 6))
         b = np.zeros((n, 6))
-        states = g.estimates()
+        states = {k: g.estimate_of(k) for k in g.times()}
         for f in facs:
             lin = linearize(f, states)
             w = (np.array([[f.sigma ** -2]]) if isinstance(f, GpsFactor)
@@ -135,9 +135,7 @@ class TestAssembly:
                 for c, j_c in zip(lin.node_indices, lin.jacobians):
                     h[a, :, c, :] += j_a.T @ w @ j_c
 
-        comp = g._compile()
-        rot, t = g._stack_states()
-        diag, upper, grad = g._assemble(comp, rot, g._residuals(comp, rot, t))
+        diag, upper, grad = g._assemble(g.rot, g._residuals(g.rot, g.t))
 
         idx = np.arange(n)
         scale = np.max(np.abs(h))
@@ -295,7 +293,7 @@ class TestSlide:
         g, truth = self._window(rng)
         new_nodes, new_facs = self._continuation(rng, truth, 10)
         g2 = g.slide(new_nodes, new_facs, shift=10)
-        assert len(g2.nodes) == 100
+        assert len(g2) == 100
         assert g2.times()[0] == 10 and g2.times()[-1] == 109
 
     def test_slide_without_gps_still_connected(self, rng):
@@ -303,7 +301,8 @@ class TestSlide:
         new_nodes, new_facs = self._continuation(rng, truth, 5)
         g2 = g.slide(new_nodes, new_facs, shift=5)  # no GPS among new factors
         # construction validates connectivity; spot-check the odometry chain
-        assert len(g2.nodes) == 20
+        assert len(g2) == 20
+        assert np.array_equal(g2.comp["odo_rows"], np.arange(19))
         g2.objective()
 
     def test_two_fives_equal_one_ten(self, rng):
@@ -313,19 +312,18 @@ class TestSlide:
         twice = g.slide(new_nodes[:5], new_facs[:5], shift=5).slide(
             new_nodes[5:], new_facs[5:], shift=5)
         assert once.times() == twice.times()
-        for (i1, p1), (i2, p2) in zip(once.nodes, twice.nodes):
-            assert i1 == i2
-            assert np.allclose(p1.matrix(), p2.matrix(), atol=1e-12)
+        for k in once.times():
+            assert np.allclose(once.estimate_of(k).matrix(),
+                               twice.estimate_of(k).matrix(), atol=1e-12)
 
     def test_anchor_moved_to_new_oldest(self, rng):
         g, truth = self._window(rng)
         new_nodes, new_facs = self._continuation(rng, truth, 10)
         g2 = g.slide(new_nodes, new_facs, shift=10)
-        anchors = [f for f in g2.factors if isinstance(f, AnchorFactor)]
-        assert len(anchors) == 1
-        assert anchors[0].node_index == 10
-        assert np.allclose(anchors[0].prior_pose.matrix(),
-                           g2.estimate_of(10).matrix())
+        assert g2.comp["anc_rows"].tolist() == [0]
+        assert g2.times()[0] == 10
+        prior = Pose(g2.comp["anc_rot"][0], g2.comp["anc_t"][0])
+        assert np.allclose(prior.matrix(), g2.estimate_of(10).matrix())
 
     def test_dead_reckoned_initialization(self, rng):
         g, truth = self._window(rng, n=10, capacity=20)
@@ -343,6 +341,15 @@ class TestSlide:
         with pytest.raises(ValueError):
             g.slide(new_nodes, new_facs, shift=0)
 
+    def test_append_needs_incoming_odometry(self, rng):
+        g, truth = self._window(rng, n=10, capacity=20)
+        new_nodes, new_facs = self._continuation(rng, truth, 3)
+        with pytest.raises(ValueError, match="incoming odometry"):
+            g.append(new_nodes, new_facs[:2])
+        with pytest.raises(ValueError, match="continue"):
+            g.append(new_nodes[1:], new_facs)
+        assert g.times() == list(range(10))  # failed appends leave g as it was
+
 
 class TestStripGps:
     def _graph(self, rng):
@@ -355,17 +362,20 @@ class TestStripGps:
 
     def test_count_reduced_exactly(self, rng):
         g, _ = self._graph(rng)
-        k = len(g.gps_factors())
-        assert k == 12
+        assert g.gps_count() == 12
         stripped = g.strip_gps()
-        assert len(stripped.factors) == len(g.factors) - k
-        assert not stripped.gps_factors()
+        assert stripped.gps_count() == 0
+        for kind in ("odo", "anc"):
+            assert np.array_equal(stripped.comp[f"{kind}_rows"], g.comp[f"{kind}_rows"])
+        assert g.gps_count() == 12  # the input graph is unchanged
 
     def test_idempotent(self, rng):
         g, _ = self._graph(rng)
         once = g.strip_gps()
         twice = once.strip_gps()
-        assert len(once.factors) == len(twice.factors)
+        assert once.comp.keys() == twice.comp.keys()
+        for key in once.comp:
+            assert np.array_equal(once.comp[key], twice.comp[key])
         assert once.times() == twice.times()
 
     def test_dead_reckoning_after_strip(self, rng):
@@ -379,6 +389,34 @@ class TestStripGps:
             err = np.linalg.norm(
                 liegroup.ominus(stripped.estimate_of(k), truth[k]))
             assert err < 1e-8
+
+
+class TestGpsResiduals:
+    def _optimized(self, rng):
+        truth = truth_chain(rng, 12)
+        gps_nodes = [0, 5, 10]
+        facs = (odometry_factors(truth)
+                + gps_factors([truth[k] for k in gps_nodes], gps_nodes, num_sats=4)
+                + [AnchorFactor(0, truth[0], fmod.anchor_information())])
+        start = [compose(p, exp(0.02 * random_tangent(rng, 1.0, 1.0))) for p in truth]
+        g = WindowGraph(list(enumerate(start)), facs, 12)
+        return g, g.optimize()
+
+    def test_equal_to_solver_residuals_bit_for_bit(self, rng):
+        g, report = self._optimized(rng)
+        residuals, sigmas = g.gps_residuals()
+        assert residuals.tobytes() == report.residuals["gps"].tobytes()
+        np.testing.assert_allclose(sigmas, SIGMA_GPS, rtol=1e-15)
+
+    def test_takes_no_se3_log(self, rng, monkeypatch):
+        g, _ = self._optimized(rng)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("GPS residuals need no SE(3) log")
+
+        monkeypatch.setattr(liegroup, "se3_log_arrays", forbidden)
+        residuals, _ = g.gps_residuals()
+        assert residuals.shape == (12,)
 
 
 class TestValidation:
@@ -398,6 +436,12 @@ class TestValidation:
         facs = odometry_factors(truth) + [GpsFactor(7, [0, 0, 2e7], 2e7, 7.0)]
         with pytest.raises(ValueError):
             WindowGraph(list(enumerate(truth)), facs, 5)
+
+    def test_rejects_duplicate_odometry(self, rng):
+        truth = truth_chain(rng, 3)
+        facs = odometry_factors(truth)
+        with pytest.raises(ValueError, match="exactly once"):
+            WindowGraph(list(enumerate(truth)), facs + facs[:1], 5)
 
     def test_rejects_overflow(self, rng):
         truth = truth_chain(rng, 6)
