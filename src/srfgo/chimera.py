@@ -4,7 +4,7 @@ Authentication arrives on a fixed epoch grid (180 s slow channel).  A
 successful event is ground truth that the received GPS was authentic: it
 clears any detector latch, re-admits GPS, and opens a trust window during
 which detection trials are logged but do not latch.  A failed event forces
-mitigation and flags the run for fail-safe handling.
+mitigation; its "gps-excluded" action is what flags a run as fail-safe.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class AuthResult(NamedTuple):
     action: str            # "gps-readmitted" | "gps-excluded"
     graph: "WindowGraph"   # mitigated copy on failure, input graph otherwise
     trust_until: int       # node step through which crossings do not latch
-    failsafe: bool
 
 
 def on_authentication(event: AuthEvent, state: DetectorState,
@@ -79,7 +78,7 @@ def on_authentication(event: AuthEvent, state: DetectorState,
         state.spoofed_flag = False
         state.gps_excluded = False
         return AuthResult("gps-readmitted", graph,
-                          event.time_index + graph.window_capacity, False)
+                          event.time_index + graph.window_capacity)
     state.spoofed_flag = True
     cleaned = mitigate(graph, state, params)
-    return AuthResult("gps-excluded", cleaned, event.time_index, True)
+    return AuthResult("gps-excluded", cleaned, event.time_index)

@@ -178,16 +178,10 @@ def _parse_rate(value) -> float | None:
     return rate if rate > 0.0 else None
 
 
-def _float_list(value, flag: str) -> list:
+def _parse_list(value, flag: str, kind) -> list:
+    """Comma-separated values of one type, e.g. kind float or int."""
     try:
-        return [float(v) for v in str(value).split(",")]
-    except ValueError:
-        raise CliError(f"bad {flag} list {value!r}") from None
-
-
-def _int_list(value, flag: str) -> list:
-    try:
-        return [int(v) for v in str(value).split(",")]
+        return [kind(v) for v in str(value).split(",")]
     except ValueError:
         raise CliError(f"bad {flag} list {value!r}") from None
 
@@ -269,8 +263,8 @@ def cmd_sweep(args) -> int:
     for mode in modes:
         if mode not in MODES:
             raise CliError(f"--mode must list values from {MODES}, got {mode!r}")
-    rates = _float_list(s["ramp_rate"], "--ramp-rate")
-    sizes = _int_list(s["window_size"], "--window-size")
+    rates = _parse_list(s["ramp_rate"], "--ramp-rate", float)
+    sizes = _parse_list(s["window_size"], "--window-size", int)
     runs = int(s["runs"])
     workers = int(s["workers"])
     if runs < 1 or workers < 1:

@@ -1,9 +1,14 @@
 """Experiment pipeline: mode wiring, metrics, and run serialization.
 
 A run advances the sliding window one batch of nodes at a time.  After each
-optimization the batch estimates are recorded (causal estimates: what the
-vehicle would have reported at that moment), the spoofing detector takes one
-trial, and authentication events fire on their fixed epoch grid.  Modes:
+optimization the spoofing detector takes one trial, and at every
+authentication epoch sr-fgo applies the outcome to the window; then the
+batch estimates are recorded (causal estimates: what the vehicle would have
+reported at that moment).  The estimates are arrays, rotations (n+1, 3, 3)
+and translations (n+1, 3), one row per time step.  Every mode writes the
+same authentication log: one row per epoch step from step 0 on, with the
+outcome the spoofer forces and action "none"; sr-fgo alone acts on each
+outcome and fills in its action.  Modes:
 
 - odometry-only: dead-reckon by composing odometry from the initial fix.
 - naive-fgo: sliding-window fusion of GPS and odometry, no detector.
@@ -31,8 +36,7 @@ from .chimera import AuthEvent, AuthSchedule, on_authentication, slow_channel
 from .detector import DetectorConfig, DetectorState, decide, mitigate, threshold
 from .detector import test_statistic as window_statistic
 from .factors import AnchorFactor, GpsFactor, OdometryFactor
-from .liegroup import (Pose, compose, quaternion_to_rotation,
-                       rotation_to_quaternion)
+from .liegroup import compose, rotation_to_quaternion
 from .simkit import MeasurementStream, Scenario, build_measurements
 from .solver import SolverParams, WindowGraph
 
@@ -98,24 +102,12 @@ class RunRecord:
                 and self.auth_events == other.auth_events
                 and self.summary == other.summary)
 
-    def estimated_poses(self) -> list[Pose]:
-        return [Pose(quaternion_to_rotation(q), t)
-                for q, t in zip(self.est_quaternions, self.est_translations)]
 
-
-def l2_errors(est, ref) -> np.ndarray:
-    """Per-step Euclidean position error between aligned trajectories."""
-    est_t = _translations(est)
-    ref_t = _translations(ref)
-    if est_t.shape != ref_t.shape:
-        raise ValueError(f"length mismatch: {est_t.shape} vs {ref_t.shape}")
-    return np.linalg.norm(ref_t - est_t, axis=1)
-
-
-def _translations(seq) -> np.ndarray:
-    if isinstance(seq, np.ndarray):
-        return seq
-    return np.array([p.translation for p in seq])
+def l2_errors(est: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Per-step Euclidean distance between aligned (n, 3) position series."""
+    if est.shape != ref.shape:
+        raise ValueError(f"length mismatch: {est.shape} vs {ref.shape}")
+    return np.linalg.norm(ref - est, axis=1)
 
 
 def summarize(series) -> tuple[float, float]:
@@ -166,13 +158,16 @@ def detection_stats(records) -> DetectionStats:
     return DetectionStats(per_trial, per_run, ttd)
 
 
-def _attack_active(scenario: Scenario, t: float) -> bool:
+def _auth_outcome(scenario: Scenario, t: float) -> str:
+    """Authentication fails exactly while a ramping spoofer is active."""
     spoof = scenario.spoof
-    return spoof is not None and spoof.ramp_rate > 0.0 and t > spoof.t_start
+    active = spoof is not None and spoof.ramp_rate > 0.0 and t > spoof.t_start
+    return "failed" if active else "authentic"
 
 
 def _gps_factors_at(step: int, stream: MeasurementStream, sigma: float):
-    sats, ranges = stream.gps_epochs[step]
+    """GPS factors of the step's epoch; none on a step without one."""
+    sats, ranges = stream.gps_epochs.get(step, ((), ()))
     # A noiseless scenario (sigma 0) still needs a finite factor weight;
     # unit sigma turns the GPS terms into plain least squares.
     weight_sigma = sigma if sigma > 0.0 else 1.0
@@ -180,9 +175,12 @@ def _gps_factors_at(step: int, stream: MeasurementStream, sigma: float):
             for sat, rho in zip(sats, ranges)]
 
 
-def _batch_ends(n_steps: int, shift: int, epoch: int):
-    """Window ends: every shift steps, every authentication epoch, the end."""
-    return sorted({*range(shift, n_steps, shift), *range(epoch, n_steps, epoch), n_steps})
+def _batches(n_steps: int, shift: int, epoch: int) -> list:
+    """Steps 1..n_steps split into the batches the window takes one at a
+    time; a batch ends every shift steps, at every authentication epoch
+    and at the end."""
+    ends = sorted({*range(shift, n_steps, shift), *range(epoch, n_steps, epoch), n_steps})
+    return [list(range(start + 1, end + 1)) for start, end in zip([0] + ends, ends)]
 
 
 def run(cfg: RunConfig) -> RunRecord:
@@ -192,64 +190,51 @@ def run(cfg: RunConfig) -> RunRecord:
     truth = scenario.truth
     n_steps = scenario.steps
     dt = scenario.dt
-    sched = cfg.auth_schedule
-    solver_params = cfg.solver
+    epoch = cfg.auth_schedule.epoch_length_steps
 
-    est: list = [None] * (n_steps + 1)
-    est[0] = truth[0]  # authenticated initial fix
+    rot = np.empty((n_steps + 1, 3, 3))
+    t = np.empty((n_steps + 1, 3))
+    rot[0], t[0] = truth[0].rotation, truth[0].translation  # authenticated initial fix
+    auth_rows = [{"time_s": step * dt, "outcome": _auth_outcome(scenario, step * dt),
+                  "action": "none"} for step in range(0, n_steps + 1, epoch)]
     detections: list = []
-    auth_rows: list = []
-    failsafe = False
     opt_seconds: list = []
     iteration_counts: list = []
     iteration_seconds: list = []
-    smoothed: list = [(0, truth[0])]
-
-    def log_auth(step: int, outcome: str, action: str) -> None:
-        auth_rows.append({"time_s": step * dt, "outcome": outcome, "action": action})
-
-    def auth_outcome(step: int) -> str:
-        return "failed" if _attack_active(scenario, step * dt) else "authentic"
 
     if cfg.mode == "odometry-only":
+        pose = truth[0]
         for k in range(1, n_steps + 1):
-            est[k] = compose(est[k - 1], stream.odometry[k - 1])
-        for step in range(0, n_steps + 1, sched.epoch_length_steps):
-            log_auth(step, auth_outcome(step), "none")
-        tail = max(0, n_steps + 1 - cfg.window_size)
-        smoothed = list(enumerate(est))[tail:]
+            pose = compose(pose, stream.odometry[k - 1])
+            rot[k], t[k] = pose.rotation, pose.translation
+        smoothed_rot, smoothed_t = rot[-cfg.window_size:], t[-cfg.window_size:]
     else:
         det_state = DetectorState()
-        trust_until = -1
         # Same unit-weight fallback as GPS: a noiseless run still needs a
         # finite information matrix on the odometry chain.
         odo_sigmas = tuple(s if s > 0.0 else 1.0 for s in scenario.sigma_icp)
         odo_info = fmod.default_odometry_information(odo_sigmas)
         sr_mode = cfg.mode == "sr-fgo"
 
-        initial_factors = [AnchorFactor(0, truth[0], fmod.anchor_information())]
-        if 0 in stream.gps_epochs:
-            initial_factors += _gps_factors_at(0, stream, scenario.sigma_gps)
+        initial_factors = [AnchorFactor(0, truth[0], fmod.anchor_information()),
+                           *_gps_factors_at(0, stream, scenario.sigma_gps)]
         graph = WindowGraph([(0, truth[0])], initial_factors, cfg.window_size)
 
-        if sr_mode:
-            result = on_authentication(AuthEvent(0, "authentic"), det_state,
-                                       graph, sched)
-            trust_until = result.trust_until
-            log_auth(0, "authentic", result.action)
-        else:
-            log_auth(0, auth_outcome(0), "none")
+        def authenticate(step: int, graph: WindowGraph) -> tuple[WindowGraph, int]:
+            row = auth_rows[step // epoch]
+            result = on_authentication(AuthEvent(step, row["outcome"]), det_state,
+                                       graph, cfg.auth_schedule, cfg.solver)
+            row["action"] = result.action
+            return result.graph, result.trust_until
 
-        prev_end = 0
-        for k_end in _batch_ends(n_steps, cfg.window_shift,
-                                 sched.epoch_length_steps):
-            batch = list(range(prev_end + 1, k_end + 1))
-            prev_end = k_end
+        graph, trust_until = authenticate(0, graph) if sr_mode else (graph, -1)
+        for batch in _batches(n_steps, cfg.window_shift, epoch):
+            k_end = batch[-1]
             new_factors = []
             for i in batch:
                 new_factors.append(OdometryFactor(i - 1, i, stream.odometry[i - 1],
                                                   odo_info))
-                if i in stream.gps_epochs and not det_state.gps_excluded:
+                if not det_state.gps_excluded:
                     new_factors += _gps_factors_at(i, stream, scenario.sigma_gps)
 
             overflow = len(graph) + len(batch) - cfg.window_size
@@ -259,7 +244,7 @@ def run(cfg: RunConfig) -> RunRecord:
                 graph = graph.append(batch, new_factors)
 
             started = time.perf_counter()
-            report = graph.optimize(solver_params)
+            report = graph.optimize(cfg.solver)
             opt_seconds.append(time.perf_counter() - started)
             iteration_counts.append(report.iterations)
             iteration_seconds.append(report.iteration_seconds)
@@ -270,36 +255,24 @@ def run(cfg: RunConfig) -> RunRecord:
             if stat is not None:
                 q, n = stat
                 tau = threshold(cfg.detector, n)
-                was_latched = det_state.spoofed_flag
-                decision = decide(q, tau, det_state,
-                                  monitoring=k_end > trust_until)
+                decision = decide(q, tau, det_state, monitoring=k_end > trust_until)
                 detections.append({"time_s": k_end * dt, "q": q, "tau": tau,
                                    "n": n, "decision": decision})
-                if sr_mode and det_state.spoofed_flag and not was_latched:
-                    graph = mitigate(graph, det_state, solver_params)
+                # sr mode strips GPS on a latch, so no trial runs latched.
+                if sr_mode and decision == "spoof-detected":
+                    graph = mitigate(graph, det_state, cfg.solver)
 
-            if k_end % sched.epoch_length_steps == 0:
-                outcome = auth_outcome(k_end)
-                if sr_mode:
-                    result = on_authentication(AuthEvent(k_end, outcome),
-                                               det_state, graph, sched,
-                                               solver_params)
-                    graph = result.graph
-                    log_auth(k_end, outcome, result.action)
-                    failsafe = failsafe or result.failsafe
-                    if outcome == "authentic":
-                        trust_until = result.trust_until
-                else:
-                    log_auth(k_end, outcome, "none")
-            for i in batch:
-                est[i] = graph.estimate_of(i)
+            if sr_mode and k_end % epoch == 0:
+                graph, trust_until = authenticate(k_end, graph)
+            # The batch is the newest nodes of the window.
+            rot[batch], t[batch] = graph.rot[-len(batch):], graph.t[-len(batch):]
 
-        smoothed = [(step, graph.estimate_of(step)) for step in graph.times()]
+        smoothed_rot, smoothed_t = graph.rot, graph.t
 
-    errors = l2_errors(est, list(truth))
+    times_s = np.arange(n_steps + 1) * dt
+    errors = l2_errors(t, np.array([p.translation for p in truth]))
     mean_error, max_error = summarize(errors)
-    crossings = sum(1 for row in detections if row["q"] > row["tau"])
-    latched_rows = [row for row in detections if row["decision"] == "spoof-detected"]
+    latched = [row["time_s"] for row in detections if row["decision"] == "spoof-detected"]
     summary = {
         "mode": cfg.mode,
         "seed": scenario.seed,
@@ -314,43 +287,39 @@ def run(cfg: RunConfig) -> RunRecord:
         "mean_error_m": mean_error,
         "max_error_m": max_error,
         "detector_trials": len(detections),
-        "detector_crossings": crossings,
-        "first_detection_time_s": latched_rows[0]["time_s"] if latched_rows else None,
-        "failsafe": failsafe,
+        "detector_crossings": sum(row["q"] > row["tau"] for row in detections),
+        "first_detection_time_s": latched[0] if latched else None,
+        "failsafe": any(row["action"] == "gps-excluded" for row in auth_rows),
         "windows_optimized": len(opt_seconds),
         "mean_solver_iterations": (float(np.mean(iteration_counts))
                                    if iteration_counts else 0.0),
     }
-    total_iterations = int(np.sum(iteration_counts)) if iteration_counts else 0
+    total_iterations = int(np.sum(iteration_counts))
     timing = {
         "windows_optimized": len(opt_seconds),
         "mean_window_optimize_s": (float(np.mean(opt_seconds))
                                    if opt_seconds else 0.0),
-        "total_optimize_s": float(np.sum(opt_seconds)) if opt_seconds else 0.0,
+        "total_optimize_s": float(np.sum(opt_seconds)),
         # Mean time per accepted solver iteration, measured inside the
         # iteration loop so per-call setup does not pollute the scaling.
         "mean_iteration_s": (float(np.sum(iteration_seconds)) / total_iterations
                              if total_iterations else 0.0),
     }
 
-    times_s = np.arange(n_steps + 1) * dt
-    est_translations = np.array([p.translation for p in est])
-    est_quaternions = np.array([rotation_to_quaternion(p.rotation) for p in est])
-    smoothed_steps = np.array([s for s, _ in smoothed])
     return RunRecord(
         mode=cfg.mode,
         seed=scenario.seed,
         dt=dt,
         times_s=times_s,
-        est_translations=est_translations,
-        est_quaternions=est_quaternions,
+        est_translations=t,
+        est_quaternions=np.array([rotation_to_quaternion(r) for r in rot]),
         errors=errors,
         detections=detections,
         auth_events=auth_rows,
-        smoothed_times_s=smoothed_steps * dt,
-        smoothed_translations=np.array([p.translation for _, p in smoothed]),
-        smoothed_quaternions=np.array([rotation_to_quaternion(p.rotation)
-                                       for _, p in smoothed]),
+        smoothed_times_s=times_s[-len(smoothed_t):],
+        smoothed_translations=smoothed_t,
+        smoothed_quaternions=np.array([rotation_to_quaternion(r)
+                                       for r in smoothed_rot]),
         summary=summary,
         timing=timing,
     )

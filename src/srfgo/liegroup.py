@@ -318,15 +318,6 @@ def adjoint(pose: Pose) -> np.ndarray:
     return adjoint_arrays(pose.rotation, pose.translation)
 
 
-def is_rotation(rot: np.ndarray, tol: float = 1e-9) -> bool:
-    """Orthonormal within tol and det within tol of +1."""
-    rot = np.asarray(rot, dtype=float)
-    if rot.shape != (3, 3):
-        return False
-    return bool(orthonormality_drift(rot) <= tol
-                and abs(np.linalg.det(rot) - 1.0) <= tol)
-
-
 def rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:
     """Unit quaternion [qx, qy, qz, qw] (Hamilton, scalar-last), qw >= 0.
 

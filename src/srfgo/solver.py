@@ -134,6 +134,9 @@ class WindowGraph:
 
     def estimate_of(self, time_index: int) -> Pose:
         k = time_index - self.base
+        if not 0 <= k < len(self):
+            raise ValueError(f"step {time_index} is outside the window "
+                             f"{self.base}..{self.base + len(self) - 1}")
         return Pose(self.rot[k], self.t[k])
 
     def gps_count(self) -> int:

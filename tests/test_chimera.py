@@ -47,7 +47,6 @@ class TestOnAuthentication:
         state = DetectorState()
         result = on_authentication(AuthEvent(1800, "failed"), state, g, AuthSchedule(1800))
         assert result.action == "gps-excluded"
-        assert result.failsafe
         assert state.spoofed_flag and state.gps_excluded
         assert result.graph.gps_count() == 0
         assert g.gps_count() == 3
@@ -74,7 +73,6 @@ class TestOnAuthentication:
         state = DetectorState(spoofed_flag=True, gps_excluded=True)
         result = on_authentication(AuthEvent(3600, "authentic"), state, g, AuthSchedule(1800))
         assert result.action == "gps-readmitted"
-        assert not result.failsafe
         assert not state.spoofed_flag and not state.gps_excluded
         assert result.graph is g  # window untouched on success
 
@@ -82,7 +80,7 @@ class TestOnAuthentication:
         g = _window_with_gps()
         state = DetectorState()
         result = on_authentication(AuthEvent(0, "authentic"), state, g, AuthSchedule(1800))
-        assert result == AuthResult("gps-readmitted", g, g.window_capacity, False)
+        assert result == AuthResult("gps-readmitted", g, g.window_capacity)
         assert state == DetectorState()
 
     def test_trust_window_spans_one_window_of_steps(self):

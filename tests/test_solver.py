@@ -448,6 +448,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             WindowGraph(list(enumerate(truth)), odometry_factors(truth), 5)
 
+    def test_estimate_of_rejects_steps_outside_window(self, rng):
+        truth = truth_chain(rng, 3)
+        g = WindowGraph(list(enumerate(truth, start=5)),
+                        odometry_factors(truth, start_index=5), 5)
+        assert np.array_equal(g.estimate_of(7).translation, truth[2].translation)
+        for step in (3, 4, 8):
+            with pytest.raises(ValueError, match="outside the window"):
+                g.estimate_of(step)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             SolverParams(max_iterations=0)
