@@ -42,7 +42,9 @@ def _check_spd(info: np.ndarray, name: str) -> np.ndarray:
     info = np.asarray(info, dtype=float)
     if info.shape != (6, 6):
         raise ValueError(f"{name} information must be 6x6, got {info.shape}")
-    if not np.allclose(info, info.T, atol=1e-9):
+    # Exact symmetry, the common case, skips the costlier tolerance test;
+    # NaN and asymmetric input still reach allclose and are rejected.
+    if not (np.array_equal(info, info.T) or np.allclose(info, info.T, atol=1e-9)):
         raise ValueError(f"{name} information must be symmetric")
     try:
         np.linalg.cholesky(info)

@@ -58,9 +58,11 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 1 <= self.window_shift <= self.window_size:
+        # The first batch joins the one-node initial window, so a shift of N
+        # would overflow it by one node with nothing left to evict.
+        if not 1 <= self.window_shift < self.window_size:
             raise ValueError(
-                f"need 1 <= shift <= window size, got shift={self.window_shift} "
+                f"need 1 <= shift < window size, got shift={self.window_shift} "
                 f"N={self.window_size}")
 
     @property

@@ -5,6 +5,18 @@ through dedicated named streams (see rngutil) so that the GPS draw sequence
 is identical whether or not a spoofer is active; the spoofed stream differs
 from the nominal one only through the injected trajectory bias.
 
+A run's measurements are synthesized in one batched pass per stream.  The
+draw order is the contract that keeps run outputs reproducible:
+
+- odometry: one (n, 6) draw, row i the tangent noise of step i -> i+1,
+  applied on the right of the true relative transform x_i^-1 x_{i+1};
+- GPS: one (epochs, m) draw, row j the range noise of the j-th epoch,
+  satellites in constellation order, added to the range from the (possibly
+  spoofed) receiver position.
+
+One (n, k) draw equals n sequential k-sample draws bit for bit, so the
+stream is the same as drawing step by step.
+
 Scenarios are built from command-line settings by ``srfgo.cli``, and seed
 sweeps run through ``srfgo sweep``.
 """
@@ -18,8 +30,10 @@ from typing import Optional
 import numpy as np
 
 from .chimera import SLOW_CHANNEL_PERIOD_S, slow_channel
-from .liegroup import (Pose, compose, exp, inverse,
-                       quaternion_to_rotation, rotation_to_quaternion)
+# perfbench/tracing.py patches simkit.compose, so the name stays imported.
+from .liegroup import (Pose, compose, compose_arrays,
+                       quaternion_to_rotation, rotation_to_quaternion,
+                       se3_exp_arrays)
 from .rngutil import (GPS_STREAM, ODOMETRY_STREAM, TRAJECTORY_STREAM,
                       make_rng, normal)
 
@@ -189,37 +203,40 @@ class SpoofProfile:
             raise ValueError("direction must be a unit 3-vector")
 
 
-def spoof_bias(t: float, profile: SpoofProfile) -> np.ndarray:
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    if t < profile.t_start:
-        return np.zeros(3)
-    return np.asarray(profile.direction, dtype=float) * profile.ramp_rate * (t - profile.t_start)
+def spoof_bias(times, profile: SpoofProfile) -> np.ndarray:
+    """(..., 3) position bias at each time: zero before t_start, then a ramp."""
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0):
+        raise ValueError("times must be >= 0")
+    velocity = np.asarray(profile.direction, dtype=float) * profile.ramp_rate
+    ramp = velocity * (times - profile.t_start)[..., None]
+    return np.where((times < profile.t_start)[..., None], 0.0, ramp)
 
 
-def gen_pseudoranges(truth_pose: Pose, sats: np.ndarray, sigma_gps: float,
+def gen_pseudoranges(positions: np.ndarray, sats: np.ndarray, sigma_gps: float,
                      rng) -> np.ndarray:
-    ranges = np.linalg.norm(truth_pose.translation - sats, axis=1)
-    return ranges + sigma_gps * normal(rng, len(sats))
+    """(k, m) pseudoranges from k receiver positions (k, 3) to their epochs'
+    satellites (k, m, 3), plus one (k, m) noise draw.
 
-
-def gen_spoofed_pseudoranges(truth_pose: Pose, t: float, profile: SpoofProfile,
-                             sats: np.ndarray, sigma_gps: float, rng) -> np.ndarray:
-    """Pseudoranges consistent with the biased trajectory plus nominal noise.
-
-    Draws the same noise sequence as gen_pseudoranges, so a spoofed stream
-    is sample-for-sample identical to the nominal one before t_start.
+    A spoofed stream passes biased positions; the noise sequence is the
+    nominal one by construction.
     """
-    biased = truth_pose.translation + spoof_bias(t, profile)
-    ranges = np.linalg.norm(biased - sats, axis=1)
-    return ranges + sigma_gps * normal(rng, len(sats))
+    ranges = np.linalg.norm(positions[:, None, :] - sats, axis=-1)
+    return ranges + sigma_gps * normal(rng, ranges.shape)
 
 
-def gen_odometry(truth_i: Pose, truth_ip1: Pose, sigma_icp, rng) -> Pose:
-    """Body-frame relative transform corrupted by tangent noise on the right."""
-    rel = compose(inverse(truth_i), truth_ip1)
-    eps = np.asarray(sigma_icp, dtype=float) * normal(rng, 6)
-    return compose(rel, exp(eps))
+def gen_odometry(rot: np.ndarray, t: np.ndarray, sigma_icp,
+                 rng) -> tuple[np.ndarray, np.ndarray]:
+    """Body-frame relative transforms x_i^-1 x_{i+1} of n+1 poses (rotations
+    (n+1, 3, 3), translations (n+1, 3)), each corrupted by tangent noise on
+    the right from one (n, 6) draw."""
+    rot_inv = np.swapaxes(rot[:-1], -1, -2)
+    t_inv = -(rot_inv @ t[:-1, :, None])[..., 0]
+    # rot_inv stays a transposed view: liegroup.inverse keeps that layout
+    # too, and BLAS rounds a product differently for the other one.
+    rel_rot, rel_t = compose_arrays(rot_inv, t_inv, rot[1:], t[1:])
+    eps = np.asarray(sigma_icp, dtype=float) * normal(rng, (len(rel_t), 6))
+    return compose_arrays(rel_rot, rel_t, *se3_exp_arrays(eps))
 
 
 @dataclass(frozen=True)
@@ -283,22 +300,20 @@ class MeasurementStream:
 
 def build_measurements(scenario: Scenario) -> MeasurementStream:
     """Realize every measurement for the run up front (seeded, reproducible)."""
-    rng_gps = make_rng(scenario.seed, GPS_STREAM)
-    rng_odom = make_rng(scenario.seed, ODOMETRY_STREAM)
-    gps_epochs = {}
-    for step in range(0, scenario.steps + 1, scenario.gps_every_steps):
-        t = step * scenario.dt
-        sats = sat_positions(t, scenario.constellation)
-        if scenario.spoof is not None:
-            ranges = gen_spoofed_pseudoranges(
-                scenario.truth[step], t, scenario.spoof, sats,
-                scenario.sigma_gps, rng_gps)
-        else:
-            ranges = gen_pseudoranges(
-                scenario.truth[step], sats, scenario.sigma_gps, rng_gps)
-        gps_epochs[step] = (sats, ranges)
-    odometry = tuple(
-        gen_odometry(scenario.truth[i], scenario.truth[i + 1],
-                     scenario.sigma_icp, rng_odom)
-        for i in range(scenario.steps))
+    rot = np.stack([pose.rotation for pose in scenario.truth])
+    t = np.stack([pose.translation for pose in scenario.truth])
+    odo_rot, odo_t = gen_odometry(rot, t, scenario.sigma_icp,
+                                  make_rng(scenario.seed, ODOMETRY_STREAM))
+
+    steps = list(range(0, scenario.steps + 1, scenario.gps_every_steps))
+    times = [step * scenario.dt for step in steps]
+    sats = np.stack([sat_positions(time, scenario.constellation) for time in times])
+    positions = t[steps]
+    if scenario.spoof is not None:
+        positions = positions + spoof_bias(times, scenario.spoof)
+    ranges = gen_pseudoranges(positions, sats, scenario.sigma_gps,
+                              make_rng(scenario.seed, GPS_STREAM))
+
+    odometry = tuple(Pose(r, v) for r, v in zip(odo_rot, odo_t))
+    gps_epochs = {step: (sats[j], ranges[j]) for j, step in enumerate(steps)}
     return MeasurementStream(odometry, gps_epochs)

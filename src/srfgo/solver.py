@@ -129,9 +129,6 @@ class WindowGraph:
     def __len__(self) -> int:
         return len(self.t)
 
-    def times(self) -> list[int]:
-        return list(range(self.base, self.base + len(self)))
-
     def estimate_of(self, time_index: int) -> Pose:
         k = time_index - self.base
         if not 0 <= k < len(self):

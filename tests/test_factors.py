@@ -250,6 +250,17 @@ class TestValidation:
             bad[0, 5] = 1.0
             OdometryFactor(0, 1, Pose.identity(), bad)
 
+    def test_information_symmetry_tolerance(self):
+        near = np.eye(6)
+        near[0, 5] = 1e-12  # within the 1e-9 tolerance, not exactly symmetric
+        assert np.array_equal(OdometryFactor(0, 1, Pose.identity(), near).information,
+                              near)
+        for bad_value in (np.nan, 1e-3):
+            bad = np.eye(6)
+            bad[0, 5] = bad_value
+            with pytest.raises(ValueError, match="symmetric"):
+                OdometryFactor(0, 1, Pose.identity(), bad)
+
     def test_anchor_rejects_non_spd(self):
         with pytest.raises(ValueError):
             AnchorFactor(0, Pose.identity(), np.zeros((6, 6)))

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from srfgo.harness import (RunConfig, RunRecord, detection_stats,
+from srfgo.harness import (MODES, RunConfig, RunRecord, detection_stats,
                            epoch_false_alarm_probability, l2_errors, read_run,
                            run, summarize, summarize_runs, write_run)
 from srfgo.simkit import Scenario, SpoofProfile, gen_trajectory
@@ -58,10 +58,15 @@ class TestRunConfig:
             RunConfig(scenario=make_scenario(), mode="sr-fgo",
                       window_size=50, window_shift=51)
 
-    def test_shift_equal_to_window_allowed(self):
-        cfg = RunConfig(scenario=make_scenario(), mode="sr-fgo",
-                        window_size=40, window_shift=40)
-        assert cfg.window_shift == 40
+    def test_shift_equal_to_window_rejected(self):
+        # The first batch plus the initial node would overflow the window by
+        # one with nothing to evict, so every mode refuses the config.
+        for mode in MODES:
+            with pytest.raises(ValueError, match="shift < window size"):
+                RunConfig(scenario=make_scenario(), mode=mode,
+                          window_size=40, window_shift=40)
+            assert RunConfig(scenario=make_scenario(), mode=mode,
+                             window_size=40, window_shift=39).window_shift == 39
 
     def test_auth_schedule_matches_epoch(self):
         cfg = RunConfig(scenario=make_scenario(), mode="sr-fgo")

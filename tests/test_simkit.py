@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from srfgo.liegroup import Pose, compose, inverse, ominus
-from srfgo.rngutil import GPS_STREAM, ODOMETRY_STREAM, make_rng
+from srfgo.liegroup import Pose, compose, exp, inverse, ominus
+from srfgo.rngutil import GPS_STREAM, ODOMETRY_STREAM, make_rng, normal
 from srfgo.simkit import (CIRCUIT_RADIUS_M, EARTH_RADIUS_M, GPS_ORBIT_ALTITUDE_M,
                           Constellation, MeasurementStream, Scenario, SpoofProfile,
                           build_measurements, gen_odometry, gen_pseudoranges,
-                          gen_spoofed_pseudoranges, gen_trajectory,
-                          load_trajectory, sat_positions, save_trajectory,
-                          spoof_bias)
+                          gen_trajectory, load_trajectory, sat_positions,
+                          save_trajectory, spoof_bias)
 
 
 class TestGenTrajectory:
@@ -144,41 +143,97 @@ class TestConstellation:
         assert np.all(sats[:, 2] > 0.0)
 
 
+def _stacked(poses):
+    return (np.stack([p.rotation for p in poses]),
+            np.stack([p.translation for p in poses]))
+
+
+def reference_measurements(scenario):
+    """Per-step synthesis: one odometry draw per step, one GPS draw per epoch."""
+    rng_gps = make_rng(scenario.seed, GPS_STREAM)
+    rng_odom = make_rng(scenario.seed, ODOMETRY_STREAM)
+    spoof = scenario.spoof
+    gps = {}
+    for step in range(0, scenario.steps + 1, scenario.gps_every_steps):
+        t = step * scenario.dt
+        sats = sat_positions(t, scenario.constellation)
+        position = scenario.truth[step].translation
+        if spoof is not None and t >= spoof.t_start:
+            position = position + (np.asarray(spoof.direction) * spoof.ramp_rate
+                                   * (t - spoof.t_start))
+        ranges = np.linalg.norm(position - sats, axis=1)
+        gps[step] = (sats, ranges + scenario.sigma_gps * normal(rng_gps, len(sats)))
+    odometry = []
+    for a, b in zip(scenario.truth[:-1], scenario.truth[1:]):
+        eps = np.asarray(scenario.sigma_icp) * normal(rng_odom, 6)
+        odometry.append(compose(compose(inverse(a), b), exp(eps)))
+    return odometry, gps
+
+
+class TestStreamContract:
+    def test_one_batched_draw_equals_sequential_draws(self):
+        batched = normal(make_rng(3, ODOMETRY_STREAM), (500, 6))
+        rng = make_rng(3, ODOMETRY_STREAM)
+        sequential = np.stack([normal(rng, 6) for _ in range(500)])
+        assert np.array_equal(batched, sequential)
+
+    @pytest.mark.parametrize("kind, spoof", [
+        ("circuit", None),
+        ("random-smooth-turn",
+         SpoofProfile(t_start=100.0, ramp_rate=1.3, direction=(0.6, 0.8, 0.0))),
+    ], ids=["nominal", "spoofed"])
+    def test_batched_stream_equals_per_step_reference(self, kind, spoof):
+        scn = Scenario(truth=gen_trajectory(kind, 200.0, 10.0, seed=7), seed=7,
+                       spoof=spoof)
+        stream = build_measurements(scn)
+        odometry, gps = reference_measurements(scn)
+        assert len(stream.odometry) == len(odometry)
+        for got, want in zip(stream.odometry, odometry):
+            assert np.array_equal(got.rotation, want.rotation)
+            assert np.array_equal(got.translation, want.translation)
+        assert list(stream.gps_epochs) == list(gps)
+        for step, (sats, ranges) in gps.items():
+            assert np.array_equal(stream.gps_epochs[step][0], sats)
+            assert np.array_equal(stream.gps_epochs[step][1], ranges)
+
+
 class TestPseudoranges:
     def test_zero_sigma_exact(self):
-        pose = Pose(np.eye(3), np.array([100.0, -50.0, 3.0]))
-        sats = sat_positions(0.0, Constellation())
-        ranges = gen_pseudoranges(pose, sats, 0.0, make_rng(1, GPS_STREAM))
-        expected = np.linalg.norm(pose.translation - sats, axis=1)
-        assert np.array_equal(ranges, expected)
+        position = np.array([[100.0, -50.0, 3.0]])
+        sats = sat_positions(0.0, Constellation())[None]
+        ranges = gen_pseudoranges(position, sats, 0.0, make_rng(1, GPS_STREAM))
+        expected = np.linalg.norm(position[0] - sats[0], axis=1)
+        assert ranges.shape == (1, len(expected))
+        assert np.array_equal(ranges[0], expected)
 
     def test_noise_statistics(self):
-        pose = Pose(np.eye(3), np.zeros(3))
-        sats = sat_positions(0.0, Constellation())
+        positions = np.zeros((1250, 3))
+        sats = np.broadcast_to(sat_positions(0.0, Constellation()), (1250, 8, 3))
         rng = make_rng(11, GPS_STREAM)
-        true_ranges = np.linalg.norm(pose.translation - sats, axis=1)
-        errs = np.concatenate([
-            gen_pseudoranges(pose, sats, 7.0, rng) - true_ranges
-            for _ in range(1250)])
+        true_ranges = np.linalg.norm(positions[:, None, :] - sats, axis=-1)
+        errs = gen_pseudoranges(positions, sats, 7.0, rng) - true_ranges
         assert errs.size == 10_000
         assert 6.8 <= float(np.std(errs)) <= 7.2
         assert abs(float(np.mean(errs))) <= 0.2
 
     def test_seed_determinism(self):
-        pose = Pose(np.eye(3), np.zeros(3))
-        sats = sat_positions(0.0, Constellation())
-        a = gen_pseudoranges(pose, sats, 7.0, make_rng(9, GPS_STREAM))
-        b = gen_pseudoranges(pose, sats, 7.0, make_rng(9, GPS_STREAM))
+        positions = np.zeros((3, 3))
+        sats = np.stack([sat_positions(t, Constellation()) for t in (0.0, 1.0, 2.0)])
+        a = gen_pseudoranges(positions, sats, 7.0, make_rng(9, GPS_STREAM))
+        b = gen_pseudoranges(positions, sats, 7.0, make_rng(9, GPS_STREAM))
         assert np.array_equal(a, b)
 
 
 class TestSpoofing:
     def test_bias_profile_points(self):
         p = SpoofProfile(t_start=100.0, ramp_rate=2.0)
-        assert np.array_equal(spoof_bias(100.0, p), np.zeros(3))
-        assert np.array_equal(spoof_bias(50.0, p), np.zeros(3))
-        assert np.allclose(spoof_bias(200.0, p), [200.0, 0.0, 0.0])
-        assert np.allclose(spoof_bias(150.0, SpoofProfile(100.0, 1.0)), [50.0, 0.0, 0.0])
+        bias = spoof_bias(np.array([100.0, 50.0, 200.0]), p)
+        assert bias.shape == (3, 3)
+        assert np.array_equal(bias[0], np.zeros(3))
+        assert np.array_equal(bias[1], np.zeros(3))
+        assert np.allclose(bias[2], [200.0, 0.0, 0.0])
+        assert np.allclose(spoof_bias(np.array([150.0]), SpoofProfile(100.0, 1.0)),
+                           [[50.0, 0.0, 0.0]])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -186,35 +241,33 @@ class TestSpoofing:
         with pytest.raises(ValueError):
             SpoofProfile(ramp_rate=-0.5)
         with pytest.raises(ValueError):
-            spoof_bias(-1.0, SpoofProfile())
+            spoof_bias(np.array([10.0, -1.0]), SpoofProfile())
 
     def test_pre_start_identical_to_nominal(self):
-        pose = Pose(np.eye(3), np.array([5.0, 5.0, 0.0]))
-        sats = sat_positions(12.0, Constellation())
+        positions = np.array([[5.0, 5.0, 0.0], [6.0, 5.0, 0.0]])
+        times = np.array([12.0, 13.0])
+        sats = np.stack([sat_positions(t, Constellation()) for t in times])
         profile = SpoofProfile(t_start=100.0, ramp_rate=2.0)
-        nominal = gen_pseudoranges(pose, sats, 7.0, make_rng(4, GPS_STREAM))
-        spoofed = gen_spoofed_pseudoranges(pose, 12.0, profile, sats, 7.0,
-                                           make_rng(4, GPS_STREAM))
+        nominal = gen_pseudoranges(positions, sats, 7.0, make_rng(4, GPS_STREAM))
+        spoofed = gen_pseudoranges(positions + spoof_bias(times, profile), sats, 7.0,
+                                   make_rng(4, GPS_STREAM))
         assert np.array_equal(nominal, spoofed)
 
     def test_bias_along_los_shifts_range_exactly(self):
-        pose = Pose(np.eye(3), np.zeros(3))
-        sat = np.array([[2.0e7, 0.0, 0.0]])
+        sat = np.array([[[2.0e7, 0.0, 0.0]]])
         profile = SpoofProfile(t_start=0.0, ramp_rate=1.0)  # east, toward sat
-        t = 30.0
-        rho = gen_spoofed_pseudoranges(pose, t, profile, sat, 0.0,
-                                       make_rng(1, GPS_STREAM))
-        assert rho[0] == pytest.approx(2.0e7 - 30.0, abs=1e-9)
+        biased = spoof_bias(np.array([30.0]), profile)
+        rho = gen_pseudoranges(biased, sat, 0.0, make_rng(1, GPS_STREAM))
+        assert rho[0, 0] == pytest.approx(2.0e7 - 30.0, abs=1e-9)
 
     def test_orthogonal_bias_second_order(self):
-        pose = Pose(np.eye(3), np.zeros(3))
         r = 2.0e7
-        sat = np.array([[0.0, r, 0.0]])  # LOS north, bias east
+        sat = np.array([[[0.0, r, 0.0]]])  # LOS north, bias east
         b = 50.0
         profile = SpoofProfile(t_start=0.0, ramp_rate=1.0)
-        rho = gen_spoofed_pseudoranges(pose, b, profile, sat, 0.0,
-                                       make_rng(1, GPS_STREAM))
-        delta = rho[0] - r
+        biased = spoof_bias(np.array([b]), profile)
+        rho = gen_pseudoranges(biased, sat, 0.0, make_rng(1, GPS_STREAM))
+        delta = rho[0, 0] - r
         assert 0.0 <= delta <= b * b / (2.0 * r) * (1.0 + 1e-9)
 
 
@@ -222,26 +275,29 @@ class TestOdometry:
     def test_zero_sigma_exact(self, rng):
         from conftest import random_pose
         a, b = random_pose(rng), random_pose(rng)
-        meas = gen_odometry(a, b, np.zeros(6), make_rng(1, ODOMETRY_STREAM))
-        assert np.allclose(meas.matrix(), compose(inverse(a), b).matrix(), atol=1e-12)
+        rot, t = gen_odometry(*_stacked([a, b]), np.zeros(6), make_rng(1, ODOMETRY_STREAM))
+        assert rot.shape == (1, 3, 3) and t.shape == (1, 3)
+        assert np.allclose(Pose(rot[0], t[0]).matrix(), compose(inverse(a), b).matrix(),
+                           atol=1e-12)
 
     def test_zero_sigma_composes_to_truth(self):
         poses = gen_trajectory("circuit", 200.0, 10.0, seed=2)[:50]
-        rng = make_rng(1, ODOMETRY_STREAM)
+        rot, t = gen_odometry(*_stacked(poses), np.zeros(6), make_rng(1, ODOMETRY_STREAM))
         acc = Pose.identity()
-        for i in range(49):
-            acc = compose(acc, gen_odometry(poses[i], poses[i + 1], np.zeros(6), rng))
+        for r, v in zip(rot, t):
+            acc = compose(acc, Pose(r, v))
         expected = compose(inverse(poses[0]), poses[49])
         assert np.allclose(acc.matrix(), expected.matrix(), atol=1e-9)
 
     def test_noise_statistics(self):
+        # Unit steps along x: every true relative transform is (I, [1, 0, 0]).
         sigma = np.array([0.01, 0.01, 0.01, 0.05, 0.05, 0.05])
-        a = Pose(np.eye(3), np.zeros(3))
-        b = Pose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        rel = compose(inverse(a), b)
-        rng = make_rng(21, ODOMETRY_STREAM)
-        draws = np.array([ominus(gen_odometry(a, b, sigma, rng), rel)
-                          for _ in range(10_000)])
+        rot = np.broadcast_to(np.eye(3), (10_001, 3, 3))
+        t = np.zeros((10_001, 3))
+        t[:, 0] = np.arange(10_001)
+        meas_rot, meas_t = gen_odometry(rot, t, sigma, make_rng(21, ODOMETRY_STREAM))
+        draws = np.array([ominus(Pose(r, v), Pose(np.eye(3), np.array([1.0, 0.0, 0.0])))
+                          for r, v in zip(meas_rot, meas_t)])
         stds = draws.std(axis=0)
         assert np.all(np.abs(stds - sigma) <= 0.05 * sigma)
 
