@@ -25,7 +25,6 @@ OUTCOMES = ("authentic", "failed")
 @dataclass(frozen=True)
 class AuthSchedule:
     epoch_length_steps: int
-    channel: str = "slow"
 
     def __post_init__(self):
         if self.epoch_length_steps < 1:
@@ -38,7 +37,7 @@ def slow_channel(dt: float = 0.1) -> AuthSchedule:
     steps = SLOW_CHANNEL_PERIOD_S / dt
     if abs(steps - round(steps)) > 1e-9:
         raise ValueError(f"dt={dt} does not divide the {SLOW_CHANNEL_PERIOD_S} s epoch")
-    return AuthSchedule(int(round(steps)), "slow")
+    return AuthSchedule(int(round(steps)))
 
 
 @dataclass(frozen=True)

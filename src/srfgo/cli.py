@@ -273,52 +273,45 @@ def cmd_sweep(args) -> int:
     out = Path(s["out"])
     out.mkdir(parents=True, exist_ok=True)
 
-    tasks = []
-    cells = []
+    # Each run is paired with its cell, so a failure is filed under that cell
+    # only; workers receive the payload alone.
+    cells, tasks = [], []
     for mode in modes:
         for rate in rates:
             for size in sizes:
-                cell_name = f"{mode}-r{rate:g}-N{size}"
-                cell_settings = dict(s, mode=mode, ramp_rate=rate,
-                                     window_size=size)
-                run_dirs = []
-                for index in range(runs):
-                    run_dir = out / cell_name / f"run-{index:03d}"
-                    run_dirs.append(run_dir)
-                    tasks.append({"settings": cell_settings,
-                                  "seed": base_seed + index,
-                                  "out_dir": str(run_dir)})
-                cells.append({"name": cell_name, "mode": mode, "ramp_rate": rate,
-                              "window_size": size, "run_dirs": run_dirs})
+                name = f"{mode}-r{rate:g}-N{size}"
+                cell = {"name": name, "mode": mode, "ramp_rate": rate,
+                        "window_size": size, "failures": {},
+                        "run_dirs": [str(out / name / f"run-{i:03d}") for i in range(runs)]}
+                settings = dict(s, mode=mode, ramp_rate=rate, window_size=size)
+                cells.append(cell)
+                tasks += [(cell, {"settings": settings, "seed": base_seed + i,
+                                  "out_dir": run_dir})
+                          for i, run_dir in enumerate(cell["run_dirs"])]
 
-    failures = []
+    def attempt(cell: dict, payload: dict, call) -> None:
+        try:
+            call()
+        except Exception as err:  # noqa: BLE001 - sweep survives one bad run
+            cell["failures"][payload["out_dir"]] = f"{type(err).__name__}: {err}"
+
     if workers == 1:
-        for task in tasks:
-            try:
-                _sweep_task(task)
-            except Exception as err:  # noqa: BLE001 - sweep survives one bad run
-                failures.append({"run_dir": task["out_dir"],
-                                 "error": f"{type(err).__name__}: {err}"})
+        for cell, payload in tasks:
+            attempt(cell, payload, lambda: _sweep_task(payload))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_sweep_task, task): task for task in tasks}
-            for future, task in futures.items():
-                try:
-                    future.result()
-                except Exception as err:  # noqa: BLE001
-                    failures.append({"run_dir": task["out_dir"],
-                                     "error": f"{type(err).__name__}: {err}"})
-    failed_dirs = {f["run_dir"] for f in failures}
+            futures = [(cell, payload, pool.submit(_sweep_task, payload))
+                       for cell, payload in tasks]
+            for cell, payload, future in futures:
+                attempt(cell, payload, future.result)
 
     cell_summaries = []
     for cell in cells:
-        records = [read_run(d) for d in cell["run_dirs"]
-                   if str(d) not in failed_dirs]
+        records = [read_run(d) for d in cell["run_dirs"] if d not in cell["failures"]]
         summary = summarize_runs(records, mode=cell["mode"], base_seed=base_seed)
         summary["ramp_rate"] = cell["ramp_rate"]
         summary["window_size"] = cell["window_size"]
-        summary["failures"] = sorted(f for f in failed_dirs
-                                     if f.startswith(str(out / cell["name"])))
+        summary["failures"] = sorted(cell["failures"])
         (out / cell["name"] / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n")
         cell_summaries.append(summary)
@@ -330,12 +323,10 @@ def cmd_sweep(args) -> int:
     (out / "summary.json").write_text(json.dumps(
         {"base_seed": base_seed, "runs_per_cell": runs,
          "cells": cell_summaries}, indent=2, sort_keys=True) + "\n")
-    if failures:
-        for failure in failures:
-            print(f"failed: {failure['run_dir']}: {failure['error']}",
-                  file=sys.stderr)
-        return 2
-    return 0
+    failures = [item for cell in cells for item in cell["failures"].items()]
+    for run_dir, error in failures:
+        print(f"failed: {run_dir}: {error}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 def cmd_icp_demo(args) -> int:

@@ -11,8 +11,13 @@ exist once, as batched kernels over stacked arrays: ``gps_errors``/
 ``gps_jacobians``, ``odometry_errors``/``odometry_jacobians`` and
 ``anchor_errors``/``anchor_jacobians``.  The window optimizer runs them on a
 whole window; ``linearize`` runs them on one factor, so the test suite's
-finite-difference checks of ``linearize`` (against the per-pose references
-``gps_residual`` and ``odom_residual``) cover the optimizer's Jacobians.
+finite-difference checks of ``linearize`` (against independent per-pose
+references kept in the tests) cover the optimizer's Jacobians.
+
+The odometry prediction is the body-frame relative transform x_i^-1 x_{i+1}.
+That form keeps the residual a function of local pose differences only; the
+world-frame alternative couples rotation error to absolute position and turns
+near-degenerate at kilometre-scale coordinates.
 """
 
 from __future__ import annotations
@@ -120,36 +125,6 @@ def default_odometry_information(sigma_tangent: np.ndarray) -> np.ndarray:
 
 def anchor_information() -> np.ndarray:
     return ANCHOR_INFORMATION_SCALE * np.eye(6)
-
-
-def gps_predict(pose: Pose, sat_position: np.ndarray) -> float:
-    """Expected pseudorange |t - s|."""
-    diff = pose.translation - np.asarray(sat_position, dtype=float).reshape(3)
-    r = float(np.linalg.norm(diff))
-    if r < COINCIDENT_EPSILON:
-        raise DegenerateGeometryError(
-            f"receiver-satellite distance {r:.3e} m below {COINCIDENT_EPSILON:g} m")
-    return r
-
-
-def gps_residual(factor: GpsFactor, pose: Pose) -> float:
-    """measured_range - gps_predict."""
-    return factor.measured_range - gps_predict(pose, factor.sat_position)
-
-
-def odom_predict(x_i: Pose, x_ip1: Pose) -> Pose:
-    """Expected body-frame relative transform x_i^-1 * x_{i+1}.
-
-    The body-frame form keeps the residual a function of local pose
-    differences only; the world-frame alternative couples rotation error to
-    absolute position and turns near-degenerate at kilometre-scale
-    coordinates."""
-    return liegroup.compose(liegroup.inverse(x_i), x_ip1)
-
-
-def odom_residual(factor: OdometryFactor, x_i: Pose, x_ip1: Pose) -> np.ndarray:
-    """measured ominus predicted (6-vector)."""
-    return liegroup.ominus(factor.measured_transform, odom_predict(x_i, x_ip1))
 
 
 # -- batched kernels: leading axis = factor -------------------------------

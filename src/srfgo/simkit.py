@@ -247,7 +247,6 @@ class Scenario:
     dt: float = DT_DEFAULT
     constellation: Constellation = field(default_factory=Constellation)
     gps_rate_hz: float = 1.0
-    odom_rate_hz: float = 10.0
     sigma_gps: float = SIGMA_GPS_DEFAULT
     sigma_icp: tuple = SIGMA_ICP_DEFAULT
     spoof: Optional[SpoofProfile] = None
@@ -263,9 +262,7 @@ class Scenario:
             raise ValueError(
                 f"trajectory covers {duration:.1f} s; "
                 f"need >= one {SLOW_CHANNEL_PERIOD_S:.0f} s epoch")
-        # Nodes live on the odometry grid; GPS epochs must land on nodes.
-        if abs(self.odom_rate_hz * self.dt - 1.0) > 1e-9:
-            raise ValueError("odometry rate must equal the node rate 1/dt")
+        # One node per odometry step dt; GPS epochs must land on nodes.
         gps_period = 1.0 / (self.gps_rate_hz * self.dt)
         if abs(gps_period - round(gps_period)) > 1e-9:
             raise ValueError("GPS rate must divide the node rate")

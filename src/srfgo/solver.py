@@ -7,10 +7,15 @@ stacked node states, and each factor compiled once, on entering the window,
 into the stacked arrays that the batched kernels of srfgo.factors take.
 The normal equations H delta = -b are block-tridiagonal in 6x6 blocks; we
 assemble the blocks from those kernels, applied to every factor at once,
-and solve with a banded Cholesky factorization.  Levenberg-Marquardt
-damping wraps the Gauss-Newton step: lambda starts at damping_init, divides
-by 10 on an accepted step and multiplies by 10 on a rejected one, so
-accepted objectives never increase.
+write them straight into LAPACK's upper band storage, ab[11 + i - j, j] =
+H[i, j] for i <= j, and solve with a banded Cholesky factorization.
+Levenberg-Marquardt damping wraps the Gauss-Newton step: lambda starts at
+damping_init, divides by 10 on an accepted step and multiplies by 10 on a
+rejected one, so accepted objectives never increase.  A trial is rejected
+when H + lambda I cannot be factored, when its residuals are undefined (a
+near-pi SE(3) log, a receiver on a satellite) or when its objective rises;
+past DAMPING_MAX the solve ends "cholesky-failure" if the last trial could
+not be factored and "stalled" otherwise.
 
 Estimates update by right perturbation x <- x * exp(delta).
 """
@@ -225,22 +230,17 @@ class WindowGraph:
     @staticmethod
     def _solve_banded(diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray,
                       damping: float) -> np.ndarray:
-        n = diag.shape[0]
-        dim = 6 * n
-        h = np.zeros((dim, dim))
-        hv = h.reshape(n, 6, n, 6)
-        idx = np.arange(n)
-        d = diag.copy()
-        d[:, range(6), range(6)] += damping
-        hv[idx, :, idx, :] = d
-        if n > 1:
-            hv[idx[:-1], :, idx[1:], :] = upper
-        bw = min(11, dim - 1)
-        ab = np.zeros((bw + 1, dim))
-        for k in range(bw + 1):
-            ab[bw - k, k:] = np.diagonal(h, offset=k)
-        delta = scipy.linalg.solveh_banded(ab, rhs, lower=False)
-        return delta
+        n = len(diag)
+        # (band row, node k, column b): entry (a, b) of node k's diagonal
+        # block and of node k - 1's upper block both lie in column 6k + b.
+        ab = np.zeros((12, n, 6))
+        a, b = np.triu_indices(6)
+        ab[11 + a - b, :, b] = diag[:, a, b].T
+        ab[11] += damping
+        a, b = np.indices((6, 6)).reshape(2, -1)
+        ab[5 + a - b, 1:, b] = upper[:, a, b].T
+        # One node keeps bandwidth 11 too: LAPACK ignores entries outside H.
+        return scipy.linalg.solveh_banded(ab.reshape(12, 6 * n), rhs, lower=False)
 
     def optimize(self, params: SolverParams | None = None) -> SolveReport:
         """Damped Gauss-Newton to convergence; replaces the node estimates."""
@@ -260,32 +260,29 @@ class WindowGraph:
             iter_started = time.perf_counter()
             diag, upper, grad = self._assemble(rot, res)
             accepted = False
-            while True:
+            while not accepted:
+                failure = "stalled"
                 try:
                     delta = self._solve_banded(diag, upper, -grad.reshape(-1), damping)
+                    rot_s, t_s = liegroup.se3_exp_arrays(delta.reshape(-1, 6))
+                    rot_new, t_new = liegroup.compose_arrays(rot, t, rot_s, t_s)
+                    res_new = self._residuals(rot_new, t_new)
+                    obj_new = self._objective_of(res_new)
+                    accepted = obj_new <= obj
                 except np.linalg.LinAlgError:
+                    failure = "cholesky-failure"
+                except (liegroup.NearSingularLogError, fmod.DegenerateGeometryError):
+                    pass  # residuals undefined at this step: reject it
+                if not accepted:
                     damping *= 10.0
                     if damping > DAMPING_MAX:
-                        status = "cholesky-failure"
+                        status = failure
                         break
-                    continue
-                step = delta.reshape(-1, 6)
-                rot_s, t_s = liegroup.se3_exp_arrays(step)
-                rot_new, t_new = liegroup.compose_arrays(rot, t, rot_s, t_s)
-                res_new = self._residuals(rot_new, t_new)
-                obj_new = self._objective_of(res_new)
-                if obj_new <= obj:
-                    accepted = True
-                    damping = max(damping / 10.0, 1e-12)
-                    break
-                damping *= 10.0
-                if damping > DAMPING_MAX:
-                    status = "stalled"
-                    break
             iter_seconds += time.perf_counter() - iter_started
             if not accepted:
                 iterations -= 1
                 break
+            damping = max(damping / 10.0, 1e-12)
             decrease = obj - obj_new
             rot, t, res, obj = rot_new, t_new, res_new, obj_new
             history.append(obj)

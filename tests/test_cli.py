@@ -181,6 +181,21 @@ class TestSweep:
         assert cell_summary["runs"] == 1
         assert len(cell_summary["failures"]) == 1
 
+    def test_failure_filed_under_its_own_cell(self, tmp_path):
+        # "odometry-only-r0-N20" is a prefix of "odometry-only-r0-N200": a
+        # failure in the N200 cell must not be listed by the N20 cell.
+        out = tmp_path / "sw"
+        blocked = out / "odometry-only-r0-N200" / "run-000"
+        blocked.parent.mkdir(parents=True)
+        blocked.write_text("")
+        assert cli("sweep", "--mode", "odometry-only", "--ramp-rate", "0",
+                   "--window-size", "20,200", "--duration", "180", "--seed", "60",
+                   "--runs", "1", "--out", out) == 2
+        small = json.loads((out / "odometry-only-r0-N20" / "summary.json").read_text())
+        large = json.loads((out / "odometry-only-r0-N200" / "summary.json").read_text())
+        assert (small["runs"], small["failures"]) == (1, [])
+        assert (large["runs"], large["failures"]) == (0, [str(blocked)])
+
     def test_config_can_supply_grid(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mode": "odometry-only", "ramp-rate": "0",

@@ -7,19 +7,44 @@ import pytest
 
 from srfgo import factors, liegroup
 from srfgo.factors import (
+    COINCIDENT_EPSILON,
     AnchorFactor,
+    DegenerateGeometryError,
     GpsFactor,
     OdometryFactor,
-    gps_predict,
-    gps_residual,
     linearize,
-    odom_predict,
-    odom_residual,
 )
-from srfgo.liegroup import Pose, compose, exp, inverse
+from srfgo.liegroup import Pose, compose, exp, inverse, ominus
 from conftest import random_pose, random_tangent
 
 FD_STEP = 1e-6
+
+
+# -- per-pose reference residuals, independent of the batched kernels -------
+
+def gps_predict(pose: Pose, sat_position: np.ndarray) -> float:
+    """Expected pseudorange |t - s|."""
+    diff = pose.translation - np.asarray(sat_position, dtype=float).reshape(3)
+    r = float(np.linalg.norm(diff))
+    if r < COINCIDENT_EPSILON:
+        raise DegenerateGeometryError(
+            f"receiver-satellite distance {r:.3e} m below {COINCIDENT_EPSILON:g} m")
+    return r
+
+
+def gps_residual(factor: GpsFactor, pose: Pose) -> float:
+    """measured_range - gps_predict."""
+    return factor.measured_range - gps_predict(pose, factor.sat_position)
+
+
+def odom_predict(x_i: Pose, x_ip1: Pose) -> Pose:
+    """Expected body-frame relative transform x_i^-1 * x_{i+1}."""
+    return compose(inverse(x_i), x_ip1)
+
+
+def odom_residual(factor: OdometryFactor, x_i: Pose, x_ip1: Pose) -> np.ndarray:
+    """measured ominus predicted (6-vector)."""
+    return ominus(factor.measured_transform, odom_predict(x_i, x_ip1))
 
 
 def transl(x, y, z):

@@ -314,15 +314,12 @@ class TestScenario:
         truth = self._truth()
         with pytest.raises(ValueError):
             Scenario(truth=truth, gps_rate_hz=3.0)
-        with pytest.raises(ValueError):
-            Scenario(truth=truth, odom_rate_hz=5.0)
 
     def test_dt_must_divide_auth_epoch(self):
-        # GPS and odometry rates agree with dt = 0.35 s, but 180 s is no
-        # whole number of steps.
+        # The GPS rate agrees with dt = 0.35 s, but 180 s is no whole
+        # number of steps.
         with pytest.raises(ValueError, match="does not divide"):
-            Scenario(truth=self._truth(), dt=0.35, gps_rate_hz=1 / 7,
-                     odom_rate_hz=1 / 0.35)
+            Scenario(truth=self._truth(), dt=0.35, gps_rate_hz=1 / 7)
 
     def test_measurement_stream_shapes(self):
         scn = Scenario(truth=self._truth(), seed=12)

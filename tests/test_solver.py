@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from srfgo import factors as fmod
 from srfgo import liegroup
-from srfgo.factors import AnchorFactor, GpsFactor, OdometryFactor, linearize
-from srfgo.liegroup import Pose, compose, exp, inverse
-from srfgo.solver import SolveReport, SolverParams, WindowGraph
+from srfgo.factors import (AnchorFactor, DegenerateGeometryError, GpsFactor,
+                           OdometryFactor, linearize)
+from srfgo.liegroup import NearSingularLogError, Pose, compose, exp, inverse
+from srfgo.solver import DAMPING_MAX, SolveReport, SolverParams, WindowGraph
 from conftest import random_pose, random_tangent
 
 SIGMA_GPS = 7.0
@@ -146,6 +150,148 @@ class TestAssembly:
         # Block-tridiagonal: nothing beyond the first off-diagonal.
         far = np.abs(idx[:, None] - idx[None, :]) > 1
         assert not np.any(h.transpose(0, 2, 1, 3)[far])
+
+
+def random_normal_blocks(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and upper 6x6 blocks of H = B^T B for a random, well
+    conditioned block upper bidiagonal B: an SPD block-tridiagonal H."""
+    b_diag = rng.normal(size=(n, 6, 6)) + 4.0 * np.eye(6)
+    b_up = 0.5 * rng.normal(size=(max(n - 1, 0), 6, 6))
+    b_diag_t, b_up_t = np.swapaxes(b_diag, 1, 2), np.swapaxes(b_up, 1, 2)
+    diag = b_diag_t @ b_diag
+    diag[1:] += b_up_t @ b_up
+    return diag, b_diag_t[:-1] @ b_up
+
+
+def dense_from_blocks(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    n = len(diag)
+    h = np.zeros((n, 6, n, 6))
+    idx = np.arange(n)
+    h[idx, :, idx, :] = diag
+    h[idx[:-1], :, idx[1:], :] = upper
+    h[idx[1:], :, idx[:-1], :] = np.swapaxes(upper, 1, 2)
+    return h.reshape(6 * n, 6 * n)
+
+
+class TestBandedSolve:
+    @settings(max_examples=60, deadline=None)
+    @example(n=1, seed=0, log_damping=-6.0)  # bandwidth 11 on a 6x6 matrix
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+           log_damping=st.floats(-12.0, 2.0))
+    def test_matches_dense_solve(self, n, seed, log_damping):
+        rng = np.random.default_rng(seed)
+        diag, upper = random_normal_blocks(rng, n)
+        rhs = rng.normal(size=6 * n)
+        damping = 10.0 ** log_damping
+        # The solver reads the upper triangle of each diagonal block.
+        h = dense_from_blocks(np.triu(diag) + np.swapaxes(np.triu(diag, 1), 1, 2),
+                              upper)
+        damped = h + damping * np.eye(6 * n)
+        expected = np.linalg.solve(damped, rhs)
+        got = WindowGraph._solve_banded(diag, upper, rhs, damping)
+        # Two backward-stable solves agree to about cond * eps; random
+        # blocks reach cond 1e9, where any layout error is still O(1).
+        bound = 16.0 * np.finfo(float).eps * np.linalg.cond(damped)
+        np.testing.assert_allclose(got, expected, rtol=0.0,
+                                   atol=bound * np.max(np.abs(expected)))
+
+    def test_peak_allocation_is_band_sized(self, rng):
+        diag, upper = random_normal_blocks(rng, 300)
+        rhs = rng.normal(size=1800)
+        WindowGraph._solve_banded(diag, upper, rhs, 1e-6)  # warm any lazy imports
+        tracemalloc.start()
+        try:
+            WindowGraph._solve_banded(diag, upper, rhs, 1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A dense (6n)^2 matrix alone would take 26 MB.
+        assert peak < 2 * 1024 ** 2
+
+
+def small_window(rng, perturbation: float, n: int = 6) -> WindowGraph:
+    """Window over exact measurements, started `perturbation` off the truth;
+    at 0 its objective is zero."""
+    truth = truth_chain(rng, n)
+    facs = (odometry_factors(truth) + gps_factors(truth[:1], [0], num_sats=6)
+            + [AnchorFactor(0, truth[0], fmod.anchor_information())])
+    start = [compose(p, exp(perturbation * random_tangent(rng, 1.0, 1.0)))
+             for p in truth]
+    return WindowGraph(list(enumerate(start)), facs, window_capacity=n)
+
+
+class TestForcedFailures:
+    """Every failed trial is one rejected step; the run's estimates stay."""
+
+    def test_factorization_always_fails(self, rng, monkeypatch):
+        def fail(diag, upper, rhs, damping):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(fail))
+        g = small_window(rng, 0.02)
+        rot, t = g.rot.copy(), g.t.copy()
+        report = g.optimize()
+        assert report.status == "cholesky-failure"
+        assert (report.iterations, report.converged) == (0, False)
+        assert report.damping_final > DAMPING_MAX
+        assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
+
+    def test_objective_always_rises(self, rng, monkeypatch):
+        # From the exact optimum every nonzero step raises the objective.
+        monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(
+            lambda diag, upper, rhs, damping: np.full(rhs.shape, 0.1)))
+        g = small_window(rng, 0.0)
+        rot, t = g.rot.copy(), g.t.copy()
+        report = g.optimize()
+        assert report.status == "stalled"
+        assert (report.iterations, report.converged) == (0, False)
+        assert report.objective_history == (report.final_objective,)
+        assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
+
+    @pytest.mark.parametrize("error", [NearSingularLogError, DegenerateGeometryError])
+    def test_undefined_residuals_always(self, rng, monkeypatch, error):
+        calls = []
+        original = WindowGraph._residuals
+
+        def residuals(self, rot, t):
+            calls.append(1)
+            if len(calls) > 1:  # the first call is the start point, not a trial
+                raise error("residual undefined at the trial point")
+            return original(self, rot, t)
+
+        monkeypatch.setattr(WindowGraph, "_residuals", residuals)
+        g = small_window(rng, 0.02)
+        rot, t = g.rot.copy(), g.t.copy()
+        report = g.optimize()
+        assert report.status == "stalled"
+        assert (report.iterations, report.converged) == (0, False)
+        assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
+
+    @pytest.mark.parametrize("error", [NearSingularLogError, DegenerateGeometryError])
+    def test_undefined_residuals_once_is_one_rejection(self, rng, monkeypatch, error):
+        calls, solves = [], []
+        original_residuals = WindowGraph._residuals
+        original_solve = WindowGraph._solve_banded
+
+        def residuals(self, rot, t):
+            calls.append(1)
+            if len(calls) == 2:  # the first trial only
+                raise error("residual undefined at the trial point")
+            return original_residuals(self, rot, t)
+
+        def solve(diag, upper, rhs, damping):
+            solves.append(damping)
+            return original_solve(diag, upper, rhs, damping)
+
+        g = small_window(rng, 0.02)
+        start = g.objective()
+        monkeypatch.setattr(WindowGraph, "_residuals", residuals)
+        monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(solve))
+        report = g.optimize()
+        assert report.converged
+        assert report.final_objective < start
+        # The rejected trial raised the damping tenfold for the retry.
+        assert solves[1] == pytest.approx(10.0 * solves[0])
 
 
 class TestOptimize:
