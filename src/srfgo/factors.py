@@ -8,11 +8,14 @@ Residual conventions (all "measured minus predicted"):
 
 Residuals and closed-form Jacobians (right perturbation x <- x * exp(delta))
 exist once, as batched kernels over stacked arrays: ``gps_errors``/
-``gps_jacobians``, ``odometry_errors``/``odometry_jacobians`` and
-``anchor_errors``/``anchor_jacobians``.  The window optimizer runs them on a
-whole window; ``linearize`` runs them on one factor, so the test suite's
-finite-difference checks of ``linearize`` (against independent per-pose
-references kept in the tests) cover the optimizer's Jacobians.
+``gps_jacobians`` for pseudoranges, and ``relative_errors``/
+``relative_jacobians`` for e = log(a^-1 b), which is the odometry residual
+with a = pred, b = Z and the anchor residual with a = x, b = prior; so the
+window optimizer evaluates both pose kinds in one call on stacked rows.
+``odometry_errors``/``odometry_jacobians`` and ``anchor_errors`` apply them
+to one kind.  ``linearize`` runs the kernels on one factor, so the test
+suite's finite-difference checks of ``linearize`` (against independent
+per-pose references kept in the tests) cover the optimizer's Jacobians.
 
 The odometry prediction is the body-frame relative transform x_i^-1 x_{i+1}.
 That form keeps the residual a function of local pose differences only; the
@@ -129,14 +132,10 @@ def anchor_information() -> np.ndarray:
 
 # -- batched kernels: leading axis = factor -------------------------------
 
-def _between(rot_a, t_a, rot_b, t_b) -> tuple[np.ndarray, np.ndarray]:
+def between(rot_a, t_a, rot_b, t_b) -> tuple[np.ndarray, np.ndarray]:
     """Relative transforms a^-1 b."""
     rot_at = np.swapaxes(rot_a, -1, -2)
     return rot_at @ rot_b, (rot_at @ (t_b - t_a)[..., None])[..., 0]
-
-
-def _log(rot: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return liegroup.se3_log_arrays(rot, t) if len(rot) else np.zeros((0, 6))
 
 
 def gps_errors(t: np.ndarray, sat: np.ndarray, meas: np.ndarray) -> tuple:
@@ -157,31 +156,38 @@ def gps_jacobians(rot: np.ndarray, diff: np.ndarray, ranges: np.ndarray) -> np.n
     return -np.einsum("ni,nij->nj", los, rot)
 
 
+def relative_errors(rot_a, t_a, rot_b, t_b) -> np.ndarray:
+    """e = log(a^-1 b) per row."""
+    rot, t = between(rot_a, t_a, rot_b, t_b)
+    return liegroup.se3_log_arrays(rot, t) if len(rot) else np.zeros((0, 6))
+
+
+def relative_jacobians(e: np.ndarray) -> np.ndarray:
+    """-J_l^-1(e), the Jacobian of e = log(a^-1 b) under a <- a exp(delta):
+    e(delta) = log(exp(-delta) exp(e))."""
+    return -liegroup.se3_left_jacobian_inv(e)
+
+
 def odometry_errors(rot_i, t_i, rot_j, t_j, z_rot, z_t) -> tuple:
     """(residuals, pred rotations, pred translations), pred = x_i^-1 x_j;
     odometry_jacobians reuses pred."""
-    rot_pred, t_pred = _between(rot_i, t_i, rot_j, t_j)
-    return _log(*_between(rot_pred, t_pred, z_rot, z_t)), rot_pred, t_pred
+    rot_pred, t_pred = between(rot_i, t_i, rot_j, t_j)
+    return relative_errors(rot_pred, t_pred, z_rot, z_t), rot_pred, t_pred
 
 
-def odometry_jacobians(e, rot_pred, t_pred) -> tuple[np.ndarray, np.ndarray]:
-    """(J_i, J_j) of odometry residuals e about predictions pred."""
+def odometry_jacobians(j_j, rot_pred, t_pred) -> tuple[np.ndarray, np.ndarray]:
+    """(J_i, J_j) about predictions pred, from J_j = relative_jacobians(e)."""
     # e(d_i, d_j) = log(exp(-d_j) pred^-1 exp(d_i) z): the j slot enters on
     # the left of exp(e), the i slot folds through Ad(pred^-1), so
     # J_i = -J_j Ad(pred^-1) exactly.
     rot_pi = np.swapaxes(rot_pred, -1, -2)
     t_pi = -(rot_pi @ t_pred[..., None])[..., 0]
-    ad = liegroup.adjoint_arrays(rot_pi, t_pi)
-    j_j = -liegroup.se3_left_jacobian_inv(e)
-    return -j_j @ ad, j_j
+    return -j_j @ liegroup.adjoint_arrays(rot_pi, t_pi), j_j
 
 
 def anchor_errors(rot, t, prior_rot, prior_t) -> np.ndarray:
-    return _log(*_between(rot, t, prior_rot, prior_t))
-
-
-def anchor_jacobians(e: np.ndarray) -> np.ndarray:
-    return -liegroup.se3_left_jacobian_inv(e)
+    """log(x^-1 prior); its Jacobian is relative_jacobians(e)."""
+    return relative_errors(rot, t, prior_rot, prior_t)
 
 
 def _stacked(pose: Pose) -> tuple[np.ndarray, np.ndarray]:
@@ -202,10 +208,10 @@ def linearize(factor, current_states: Mapping[int, Pose]) -> Linearization:
             *_stacked(current_states[factor.from_index]),
             *_stacked(current_states[factor.to_index]),
             *_stacked(factor.measured_transform))
-        j_i, j_j = odometry_jacobians(e, rot_pred, t_pred)
+        j_i, j_j = odometry_jacobians(relative_jacobians(e), rot_pred, t_pred)
         return Linearization(e[0], (factor.from_index, factor.to_index), (j_i[0], j_j[0]))
     if isinstance(factor, AnchorFactor):
         e = anchor_errors(*_stacked(current_states[factor.node_index]),
                           *_stacked(factor.prior_pose))
-        return Linearization(e[0], (factor.node_index,), (anchor_jacobians(e)[0],))
+        return Linearization(e[0], (factor.node_index,), (relative_jacobians(e)[0],))
     raise TypeError(f"unknown factor type {type(factor).__name__}")

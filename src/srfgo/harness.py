@@ -314,14 +314,13 @@ def run(cfg: RunConfig) -> RunRecord:
         dt=dt,
         times_s=times_s,
         est_translations=t,
-        est_quaternions=np.array([rotation_to_quaternion(r) for r in rot]),
+        est_quaternions=rotation_to_quaternion(rot),
         errors=errors,
         detections=detections,
         auth_events=auth_rows,
         smoothed_times_s=times_s[-len(smoothed_t):],
         smoothed_translations=smoothed_t,
-        smoothed_quaternions=np.array([rotation_to_quaternion(r)
-                                       for r in smoothed_rot]),
+        smoothed_quaternions=rotation_to_quaternion(smoothed_rot),
         summary=summary,
         timing=timing,
     )

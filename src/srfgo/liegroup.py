@@ -319,41 +319,31 @@ def adjoint(pose: Pose) -> np.ndarray:
 
 
 def rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:
-    """Unit quaternion [qx, qy, qz, qw] (Hamilton, scalar-last), qw >= 0.
+    """Unit quaternions [qx, qy, qz, qw] (Hamilton, scalar-last), qw >= 0, of
+    rotations (..., 3, 3).
 
-    Shepperd's method: pick the largest of (trace, R00, R11, R22) to keep the
-    divisor well away from zero.
+    Shepperd's method: per rotation, pick the largest of (trace, R00, R11,
+    R22) to keep the divisor well away from zero.
     """
     rot = np.asarray(rot, dtype=float)
-    tr = rot[0, 0] + rot[1, 1] + rot[2, 2]
-    if tr > max(rot[0, 0], rot[1, 1], rot[2, 2]):
-        s = np.sqrt(tr + 1.0) * 2.0
-        qw = 0.25 * s
-        qx = (rot[2, 1] - rot[1, 2]) / s
-        qy = (rot[0, 2] - rot[2, 0]) / s
-        qz = (rot[1, 0] - rot[0, 1]) / s
-    elif rot[0, 0] >= rot[1, 1] and rot[0, 0] >= rot[2, 2]:
-        s = np.sqrt(1.0 + rot[0, 0] - rot[1, 1] - rot[2, 2]) * 2.0
-        qx = 0.25 * s
-        qw = (rot[2, 1] - rot[1, 2]) / s
-        qy = (rot[0, 1] + rot[1, 0]) / s
-        qz = (rot[0, 2] + rot[2, 0]) / s
-    elif rot[1, 1] >= rot[2, 2]:
-        s = np.sqrt(1.0 + rot[1, 1] - rot[0, 0] - rot[2, 2]) * 2.0
-        qy = 0.25 * s
-        qw = (rot[0, 2] - rot[2, 0]) / s
-        qx = (rot[0, 1] + rot[1, 0]) / s
-        qz = (rot[1, 2] + rot[2, 1]) / s
-    else:
-        s = np.sqrt(1.0 + rot[2, 2] - rot[0, 0] - rot[1, 1]) * 2.0
-        qz = 0.25 * s
-        qw = (rot[1, 0] - rot[0, 1]) / s
-        qx = (rot[0, 2] + rot[2, 0]) / s
-        qy = (rot[1, 2] + rot[2, 1]) / s
-    q = np.array([qx, qy, qz, qw])
-    if q[3] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+    m = rot.reshape(-1, 3, 3)
+    d0, d1, d2 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    tr = d0 + d1 + d2
+    # Index of the large component: qw, then qx, qy, qz, first case that holds.
+    big = np.select([tr > np.maximum(np.maximum(d0, d1), d2),
+                     (d0 >= d1) & (d0 >= d2), d1 >= d2], [3, 0, 1], 2)
+    s = np.sqrt(np.choose(big, [1.0 + d0 - d1 - d2, 1.0 + d1 - d0 - d2,
+                                1.0 + d2 - d0 - d1, tr + 1.0])) * 2.0
+    wx, wy, wz = m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]
+    xy, xz, yz = m[:, 0, 1] + m[:, 1, 0], m[:, 0, 2] + m[:, 2, 0], m[:, 1, 2] + m[:, 2, 1]
+    # Numerators over s of each case; the large slot is overwritten below.
+    cases = [(s, xy, xz, wx), (xy, s, yz, wy), (xz, yz, s, wz), (wx, wy, wz, s)]
+    q = np.choose(big[:, None], [np.stack(c, axis=-1) for c in cases]) / s[:, None]
+    q[np.arange(len(q)), big] = 0.25 * s
+    q = np.where(q[:, 3:] < 0, -q, q)
+    # Row-wise q.q as a 1x4 by 4x1 product: the same sum as the 1-D norm.
+    q = q / np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0])
+    return q.reshape(rot.shape[:-2] + (4,))
 
 
 def quaternion_to_rotation(q: np.ndarray, norm_tol: float = 1e-3) -> np.ndarray:

@@ -117,8 +117,9 @@ def _snap_unit_quaternion(q: np.ndarray) -> np.ndarray:
 
 def save_trajectory(path, poses: list[Pose], dt: float = DT_DEFAULT) -> None:
     lines = [TRAJECTORY_HEADER]
-    for k, pose in enumerate(poses):
-        q = _snap_unit_quaternion(rotation_to_quaternion(pose.rotation))
+    quats = rotation_to_quaternion(np.array([p.rotation for p in poses]).reshape(-1, 3, 3))
+    for k, (pose, q) in enumerate(zip(poses, quats)):
+        q = _snap_unit_quaternion(q)
         x, y, z = pose.translation
         lines.append(",".join(f"{v:.9f}" for v in (k * dt, x, y, z, *q)))
     with open(path, "w") as fh:

@@ -9,19 +9,30 @@ The normal equations H delta = -b are block-tridiagonal in 6x6 blocks; we
 assemble the blocks from those kernels, applied to every factor at once,
 write them straight into LAPACK's upper band storage, ab[11 + i - j, j] =
 H[i, j] for i <= j, and solve with a banded Cholesky factorization.
+The odometry and anchor residuals are both log(a^-1 b), so one kernel call
+evaluates them on stacked rows, and one J_l^-1 call linearizes them.
 Levenberg-Marquardt damping wraps the Gauss-Newton step: lambda starts at
 damping_init, divides by 10 on an accepted step and multiplies by 10 on a
-rejected one, so accepted objectives never increase.  A trial is rejected
-when H + lambda I cannot be factored, when its residuals are undefined (a
-near-pi SE(3) log, a receiver on a satellite) or when its objective rises;
-past DAMPING_MAX the solve ends "cholesky-failure" if the last trial could
-not be factored and "stalled" otherwise.
+rejected one, so accepted objectives never increase.  Each iteration first
+solves at the current lambda; if that step's norm is below step_norm_tol,
+the solve ends "step-norm" without taking it, before any exp or residual
+work (Madsen, Nielsen & Tingleff 2004, Alg. 3.16), so a window already at
+its optimum costs one solve.  A step that is short only because rejections
+in the same iteration raised lambda is not convergence: it is evaluated
+like any other trial.  A trial is rejected when H + lambda I cannot be
+factored, when its residuals are undefined (a near-pi SE(3) log, a receiver
+on a satellite) or when its objective rises; past DAMPING_MAX the solve
+ends "cholesky-failure" if the last trial could not be factored and
+"stalled" otherwise.  An accepted step whose objective decrease is below
+relative_decrease_tol of the objective ends the solve "relative-decrease".
+``iterations`` counts accepted steps.
 
 Estimates update by right perturbation x <- x * exp(delta).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,6 +47,11 @@ from srfgo.liegroup import Pose
 
 # Damping escalated past this is hopeless; report failure instead of looping.
 DAMPING_MAX = 1e8
+
+# Entries (a, b) of a 6x6 block that go into LAPACK's upper band storage:
+# the upper triangle of a diagonal block, every entry of an upper block.
+_DIAG_A, _DIAG_B = np.triu_indices(6)
+_UPPER_A, _UPPER_B = np.indices((6, 6)).reshape(2, -1)
 
 
 @dataclass
@@ -59,7 +75,6 @@ class SolveReport:
     status: str
     residuals: dict
     objective_history: tuple
-    step_norm: float
     damping_final: float
     # Wall time spent inside iteration bodies (linearize, solve, retry loop),
     # excluding the per-call setup around the loop.
@@ -150,16 +165,16 @@ class WindowGraph:
         comp = self.comp
         gps, gps_diff, gps_ranges = fmod.gps_errors(
             t[comp["gps_rows"]], comp["gps_sat"], comp["gps_meas"])
-        orow = comp["odo_rows"]
-        odometry, rot_pred, t_pred = fmod.odometry_errors(
-            rot[orow], t[orow], rot[orow + 1], t[orow + 1],
-            comp["odo_rot"], comp["odo_t"])
-        arow = comp["anc_rows"]
-        anchor = fmod.anchor_errors(rot[arow], t[arow], comp["anc_rot"],
-                                    comp["anc_t"])
+        orow, arow = comp["odo_rows"], comp["anc_rows"]
+        rot_pred, t_pred = fmod.between(rot[orow], t[orow], rot[orow + 1], t[orow + 1])
+        # Odometry log(pred^-1 Z) and anchor log(x^-1 prior), one batch.
+        pose = fmod.relative_errors(
+            np.concatenate([rot_pred, rot[arow]]), np.concatenate([t_pred, t[arow]]),
+            np.concatenate([comp["odo_rot"], comp["anc_rot"]]),
+            np.concatenate([comp["odo_t"], comp["anc_t"]]))
         return {"gps": gps, "gps_diff": gps_diff, "gps_ranges": gps_ranges,
-                "odometry": odometry, "odo_rot_pred": rot_pred,
-                "odo_t_pred": t_pred, "anchor": anchor}
+                "pose": pose, "odometry": pose[:len(orow)], "anchor": pose[len(orow):],
+                "odo_rot_pred": rot_pred, "odo_t_pred": t_pred}
 
     def _objective_of(self, res: dict) -> float:
         comp = self.comp
@@ -201,11 +216,13 @@ class WindowGraph:
             np.add.at(diag, (rows, slice(3, None), slice(3, None)), blocks)
             np.add.at(grad, (rows, slice(3, None)), (w * res["gps"])[:, None] * jt)
 
-        orow = comp["odo_rows"]
+        # One J_l^-1 over the stacked odometry and anchor rows.
+        orow, arow = comp["odo_rows"], comp["anc_rows"]
+        jac = fmod.relative_jacobians(res["pose"])
         if orow.size:
             e = res["odometry"]
             info = comp["odo_info"]
-            j_i, j_j = fmod.odometry_jacobians(e, res["odo_rot_pred"],
+            j_i, j_j = fmod.odometry_jacobians(jac[:len(orow)], res["odo_rot_pred"],
                                                res["odo_t_pred"])
             j_it = np.swapaxes(j_i, -1, -2)
             j_jt = np.swapaxes(j_j, -1, -2)
@@ -217,12 +234,11 @@ class WindowGraph:
             grad[orow] += np.einsum("nij,njk,nk->ni", j_it, info, e)
             grad[orow + 1] += np.einsum("nij,njk,nk->ni", j_jt, info, e)
 
-        arow = comp["anc_rows"]
         if arow.size:
             e = res["anchor"]
-            jac = fmod.anchor_jacobians(e)
-            jac_t = np.swapaxes(jac, -1, -2)
-            np.add.at(diag, arow, jac_t @ comp["anc_info"] @ jac)
+            jac_a = jac[len(orow):]
+            jac_t = np.swapaxes(jac_a, -1, -2)
+            np.add.at(diag, arow, jac_t @ comp["anc_info"] @ jac_a)
             np.add.at(grad, arow, np.einsum("nij,njk,nk->ni", jac_t,
                                             comp["anc_info"], e))
         return diag, upper, grad
@@ -234,11 +250,9 @@ class WindowGraph:
         # (band row, node k, column b): entry (a, b) of node k's diagonal
         # block and of node k - 1's upper block both lie in column 6k + b.
         ab = np.zeros((12, n, 6))
-        a, b = np.triu_indices(6)
-        ab[11 + a - b, :, b] = diag[:, a, b].T
+        ab[11 + _DIAG_A - _DIAG_B, :, _DIAG_B] = diag[:, _DIAG_A, _DIAG_B].T
         ab[11] += damping
-        a, b = np.indices((6, 6)).reshape(2, -1)
-        ab[5 + a - b, 1:, b] = upper[:, a, b].T
+        ab[5 + _UPPER_A - _UPPER_B, 1:, _UPPER_B] = upper[:, _UPPER_A, _UPPER_B].T
         # One node keeps bandwidth 11 too: LAPACK ignores entries outside H.
         return scipy.linalg.solveh_banded(ab.reshape(12, 6 * n), rhs, lower=False)
 
@@ -251,19 +265,22 @@ class WindowGraph:
         history = [obj]
         damping = params.damping_init
         status = "max-iterations"
-        converged = False
-        step_norm = np.inf
         iterations = 0
         iter_seconds = 0.0
 
-        for iterations in range(1, params.max_iterations + 1):
+        while iterations < params.max_iterations:
             iter_started = time.perf_counter()
             diag, upper, grad = self._assemble(rot, res)
             accepted = False
-            while not accepted:
+            for trial in itertools.count():
                 failure = "stalled"
                 try:
                     delta = self._solve_banded(diag, upper, -grad.reshape(-1), damping)
+                    # A short first step ends the solve, untaken; one that
+                    # escalated damping shortened is an ordinary trial.
+                    if trial == 0 and np.linalg.norm(delta) < params.step_norm_tol:
+                        status = "step-norm"
+                        break
                     rot_s, t_s = liegroup.se3_exp_arrays(delta.reshape(-1, 6))
                     rot_new, t_new = liegroup.compose_arrays(rot, t, rot_s, t_s)
                     res_new = self._residuals(rot_new, t_new)
@@ -273,35 +290,31 @@ class WindowGraph:
                     failure = "cholesky-failure"
                 except (liegroup.NearSingularLogError, fmod.DegenerateGeometryError):
                     pass  # residuals undefined at this step: reject it
-                if not accepted:
-                    damping *= 10.0
-                    if damping > DAMPING_MAX:
-                        status = failure
-                        break
+                if accepted:
+                    break
+                damping *= 10.0
+                if damping > DAMPING_MAX:
+                    status = failure
+                    break
             iter_seconds += time.perf_counter() - iter_started
             if not accepted:
-                iterations -= 1
                 break
+            iterations += 1
             damping = max(damping / 10.0, 1e-12)
             decrease = obj - obj_new
             rot, t, res, obj = rot_new, t_new, res_new, obj_new
             history.append(obj)
-            step_norm = float(np.linalg.norm(delta))
-            if step_norm < params.step_norm_tol:
-                status = "step-norm"
-                converged = True
-                break
             if decrease <= params.relative_decrease_tol * max(obj, 1e-300):
                 status = "relative-decrease"
-                converged = True
                 break
 
         self.rot, self.t = rot, t
         snapshot = {"gps": res["gps"].copy(), "odometry": res["odometry"].copy(),
                     "anchor": res["anchor"].copy()}
         return SolveReport(final_objective=obj, iterations=iterations,
-                           converged=converged, status=status, residuals=snapshot,
-                           objective_history=tuple(history), step_norm=step_norm,
+                           converged=status in ("step-norm", "relative-decrease"),
+                           status=status, residuals=snapshot,
+                           objective_history=tuple(history),
                            damping_final=damping, iteration_seconds=iter_seconds)
 
     # -- window maintenance ------------------------------------------------

@@ -182,7 +182,52 @@ class TestJacobianHelpers:
         assert np.allclose(lhs.matrix(), rhs.matrix(), atol=1e-10)
 
 
+def scalar_rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:
+    """Per-rotation Shepperd reference for the batched conversion."""
+    tr = rot[0, 0] + rot[1, 1] + rot[2, 2]
+    if tr > max(rot[0, 0], rot[1, 1], rot[2, 2]):
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = [(rot[2, 1] - rot[1, 2]) / s, (rot[0, 2] - rot[2, 0]) / s,
+             (rot[1, 0] - rot[0, 1]) / s, 0.25 * s]
+    elif rot[0, 0] >= rot[1, 1] and rot[0, 0] >= rot[2, 2]:
+        s = np.sqrt(1.0 + rot[0, 0] - rot[1, 1] - rot[2, 2]) * 2.0
+        q = [0.25 * s, (rot[0, 1] + rot[1, 0]) / s,
+             (rot[0, 2] + rot[2, 0]) / s, (rot[2, 1] - rot[1, 2]) / s]
+    elif rot[1, 1] >= rot[2, 2]:
+        s = np.sqrt(1.0 + rot[1, 1] - rot[0, 0] - rot[2, 2]) * 2.0
+        q = [(rot[0, 1] + rot[1, 0]) / s, 0.25 * s,
+             (rot[1, 2] + rot[2, 1]) / s, (rot[0, 2] - rot[2, 0]) / s]
+    else:
+        s = np.sqrt(1.0 + rot[2, 2] - rot[0, 0] - rot[1, 1]) * 2.0
+        q = [(rot[0, 2] + rot[2, 0]) / s, (rot[1, 2] + rot[2, 1]) / s,
+             0.25 * s, (rot[1, 0] - rot[0, 1]) / s]
+    q = np.array(q)
+    if q[3] < 0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
 class TestQuaternions:
+    def test_batch_equals_scalar_reference_bit_for_bit(self, rng):
+        axes = rng.normal(size=(3000, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = np.concatenate([
+            rng.uniform(0.0, np.pi, 1000),                     # mostly qw largest
+            np.pi - 10.0 ** rng.uniform(-9.0, -1.0, 1000),     # near pi: qx, qy, qz
+            10.0 ** rng.uniform(-9.0, -3.0, 1000)])            # near identity
+        rots = np.concatenate([
+            liegroup.so3_exp(axes * angles[:, None]),
+            [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+             np.diag([-1.0, -1.0, 1.0])]])
+        expected = np.array([scalar_rotation_to_quaternion(r) for r in rots])
+        # Every Shepperd case is hit, qw largest or each of qx, qy, qz.
+        largest = np.argmax(np.abs(expected), axis=1)
+        assert set(largest.tolist()) == {0, 1, 2, 3}
+        assert np.array_equal(liegroup.rotation_to_quaternion(rots), expected)
+        assert np.array_equal(liegroup.rotation_to_quaternion(rots.reshape(2, -1, 3, 3)),
+                              expected.reshape(2, -1, 4))
+        assert np.array_equal(liegroup.rotation_to_quaternion(rots[-2]), expected[-2])
+
     def test_roundtrip_random(self, rng):
         for _ in range(200):
             rot = random_pose(rng, max_angle=3.1).rotation

@@ -151,6 +151,28 @@ class TestAssembly:
         far = np.abs(idx[:, None] - idx[None, :]) > 1
         assert not np.any(h.transpose(0, 2, 1, 3)[far])
 
+    def test_odometry_and_anchor_share_one_kernel_call(self, rng, monkeypatch):
+        g = small_window(rng, 0.02)
+        comp, rot, t = g.comp, g.rot, g.t
+        orow, arow = comp["odo_rows"], comp["anc_rows"]
+        assert orow.size and arow.size and comp["gps_rows"].size
+        odometry, _, _ = fmod.odometry_errors(rot[orow], t[orow], rot[orow + 1],
+                                              t[orow + 1], comp["odo_rot"], comp["odo_t"])
+        anchor = fmod.anchor_errors(rot[arow], t[arow], comp["anc_rot"], comp["anc_t"])
+
+        calls = {"se3_log_arrays": 0, "se3_left_jacobian_inv": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(liegroup, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(liegroup, name, counted)
+        res = g._residuals(rot, t)
+        assert calls == {"se3_log_arrays": 1, "se3_left_jacobian_inv": 0}
+        g._assemble(rot, res)
+        assert calls == {"se3_log_arrays": 1, "se3_left_jacobian_inv": 1}
+        assert np.array_equal(res["odometry"], odometry)
+        assert np.array_equal(res["anchor"], anchor)
+
 
 def random_normal_blocks(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and upper 6x6 blocks of H = B^T B for a random, well
@@ -248,6 +270,25 @@ class TestForcedFailures:
         assert report.objective_history == (report.final_objective,)
         assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
 
+    def test_steps_shortened_by_damping_stay_stalled(self, rng, monkeypatch):
+        # Only the first trial's step is long; it and every escalated,
+        # shorter retry raise the objective from the exact optimum.
+        solves = []
+
+        def solve(diag, upper, rhs, damping):
+            solves.append(damping)
+            return np.full(rhs.shape, 0.1 if len(solves) == 1 else 1e-10)
+
+        monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(solve))
+        g = small_window(rng, 0.0)
+        rot, t = g.rot.copy(), g.t.copy()
+        report = g.optimize()
+        assert 1e-10 * np.sqrt(6 * len(g)) < SolverParams().step_norm_tol
+        assert len(solves) > 2
+        assert report.status == "stalled"
+        assert (report.iterations, report.converged) == (0, False)
+        assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
+
     @pytest.mark.parametrize("error", [NearSingularLogError, DegenerateGeometryError])
     def test_undefined_residuals_always(self, rng, monkeypatch, error):
         calls = []
@@ -295,6 +336,38 @@ class TestForcedFailures:
 
 
 class TestOptimize:
+    def test_stationary_window_costs_one_solve(self, rng, monkeypatch):
+        # Coasting after mitigation: nodes dead-reckoned from the anchor by
+        # noisy odometry, GPS stripped; the start is the optimum to roundoff.
+        # Hundreds of metres from the origin, as on a circuit, roundoff makes
+        # even this 1e-14 step raise the objective; evaluating it would cost
+        # a rejection per tenfold damping increase.
+        offset = Pose(np.eye(3), np.array([300.0, -300.0, 0.0]))
+        truth = [compose(offset, p) for p in truth_chain(rng, 30, step_trans=1.0)]
+        info = fmod.default_odometry_information([0.01] * 3 + [0.05] * 3)
+        odometry = [OdometryFactor(f.from_index, f.to_index,
+                                   compose(f.measured_transform,
+                                           exp(0.01 * random_tangent(rng, 1.0, 1.0))),
+                                   info) for f in odometry_factors(truth)]
+        g = WindowGraph([(0, truth[0])], [AnchorFactor(0, truth[0], fmod.anchor_information())],
+                        window_capacity=30)
+        g = g.append(range(1, 30), odometry + gps_factors(truth[::10], range(0, 30, 10)))
+        g = g.strip_gps()
+        rot, t = g.rot.copy(), g.t.copy()
+        solves = []
+        original = WindowGraph._solve_banded
+
+        def solve(diag, upper, rhs, damping):
+            solves.append(damping)
+            return original(diag, upper, rhs, damping)
+
+        monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(solve))
+        report = g.optimize()
+        assert len(solves) == 1
+        assert (report.status, report.converged, report.iterations) == ("step-norm", True, 0)
+        assert report.objective_history == (report.final_objective,)
+        assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
+
     def test_anchor_only_fixed_point(self, rng):
         prior = random_pose(rng, max_angle=0.5)
         start = compose(prior, exp(0.01 * random_tangent(rng, 1.0, 1.0)))
