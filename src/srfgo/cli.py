@@ -163,6 +163,8 @@ def _parse_direction(text: str) -> tuple:
     if len(parts) != 3:
         raise CliError(f"bad direction {text!r}; expected three components")
     vec = np.asarray(parts, dtype=float)
+    if not np.isfinite(vec).all():
+        raise CliError(f"spoof direction must be finite, got {text!r}")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise CliError("spoof direction must be nonzero")
@@ -173,8 +175,8 @@ def _parse_rate(value) -> float | None:
     if value is None:
         return None
     rate = float(value)
-    if rate < 0.0:
-        raise CliError(f"ramp rate must be >= 0, got {rate}")
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise CliError(f"ramp rate must be finite and >= 0, got {rate}")
     return rate if rate > 0.0 else None
 
 

@@ -12,6 +12,8 @@ exist once, as batched kernels over stacked arrays: ``gps_errors``/
 ``relative_jacobians`` for e = log(a^-1 b), which is the odometry residual
 with a = pred, b = Z and the anchor residual with a = x, b = prior; so the
 window optimizer evaluates both pose kinds in one call on stacked rows.
+``relative_errors`` also returns the SO(3) V^-1 its log computed, and
+``relative_jacobians`` takes it, so J_l^-1 is evaluated once per row.
 ``odometry_errors``/``odometry_jacobians`` and ``anchor_errors`` apply them
 to one kind.  ``linearize`` runs the kernels on one factor, so the test
 suite's finite-difference checks of ``linearize`` (against independent
@@ -25,6 +27,7 @@ near-degenerate at kilometre-scale coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -50,6 +53,16 @@ def _check_spd(info: np.ndarray, name: str) -> np.ndarray:
     info = np.asarray(info, dtype=float)
     if info.shape != (6, 6):
         raise ValueError(f"{name} information must be 6x6, got {info.shape}")
+    _check_spd_values(info.tobytes(), name)
+    return info
+
+
+@functools.lru_cache(maxsize=64)
+def _check_spd_values(data: bytes, name: str) -> None:
+    """Symmetry and positive definiteness of one 6x6 matrix, by its bytes:
+    each distinct matrix is checked once, since every odometry factor of a
+    run carries the same one.  A rejection raises, so it is never cached."""
+    info = np.frombuffer(data).reshape(6, 6)
     # Exact symmetry, the common case, skips the costlier tolerance test;
     # NaN and asymmetric input still reach allclose and are rejected.
     if not (np.array_equal(info, info.T) or np.allclose(info, info.T, atol=1e-9)):
@@ -58,7 +71,6 @@ def _check_spd(info: np.ndarray, name: str) -> np.ndarray:
         np.linalg.cholesky(info)
     except np.linalg.LinAlgError as err:
         raise ValueError(f"{name} information must be positive definite") from err
-    return info
 
 
 @dataclass(eq=False)
@@ -142,8 +154,8 @@ def gps_errors(t: np.ndarray, sat: np.ndarray, meas: np.ndarray) -> tuple:
     """(residuals, t - sat, ranges) of pseudoranges from receiver positions t;
     gps_jacobians reuses the last two."""
     diff = t - sat
-    ranges = np.linalg.norm(diff, axis=-1)
-    if ranges.size and np.min(ranges) < COINCIDENT_EPSILON:
+    ranges = np.sqrt(np.add.reduce(diff * diff, axis=-1))  # numpy.linalg.norm's formula
+    if ranges.size and np.minimum.reduce(ranges) < COINCIDENT_EPSILON:
         raise DegenerateGeometryError(
             f"receiver-satellite distance {np.min(ranges):.3e} m below {COINCIDENT_EPSILON:g} m")
     return meas - ranges, diff, ranges
@@ -156,23 +168,26 @@ def gps_jacobians(rot: np.ndarray, diff: np.ndarray, ranges: np.ndarray) -> np.n
     return -np.einsum("ni,nij->nj", los, rot)
 
 
-def relative_errors(rot_a, t_a, rot_b, t_b) -> np.ndarray:
-    """e = log(a^-1 b) per row."""
+def relative_errors(rot_a, t_a, rot_b, t_b) -> tuple:
+    """(e, jinv): e = log(a^-1 b) per row, and jinv the SO(3) V^-1 of e's
+    rotation part, which the log computed and relative_jacobians reuses."""
     rot, t = between(rot_a, t_a, rot_b, t_b)
-    return liegroup.se3_log_arrays(rot, t) if len(rot) else np.zeros((0, 6))
+    if not len(rot):
+        return np.zeros((0, 6)), np.zeros((0, 3, 3))
+    return liegroup.se3_log_arrays(rot, t, True)
 
 
-def relative_jacobians(e: np.ndarray) -> np.ndarray:
+def relative_jacobians(e: np.ndarray, jinv: np.ndarray | None = None) -> np.ndarray:
     """-J_l^-1(e), the Jacobian of e = log(a^-1 b) under a <- a exp(delta):
-    e(delta) = log(exp(-delta) exp(e))."""
-    return -liegroup.se3_left_jacobian_inv(e)
+    e(delta) = log(exp(-delta) exp(e)).  jinv as relative_errors returns it."""
+    return -liegroup.se3_left_jacobian_inv(e, jinv)
 
 
 def odometry_errors(rot_i, t_i, rot_j, t_j, z_rot, z_t) -> tuple:
     """(residuals, pred rotations, pred translations), pred = x_i^-1 x_j;
     odometry_jacobians reuses pred."""
     rot_pred, t_pred = between(rot_i, t_i, rot_j, t_j)
-    return relative_errors(rot_pred, t_pred, z_rot, z_t), rot_pred, t_pred
+    return relative_errors(rot_pred, t_pred, z_rot, z_t)[0], rot_pred, t_pred
 
 
 def odometry_jacobians(j_j, rot_pred, t_pred) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +202,7 @@ def odometry_jacobians(j_j, rot_pred, t_pred) -> tuple[np.ndarray, np.ndarray]:
 
 def anchor_errors(rot, t, prior_rot, prior_t) -> np.ndarray:
     """log(x^-1 prior); its Jacobian is relative_jacobians(e)."""
-    return relative_errors(rot, t, prior_rot, prior_t)
+    return relative_errors(rot, t, prior_rot, prior_t)[0]
 
 
 def _stacked(pose: Pose) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,22 @@ All kernels accept stacked inputs (leading batch dimensions) so the window
 optimizer can linearize whole factor sets without Python loops.  Quaternions
 appear only as a file-interchange format (scalar-last Hamilton convention);
 internally rotations stay matrices.
+
+Each kernel evaluates a row's sub-expressions once and shares them: theta =
+|w|, sin and cos of theta, [w]_x and [w]_x^2 serve every coefficient that
+needs them, and a coefficient's Taylor series or closed form is evaluated
+only when at least one row takes it.  se3_log_arrays can also return the
+SO(3) V(w)^-1 its translation part needed, and se3_left_jacobian_inv takes
+that in place of building it again, so the window optimizer linearizes
+with the V^-1 its residual logs computed.
+
+The kernels return the same bits as their one-function-per-quantity form,
+kept as the oracle in tests/test_liegroup.py.  That rests on the exact
+numpy calls, not only on the algebra: a batched matmul rounds differently
+for a transposed view than for a contiguous copy, a scalar's t ** 3
+differently from an array's, and t ** 3 differently from t * t * t.  So
+every swapaxes view, operand order, power and summation order such as
+(I + a [w]_x) + b [w]_x^2 stays as written.
 """
 
 from __future__ import annotations
@@ -52,46 +68,81 @@ def skew(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def vee(m: np.ndarray) -> np.ndarray:
-    """Inverse of skew for antisymmetric m."""
-    m = np.asarray(m, dtype=float)
-    return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
+_EYE3 = np.eye(3)
+# (row, column) of w1, w2, w3 in [w]_x, and of their negatives.
+_VEE = (np.array([2, 0, 1]), np.array([1, 2, 0]))
+_VEE_T = _VEE[::-1]
 
 
-def _rodrigues_coeffs(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """a1 = sin(t)/t, a2 = (1-cos t)/t^2, a3 = (t-sin t)/t^3 with series branches.
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, by numpy.linalg.norm's own formula."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
-    a2 uses the half-angle form 2 sin^2(t/2)/t^2 which is cancellation-free.
-    """
+
+def _split(theta: np.ndarray, divisor: np.ndarray) -> tuple:
+    """(small, t): small marks the rows whose angle theta takes the Taylor
+    series, None when no row does; t is the divisor of the closed forms,
+    set to 1 on the small rows.  t is an array even for one row: numpy
+    computes a scalar's t ** 3 by another route than an array's, and rounds
+    it differently."""
     small = theta < SMALL_ANGLE
-    t = np.where(small, 1.0, theta)
+    if not np.count_nonzero(small):
+        return None, np.asarray(divisor)
+    return small, np.where(small, 1.0, divisor)
+
+
+def _angle(omega: np.ndarray) -> tuple:
+    """(theta, small, t, [w]_x) of each row w, theta = |w|, with small and t
+    as _split gives them."""
+    theta = _norm(omega)
+    return (theta, *_split(theta, theta), skew(omega))
+
+
+def _per_row(theta, small, t, series, closed) -> list:
+    """series(theta^2) on the small rows, closed(t) on the rest, each a list
+    of coefficients; a branch that no row takes is not evaluated."""
+    if small is None:
+        return closed(t)
     t2 = theta * theta
-    a1 = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(t) / t)
+    if small.all():
+        return series(t2)
+    return [np.where(small, s, c) for s, c in zip(series(t2), closed(t))]
+
+
+def _exp_series(t2):
+    return [1.0 - t2 / 6.0 + t2 * t2 / 120.0,
+            0.5 - t2 / 24.0 + t2 * t2 / 720.0,
+            1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0]
+
+
+def _exp_closed(t):
+    """a1 = sin(t)/t, a2 = (1-cos t)/t^2 in the cancellation-free half-angle
+    form 2 sin^2(t/2)/t^2, a3 = (t-sin t)/t^3."""
+    sin = np.sin(t)
     half = np.sin(t / 2.0)
-    a2 = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, 2.0 * half * half / (t * t))
-    a3 = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
-                  (t - np.sin(t)) / (t * t * t))
-    return a1, a2, a3
+    return [sin / t, 2.0 * half * half / (t * t), (t - sin) / (t * t * t)]
 
 
 def so3_exp(omega: np.ndarray) -> np.ndarray:
     """Rodrigues: R = I + sin(t)/t [w]_x + (1-cos t)/t^2 [w]_x^2, t = |w|."""
-    omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega, axis=-1)
-    a1, a2, _ = _rodrigues_coeffs(theta)
-    k = skew(omega)
-    k2 = k @ k
-    eye = np.broadcast_to(np.eye(3), k.shape)
-    return eye + a1[..., None, None] * k + a2[..., None, None] * k2
+    theta, small, t, k = _angle(np.asarray(omega, dtype=float))
+    a1, a2, _ = _per_row(theta, small, t, _exp_series, _exp_closed)
+    return _EYE3 + a1[..., None, None] * k + a2[..., None, None] * (k @ k)
+
+
+def _log_angle(rot: np.ndarray) -> tuple:
+    """(sin-weighted axis s_vec, |s_vec|, angle in [0, pi]) of rotations,
+    the angle via atan2 of the antisymmetric part and the trace."""
+    s_vec = (rot[(..., *_VEE)] - rot[(..., *_VEE_T)]) / 2.0
+    s = _norm(s_vec)
+    trace = rot[..., 0, 0] + rot[..., 1, 1] + rot[..., 2, 2]
+    c = np.minimum(np.maximum((trace - 1.0) / 2.0, -1.0), 1.0)
+    return s_vec, s, np.arctan2(s, c)
 
 
 def rotation_angle(rot: np.ndarray) -> np.ndarray:
     """Rotation angle in [0, pi] via atan2 of the antisymmetric part and trace."""
-    rot = np.asarray(rot, dtype=float)
-    s_vec = vee(rot - np.swapaxes(rot, -1, -2)) / 2.0
-    s = np.linalg.norm(s_vec, axis=-1)
-    c = np.clip((np.trace(rot, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
-    return np.arctan2(s, c)
+    return _log_angle(np.asarray(rot, dtype=float))[2]
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
@@ -101,79 +152,73 @@ def so3_log(rot: np.ndarray) -> np.ndarray:
     there the axis extraction loses all precision and the caller must decide
     how to proceed.
     """
-    rot = np.asarray(rot, dtype=float)
-    s_vec = vee(rot - np.swapaxes(rot, -1, -2)) / 2.0
-    s = np.linalg.norm(s_vec, axis=-1)
-    c = np.clip((np.trace(rot, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arctan2(s, c)
-    if np.any(theta > np.pi - NEAR_PI_MARGIN):
+    s_vec, s, theta = _log_angle(np.asarray(rot, dtype=float))
+    if np.count_nonzero(theta > np.pi - NEAR_PI_MARGIN):
         bad = float(np.max(theta))
         raise NearSingularLogError(
             f"rotation angle {bad:.9f} rad within {NEAR_PI_MARGIN:g} of pi")
-    small = theta < SMALL_ANGLE
-    t2 = theta * theta
     # theta/sin(theta), series 1 + t^2/6 + 7 t^4/360 near zero
-    ratio = np.where(small, 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0,
-                     theta / np.where(small, 1.0, s))
+    ratio, = _per_row(theta, *_split(theta, s),
+                      lambda t2: [1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0],
+                      lambda d: [theta / d])
     return s_vec * ratio[..., None]
 
 
-def so3_left_jacobian(omega: np.ndarray) -> np.ndarray:
-    """V(w) = I + (1-cos t)/t^2 [w]_x + (t-sin t)/t^3 [w]_x^2."""
-    omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega, axis=-1)
-    _, a2, a3 = _rodrigues_coeffs(theta)
-    k = skew(omega)
-    k2 = k @ k
-    eye = np.broadcast_to(np.eye(3), k.shape)
-    return eye + a2[..., None, None] * k + a3[..., None, None] * k2
+def _jl_inv(theta, small, t, k) -> np.ndarray:
+    """V(w)^-1 = I - 1/2 [w]_x + b [w]_x^2, b = (1 - a1/(2 a2))/t^2, from
+    the terms _angle computed."""
+    def closed(t):
+        half = np.sin(t / 2.0)
+        a1, a2 = np.sin(t) / t, 2.0 * half * half / (t * t)
+        return [(1.0 - a1 / (2.0 * a2)) / (t * t)]
+
+    b, = _per_row(theta, small, t,
+                  lambda t2: [1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0], closed)
+    return _EYE3 - 0.5 * k + b[..., None, None] * (k @ k)
 
 
 def so3_left_jacobian_inv(omega: np.ndarray) -> np.ndarray:
-    """V(w)^-1 = I - 1/2 [w]_x + b [w]_x^2, b = (1 - a1/(2 a2))/t^2."""
-    omega = np.asarray(omega, dtype=float)
-    theta = np.linalg.norm(omega, axis=-1)
-    a1, a2, _ = _rodrigues_coeffs(theta)
-    small = theta < SMALL_ANGLE
-    t2 = theta * theta
-    b = np.where(small, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
-                 (1.0 - a1 / (2.0 * a2)) / np.where(small, 1.0, t2))
-    k = skew(omega)
-    k2 = k @ k
-    eye = np.broadcast_to(np.eye(3), k.shape)
-    return eye - 0.5 * k + b[..., None, None] * k2
+    """V(w)^-1, the inverse of the SO(3) left Jacobian V(w)."""
+    return _jl_inv(*_angle(np.asarray(omega, dtype=float)))
 
 
 def se3_exp_arrays(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp of nu = [w | r]: rotation exp([w]_x), translation V(w) r."""
+    """exp of nu = [w | r]: rotation exp([w]_x), translation V(w) r with
+    V(w) = I + (1-cos t)/t^2 [w]_x + (t-sin t)/t^3 [w]_x^2."""
     nu = np.asarray(nu, dtype=float)
-    omega = nu[..., :3]
     rho = nu[..., 3:]
-    rot = so3_exp(omega)
-    t = (so3_left_jacobian(omega) @ rho[..., None])[..., 0]
-    return rot, t
+    theta, small, t, k = _angle(nu[..., :3])
+    a1, a2, a3 = _per_row(theta, small, t, _exp_series, _exp_closed)
+    k2 = k @ k
+    a1, a2, a3 = a1[..., None, None], a2[..., None, None], a3[..., None, None]
+    rot = _EYE3 + a1 * k + a2 * k2
+    v = _EYE3 + a2 * k + a3 * k2
+    return rot, (v @ rho[..., None])[..., 0]
 
 
-def se3_log_arrays(rot: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Inverse of se3_exp_arrays; raises NearSingularLogError near pi."""
+def se3_log_arrays(rot: np.ndarray, t: np.ndarray, with_jinv: bool = False):
+    """Inverse of se3_exp_arrays; raises NearSingularLogError near pi.  With
+    with_jinv, returns (nu, V(w)^-1) so se3_left_jacobian_inv(nu, ...) can
+    reuse the SO(3) inverse Jacobian that the translation part needed."""
     omega = so3_log(rot)
-    rho = (so3_left_jacobian_inv(omega) @ np.asarray(t, dtype=float)[..., None])[..., 0]
-    return np.concatenate([omega, rho], axis=-1)
+    jinv = _jl_inv(*_angle(omega))
+    rho = (jinv @ np.asarray(t, dtype=float)[..., None])[..., 0]
+    nu = np.concatenate([omega, rho], axis=-1)
+    return (nu, jinv) if with_jinv else nu
 
 
-def _q_matrix(rho: np.ndarray, omega: np.ndarray) -> np.ndarray:
+def _q_matrix(rho: np.ndarray, theta, small, t, wx) -> np.ndarray:
     """Translation-rotation coupling block of the SE(3) left Jacobian."""
-    theta = np.linalg.norm(omega, axis=-1)
-    small = theta < SMALL_ANGLE
-    t = np.where(small, 1.0, theta)
-    t2 = theta * theta
-    c1 = np.where(small, 1.0 / 6.0 - t2 / 120.0, (t - np.sin(t)) / t ** 3)
-    c2 = np.where(small, 1.0 / 24.0 - t2 / 720.0,
-                  (1.0 - t2 / 2.0 - np.cos(t)) / t ** 4)
-    c3 = np.where(small, -1.0 / 120.0 + t2 / 5040.0,
-                  (t - np.sin(t) - t ** 3 / 6.0) / t ** 5)
+    def closed(t):
+        sin = np.sin(t)
+        return [(t - sin) / t ** 3, (1.0 - t * t / 2.0 - np.cos(t)) / t ** 4,
+                (t - sin - t ** 3 / 6.0) / t ** 5]
+
+    c1, c2, c3 = _per_row(
+        theta, small, t,
+        lambda t2: [1.0 / 6.0 - t2 / 120.0, 1.0 / 24.0 - t2 / 720.0,
+                    -1.0 / 120.0 + t2 / 5040.0], closed)
     rx = skew(rho)
-    wx = skew(omega)
     wxrx = wx @ rx
     rxwx = rx @ wx
     wxrxwx = wxrx @ wx
@@ -187,13 +232,15 @@ def _q_matrix(rho: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return q
 
 
-def se3_left_jacobian_inv(nu: np.ndarray) -> np.ndarray:
-    """6x6 inverse left Jacobian: d log(exp(eps) exp(nu))/d eps at eps = 0."""
+def se3_left_jacobian_inv(nu: np.ndarray, jinv: np.ndarray | None = None) -> np.ndarray:
+    """6x6 inverse left Jacobian: d log(exp(eps) exp(nu))/d eps at eps = 0.
+    jinv, when given, is V(w)^-1 of w = nu[..., :3], as se3_log_arrays
+    returns it."""
     nu = np.asarray(nu, dtype=float)
-    omega = nu[..., :3]
-    rho = nu[..., 3:]
-    jinv = so3_left_jacobian_inv(omega)
-    q = _q_matrix(rho, omega)
+    terms = _angle(nu[..., :3])
+    if jinv is None:
+        jinv = _jl_inv(*terms)
+    q = _q_matrix(nu[..., 3:], *terms)
     out = np.zeros(nu.shape[:-1] + (6, 6))
     out[..., :3, :3] = jinv
     out[..., 3:, 3:] = jinv
@@ -230,25 +277,28 @@ def project_rotation(rot: np.ndarray) -> np.ndarray:
 
 
 def orthonormality_drift(rot: np.ndarray) -> np.ndarray:
-    """Frobenius norm of R^T R - I."""
+    """Frobenius norm of R^T R - I, by numpy.linalg.norm's own formula."""
     rot = np.asarray(rot, dtype=float)
-    gram = np.swapaxes(rot, -1, -2) @ rot
-    return np.linalg.norm(gram - np.eye(3), axis=(-2, -1))
+    off = rot.swapaxes(-1, -2) @ rot - _EYE3
+    return np.sqrt(np.add.reduce(off * off, axis=(-2, -1)))
+
+
+def _compose(rot_a, t_a, rot_b, t_b) -> tuple[np.ndarray, np.ndarray]:
+    rot = rot_a @ rot_b
+    t = (rot_a @ t_b[..., None])[..., 0] + t_a
+    drift = orthonormality_drift(rot)
+    if np.count_nonzero(drift > ORTHONORMALITY_DRIFT):
+        fixed = project_rotation(rot)
+        mask = (drift > ORTHONORMALITY_DRIFT)[..., None, None]
+        rot = np.where(mask, fixed, rot)
+    return rot, t
 
 
 def compose_arrays(rot_a: np.ndarray, t_a: np.ndarray,
                    rot_b: np.ndarray, t_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R_a, t_a) * (R_b, t_b), re-projecting rotations whose drift exceeds
     ORTHONORMALITY_DRIFT."""
-    rot = np.asarray(rot_a, dtype=float) @ np.asarray(rot_b, dtype=float)
-    t = (np.asarray(rot_a, dtype=float) @ np.asarray(t_b, dtype=float)[..., None])[..., 0] \
-        + np.asarray(t_a, dtype=float)
-    drift = orthonormality_drift(rot)
-    if np.any(drift > ORTHONORMALITY_DRIFT):
-        fixed = project_rotation(rot)
-        mask = (drift > ORTHONORMALITY_DRIFT)[..., None, None]
-        rot = np.where(mask, fixed, rot)
-    return rot, t
+    return _compose(*(np.asarray(x, dtype=float) for x in (rot_a, t_a, rot_b, t_b)))
 
 
 @dataclass(eq=False)
@@ -265,6 +315,14 @@ class Pose:
             raise ValueError(f"rotation must be 3x3, got {self.rotation.shape}")
         if self.translation.shape != (3,):
             raise ValueError(f"translation must be length 3, got {self.translation.shape}")
+
+    @classmethod
+    def _of(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":
+        """Pose over float arrays of the right shapes that the caller has
+        just created: no copy, no check."""
+        pose = cls.__new__(cls)
+        pose.rotation, pose.translation = rotation, translation
+        return pose
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -300,8 +358,7 @@ def log(pose: Pose) -> np.ndarray:
 
 def compose(a: Pose, b: Pose) -> Pose:
     """a * b (apply b first, then a)."""
-    rot, t = compose_arrays(a.rotation, a.translation, b.rotation, b.translation)
-    return Pose(rot, t)
+    return Pose._of(*_compose(a.rotation, a.translation, b.rotation, b.translation))
 
 
 def inverse(pose: Pose) -> Pose:

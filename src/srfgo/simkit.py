@@ -65,6 +65,9 @@ def gen_trajectory(kind: str, duration_s: float, speed_mps: float, seed: int,
     """Planar vehicle trajectory sampled at dt, body x-axis along velocity."""
     if kind not in TRAJECTORY_KINDS:
         raise ValueError(f"unknown trajectory kind {kind!r}; expected one of {TRAJECTORY_KINDS}")
+    for name, value in (("duration", duration_s), ("speed", speed_mps), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if duration_s < dt or speed_mps <= 0.0 or dt <= 0.0:
         raise ValueError("duration, speed, and dt must be positive (>= one step)")
     steps = int(round(duration_s / dt))
@@ -195,13 +198,14 @@ class SpoofProfile:
     direction: tuple = EAST
 
     def __post_init__(self):
-        if self.t_start < 0.0:
-            raise ValueError("t_start must be >= 0")
-        if self.ramp_rate < 0.0:
-            raise ValueError("ramp rate must be >= 0")
+        # Written so that NaN fails each test.
+        if not (math.isfinite(self.t_start) and self.t_start >= 0.0):
+            raise ValueError(f"spoof t_start must be finite and >= 0, got {self.t_start}")
+        if not (math.isfinite(self.ramp_rate) and self.ramp_rate >= 0.0):
+            raise ValueError(f"ramp rate must be finite and >= 0, got {self.ramp_rate}")
         d = np.asarray(self.direction, dtype=float)
-        if d.shape != (3,) or abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise ValueError("direction must be a unit 3-vector")
+        if d.shape != (3,) or not abs(np.linalg.norm(d) - 1.0) <= 1e-9:
+            raise ValueError(f"spoof direction must be a unit 3-vector, got {self.direction}")
 
 
 def spoof_bias(times, profile: SpoofProfile) -> np.ndarray:
@@ -255,8 +259,9 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "truth", tuple(self.truth))
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        # Written so that NaN fails each test.
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         slow_channel(self.dt)  # raises unless dt divides the authentication epoch
         duration = (len(self.truth) - 1) * self.dt
         if duration < SLOW_CHANNEL_PERIOD_S:
@@ -264,14 +269,16 @@ class Scenario:
                 f"trajectory covers {duration:.1f} s; "
                 f"need >= one {SLOW_CHANNEL_PERIOD_S:.0f} s epoch")
         # One node per odometry step dt; GPS epochs must land on nodes.
+        if not (math.isfinite(self.gps_rate_hz) and self.gps_rate_hz > 0.0):
+            raise ValueError(f"gps_rate_hz must be finite and positive, got {self.gps_rate_hz}")
         gps_period = 1.0 / (self.gps_rate_hz * self.dt)
         if abs(gps_period - round(gps_period)) > 1e-9:
             raise ValueError("GPS rate must divide the node rate")
-        if self.sigma_gps < 0.0:
-            raise ValueError("sigma_gps must be >= 0")
+        if not (math.isfinite(self.sigma_gps) and self.sigma_gps >= 0.0):
+            raise ValueError(f"sigma_gps must be finite and >= 0, got {self.sigma_gps}")
         sig = np.asarray(self.sigma_icp, dtype=float)
-        if sig.shape != (6,) or np.any(sig < 0.0):
-            raise ValueError("sigma_icp must be six non-negative stds")
+        if sig.shape != (6,) or not (np.isfinite(sig).all() and (sig >= 0.0).all()):
+            raise ValueError("sigma_icp must be six finite non-negative stds")
 
     @property
     def steps(self) -> int:

@@ -10,7 +10,10 @@ assemble the blocks from those kernels, applied to every factor at once,
 write them straight into LAPACK's upper band storage, ab[11 + i - j, j] =
 H[i, j] for i <= j, and solve with a banded Cholesky factorization.
 The odometry and anchor residuals are both log(a^-1 b), so one kernel call
-evaluates them on stacked rows, and one J_l^-1 call linearizes them.
+evaluates them on stacked rows, and one J_l^-1 call linearizes them with
+the SO(3) V^-1 those logs already computed.  Odometry is compiled in chain
+order, row k linking nodes k and k + 1, so its blocks add by slices; the
+window's one anchor adds to its node's blocks directly.
 Levenberg-Marquardt damping wraps the Gauss-Newton step: lambda starts at
 damping_init, divides by 10 on an accepted step and multiplies by 10 on a
 rejected one, so accepted objectives never increase.  Each iteration first
@@ -76,19 +79,21 @@ class SolveReport:
     residuals: dict
     objective_history: tuple
     damping_final: float
-    # Wall time spent inside iteration bodies (linearize, solve, retry loop),
-    # excluding the per-call setup around the loop.
+    # Wall time spent inside the bodies (linearize, solve, retry loop) of the
+    # iterations that took a step, excluding the per-call setup around the
+    # loop and the final iteration that took none.
     iteration_seconds: float = 0.0
 
 
 def _compile(factors: Sequence, base: int) -> dict:
     """Factor objects as the stacked arrays the batched kernels take, keyed
-    gps_*/odo_*/anc_* in input order; node references become rows relative
-    to the window's first step `base`."""
+    gps_*/odo_*/anc_*, odometry in chain order and the rest in input order;
+    node references become rows relative to the window's first step `base`."""
     gps, odo, anc = ([f for f in factors if isinstance(f, kind)]
                      for kind in (GpsFactor, OdometryFactor, AnchorFactor))
     if len(gps) + len(odo) + len(anc) != len(factors):
         raise TypeError("factors must be GpsFactor, OdometryFactor or AnchorFactor")
+    odo.sort(key=lambda f: f.from_index)
 
     def arr(values, shape, dtype=float):
         return np.array(values, dtype=dtype).reshape(shape)
@@ -140,10 +145,13 @@ class WindowGraph:
             raise ValueError(f"{n} nodes exceed capacity {self.window_capacity}")
         for kind in ("gps", "anc"):
             rows = self.comp[f"{kind}_rows"]
-            if np.any((rows < 0) | (rows >= n)):
+            if ((rows < 0) | (rows >= n)).any():
                 raise ValueError(f"{kind} factor references a node outside the window")
-        # One comparison rejects duplicate, missing and dangling odometry.
-        if not np.array_equal(np.sort(self.comp["odo_rows"]), np.arange(n - 1)):
+        if len(self.comp["anc_rows"]) > 1:
+            raise ValueError("a window holds at most one anchor factor")
+        # Odometry is compiled in chain order, so one comparison rejects
+        # duplicate, missing and dangling odometry; row k links k and k + 1.
+        if not np.array_equal(self.comp["odo_rows"], np.arange(n - 1)):
             raise ValueError("odometry must link each consecutive node pair exactly once")
 
     def __len__(self) -> int:
@@ -165,16 +173,18 @@ class WindowGraph:
         comp = self.comp
         gps, gps_diff, gps_ranges = fmod.gps_errors(
             t[comp["gps_rows"]], comp["gps_sat"], comp["gps_meas"])
-        orow, arow = comp["odo_rows"], comp["anc_rows"]
-        rot_pred, t_pred = fmod.between(rot[orow], t[orow], rot[orow + 1], t[orow + 1])
-        # Odometry log(pred^-1 Z) and anchor log(x^-1 prior), one batch.
-        pose = fmod.relative_errors(
+        arow = comp["anc_rows"]
+        rot_pred, t_pred = fmod.between(rot[:-1], t[:-1], rot[1:], t[1:])
+        # Odometry log(pred^-1 Z) and anchor log(x^-1 prior), one batch; its
+        # V^-1 goes on to _assemble.
+        pose, jinv = fmod.relative_errors(
             np.concatenate([rot_pred, rot[arow]]), np.concatenate([t_pred, t[arow]]),
             np.concatenate([comp["odo_rot"], comp["anc_rot"]]),
             np.concatenate([comp["odo_t"], comp["anc_t"]]))
+        n_odo = len(t_pred)
         return {"gps": gps, "gps_diff": gps_diff, "gps_ranges": gps_ranges,
-                "pose": pose, "odometry": pose[:len(orow)], "anchor": pose[len(orow):],
-                "odo_rot_pred": rot_pred, "odo_t_pred": t_pred}
+                "pose": pose, "pose_jinv": jinv, "odometry": pose[:n_odo],
+                "anchor": pose[n_odo:], "odo_rot_pred": rot_pred, "odo_t_pred": t_pred}
 
     def _objective_of(self, res: dict) -> float:
         comp = self.comp
@@ -216,31 +226,31 @@ class WindowGraph:
             np.add.at(diag, (rows, slice(3, None), slice(3, None)), blocks)
             np.add.at(grad, (rows, slice(3, None)), (w * res["gps"])[:, None] * jt)
 
-        # One J_l^-1 over the stacked odometry and anchor rows.
-        orow, arow = comp["odo_rows"], comp["anc_rows"]
-        jac = fmod.relative_jacobians(res["pose"])
-        if orow.size:
+        # One J_l^-1 over the stacked odometry and anchor rows, from the
+        # V^-1 their logs computed.
+        jac = fmod.relative_jacobians(res["pose"], res["pose_jinv"])
+        if n > 1:
             e = res["odometry"]
             info = comp["odo_info"]
-            j_i, j_j = fmod.odometry_jacobians(jac[:len(orow)], res["odo_rot_pred"],
+            j_i, j_j = fmod.odometry_jacobians(jac[:n - 1], res["odo_rot_pred"],
                                                res["odo_t_pred"])
             j_it = np.swapaxes(j_i, -1, -2)
             j_jt = np.swapaxes(j_j, -1, -2)
             info_jj = info @ j_j
-            # One odometry factor per pair: rows are unique, plain scatter adds.
-            diag[orow] += j_it @ (info @ j_i)
-            diag[orow + 1] += j_jt @ info_jj
-            upper[orow] += j_it @ info_jj
-            grad[orow] += np.einsum("nij,njk,nk->ni", j_it, info, e)
-            grad[orow + 1] += np.einsum("nij,njk,nk->ni", j_jt, info, e)
+            # Odometry row k links nodes k and k + 1.
+            diag[:-1] += j_it @ (info @ j_i)
+            diag[1:] += j_jt @ info_jj
+            upper += j_it @ info_jj
+            grad[:-1] += np.einsum("nij,njk,nk->ni", j_it, info, e)
+            grad[1:] += np.einsum("nij,njk,nk->ni", j_jt, info, e)
 
-        if arow.size:
+        arow = comp["anc_rows"]
+        if arow.size:  # the window's one anchor
             e = res["anchor"]
-            jac_a = jac[len(orow):]
+            jac_a = jac[n - 1:]
             jac_t = np.swapaxes(jac_a, -1, -2)
-            np.add.at(diag, arow, jac_t @ comp["anc_info"] @ jac_a)
-            np.add.at(grad, arow, np.einsum("nij,njk,nk->ni", jac_t,
-                                            comp["anc_info"], e))
+            diag[arow] += jac_t @ comp["anc_info"] @ jac_a
+            grad[arow] += np.einsum("nij,njk,nk->ni", jac_t, comp["anc_info"], e)
         return diag, upper, grad
 
     @staticmethod
@@ -278,7 +288,7 @@ class WindowGraph:
                     delta = self._solve_banded(diag, upper, -grad.reshape(-1), damping)
                     # A short first step ends the solve, untaken; one that
                     # escalated damping shortened is an ordinary trial.
-                    if trial == 0 and np.linalg.norm(delta) < params.step_norm_tol:
+                    if trial == 0 and np.sqrt(delta.dot(delta)) < params.step_norm_tol:
                         status = "step-norm"
                         break
                     rot_s, t_s = liegroup.se3_exp_arrays(delta.reshape(-1, 6))
@@ -296,9 +306,9 @@ class WindowGraph:
                 if damping > DAMPING_MAX:
                     status = failure
                     break
-            iter_seconds += time.perf_counter() - iter_started
             if not accepted:
                 break
+            iter_seconds += time.perf_counter() - iter_started
             iterations += 1
             damping = max(damping / 10.0, 1e-12)
             decrease = obj - obj_new

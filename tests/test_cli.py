@@ -78,6 +78,20 @@ class TestExitCodes:
     def test_negative_ramp_rate(self):
         assert cli("run", "--mode", "sr-fgo", "--ramp-rate", "-1") == 1
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--ramp-rate", "nan", "ramp rate"), ("--ramp-rate", "inf", "ramp rate"),
+        ("--spoof-direction", "nan,0,0", "spoof direction"),
+        ("--spoof-direction", "inf,0,0", "spoof direction"),
+        ("--spoof-start", "nan", "t_start"), ("--sigma-gps", "nan", "sigma_gps"),
+        ("--speed", "nan", "speed"), ("--speed", "inf", "speed"),
+        ("--duration", "inf", "duration"), ("--dt", "nan", "dt")])
+    def test_non_finite_value_named(self, capsys, flag, value, name):
+        # The spoofing flags only apply with a ramp.
+        ramp = [] if flag == "--ramp-rate" else ["--ramp-rate", "1"]
+        assert cli("run", "--mode", "sr-fgo", "--duration", "180", *ramp,
+                   flag, value) == 1
+        assert name in capsys.readouterr().err
+
     def test_write_failure_is_runtime_failure(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

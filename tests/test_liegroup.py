@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from srfgo import liegroup
 from srfgo.liegroup import (
@@ -262,3 +263,233 @@ class TestPose:
             Pose(np.eye(4), np.zeros(3))
         with pytest.raises(ValueError):
             Pose(np.eye(3), np.zeros(2))
+
+
+# -- bit-for-bit oracle ------------------------------------------------------
+# The kernels as they were written before they shared their sub-expressions:
+# one function per quantity, both branches of every series switch evaluated.
+# The shared-term kernels must return exactly these bits.
+
+def ref_skew(v):
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def ref_vee(m):
+    return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
+
+
+def ref_rodrigues_coeffs(theta):
+    small = theta < liegroup.SMALL_ANGLE
+    t = np.where(small, 1.0, theta)
+    t2 = theta * theta
+    a1 = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(t) / t)
+    half = np.sin(t / 2.0)
+    a2 = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, 2.0 * half * half / (t * t))
+    a3 = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
+                  (t - np.sin(t)) / (t * t * t))
+    return a1, a2, a3
+
+
+def ref_so3_exp(omega):
+    theta = np.linalg.norm(omega, axis=-1)
+    a1, a2, _ = ref_rodrigues_coeffs(theta)
+    k = ref_skew(omega)
+    eye = np.broadcast_to(np.eye(3), k.shape)
+    return eye + a1[..., None, None] * k + a2[..., None, None] * (k @ k)
+
+
+def ref_rotation_angle(rot):
+    s = np.linalg.norm(ref_vee(rot - np.swapaxes(rot, -1, -2)) / 2.0, axis=-1)
+    c = np.clip((np.trace(rot, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
+    return np.arctan2(s, c)
+
+
+def ref_so3_log(rot):
+    s_vec = ref_vee(rot - np.swapaxes(rot, -1, -2)) / 2.0
+    s = np.linalg.norm(s_vec, axis=-1)
+    c = np.clip((np.trace(rot, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
+    theta = np.arctan2(s, c)
+    if np.any(theta > np.pi - liegroup.NEAR_PI_MARGIN):
+        raise liegroup.NearSingularLogError("near pi")
+    small = theta < liegroup.SMALL_ANGLE
+    t2 = theta * theta
+    ratio = np.where(small, 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0,
+                     theta / np.where(small, 1.0, s))
+    return s_vec * ratio[..., None]
+
+
+def ref_so3_left_jacobian(omega):
+    theta = np.linalg.norm(omega, axis=-1)
+    _, a2, a3 = ref_rodrigues_coeffs(theta)
+    k = ref_skew(omega)
+    eye = np.broadcast_to(np.eye(3), k.shape)
+    return eye + a2[..., None, None] * k + a3[..., None, None] * (k @ k)
+
+
+def ref_so3_left_jacobian_inv(omega):
+    theta = np.linalg.norm(omega, axis=-1)
+    a1, a2, _ = ref_rodrigues_coeffs(theta)
+    small = theta < liegroup.SMALL_ANGLE
+    t2 = theta * theta
+    b = np.where(small, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
+                 (1.0 - a1 / (2.0 * a2)) / np.where(small, 1.0, t2))
+    k = ref_skew(omega)
+    eye = np.broadcast_to(np.eye(3), k.shape)
+    return eye - 0.5 * k + b[..., None, None] * (k @ k)
+
+
+def ref_se3_exp_arrays(nu):
+    omega, rho = nu[..., :3], nu[..., 3:]
+    return (ref_so3_exp(omega),
+            (ref_so3_left_jacobian(omega) @ rho[..., None])[..., 0])
+
+
+def ref_se3_log_arrays(rot, t):
+    omega = ref_so3_log(rot)
+    rho = (ref_so3_left_jacobian_inv(omega) @ t[..., None])[..., 0]
+    return np.concatenate([omega, rho], axis=-1)
+
+
+def ref_q_matrix(rho, omega):
+    theta = np.linalg.norm(omega, axis=-1)
+    small = theta < liegroup.SMALL_ANGLE
+    t = np.where(small, 1.0, theta)
+    t2 = theta * theta
+    c1 = np.where(small, 1.0 / 6.0 - t2 / 120.0, (t - np.sin(t)) / t ** 3)
+    c2 = np.where(small, 1.0 / 24.0 - t2 / 720.0,
+                  (1.0 - t2 / 2.0 - np.cos(t)) / t ** 4)
+    c3 = np.where(small, -1.0 / 120.0 + t2 / 5040.0,
+                  (t - np.sin(t) - t ** 3 / 6.0) / t ** 5)
+    rx, wx = ref_skew(rho), ref_skew(omega)
+    wxrx, rxwx = wx @ rx, rx @ wx
+    wxrxwx = wxrx @ wx
+    c1, c2, c3 = c1[..., None, None], c2[..., None, None], c3[..., None, None]
+    q = 0.5 * rx
+    q = q + c1 * (wxrx + rxwx + wxrxwx)
+    q = q - c2 * (wx @ wxrx + rxwx @ wx - 3.0 * wxrxwx)
+    return q - 0.5 * (c2 - 3.0 * c3) * (wxrxwx @ wx + wx @ wxrxwx)
+
+
+def ref_se3_left_jacobian_inv(nu):
+    omega, rho = nu[..., :3], nu[..., 3:]
+    jinv = ref_so3_left_jacobian_inv(omega)
+    out = np.zeros(nu.shape[:-1] + (6, 6))
+    out[..., :3, :3] = jinv
+    out[..., 3:, 3:] = jinv
+    out[..., 3:, :3] = -jinv @ ref_q_matrix(rho, omega) @ jinv
+    return out
+
+
+def ref_compose_arrays(rot_a, t_a, rot_b, t_b):
+    rot = rot_a @ rot_b
+    t = (rot_a @ t_b[..., None])[..., 0] + t_a
+    drift = np.linalg.norm(np.swapaxes(rot, -1, -2) @ rot - np.eye(3), axis=(-2, -1))
+    if np.any(drift > liegroup.ORTHONORMALITY_DRIFT):
+        mask = (drift > liegroup.ORTHONORMALITY_DRIFT)[..., None, None]
+        rot = np.where(mask, liegroup.project_rotation(rot), rot)
+    return rot, t
+
+
+def assert_same_bits(got, expected):
+    """Equal shapes and bytes: signed zeros must match too."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+LAYOUTS = ("mixed", "small", "large", "empty", "single")
+
+
+def tangent_batch(layout: str, n: int, seed: int) -> np.ndarray:
+    """Tangents whose rotation angles all lie below SMALL_ANGLE ("small"),
+    all at or above it ("large"), both ("mixed"), none ("empty"), or one
+    unbatched (6,) vector of either kind ("single")."""
+    rng = np.random.default_rng(seed)
+    n = {"empty": 0, "single": 1}.get(layout, n)
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    small = 10.0 ** rng.uniform(-14.0, np.log10(liegroup.SMALL_ANGLE), n)
+    small[rng.random(n) < 0.1] = 0.0
+    large = rng.uniform(liegroup.SMALL_ANGLE, np.pi - 1e-4, n)
+    pick = {"small": np.ones(n, bool), "large": np.zeros(n, bool)}.get(
+        layout, rng.random(n) < 0.5)
+    if layout == "mixed" and n >= 2:
+        pick[:2] = (True, False)
+    omega = axes * np.where(pick, small, large)[:, None]
+    rho = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    nu = np.concatenate([omega, rho], axis=1)
+    return nu[0] if layout == "single" else nu
+
+
+class TestSharedTermKernelsBitForBit:
+    @settings(max_examples=80, deadline=None)
+    @example(layout="mixed", n=2, seed=0)
+    @example(layout="empty", n=1, seed=0)
+    @given(layout=st.sampled_from(LAYOUTS), n=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_function_kernels(self, layout, n, seed):
+        nu = tangent_batch(layout, n, seed)
+        omega = nu[..., :3]
+        assert_same_bits(liegroup.so3_exp(omega), ref_so3_exp(omega))
+        assert_same_bits(liegroup.so3_left_jacobian_inv(omega),
+                         ref_so3_left_jacobian_inv(omega))
+        rot, t = ref_se3_exp_arrays(nu)
+        got_rot, got_t = liegroup.se3_exp_arrays(nu)
+        assert_same_bits(got_rot, rot)
+        assert_same_bits(got_t, t)
+        assert_same_bits(liegroup.se3_left_jacobian_inv(nu), ref_se3_left_jacobian_inv(nu))
+        assert_same_bits(liegroup.rotation_angle(rot), ref_rotation_angle(rot))
+        assert_same_bits(liegroup.orthonormality_drift(rot),
+                         np.linalg.norm(np.swapaxes(rot, -1, -2) @ rot - np.eye(3),
+                                        axis=(-2, -1)))
+
+        e = ref_se3_log_arrays(rot, t)
+        assert_same_bits(liegroup.se3_log_arrays(rot, t), e)
+        got_e, jinv = liegroup.se3_log_arrays(rot, t, True)
+        assert_same_bits(got_e, e)
+        assert_same_bits(jinv, ref_so3_left_jacobian_inv(e[..., :3]))
+        # The V^-1 the log returns stands in for the one the Jacobian builds.
+        assert_same_bits(liegroup.se3_left_jacobian_inv(e, jinv),
+                         ref_se3_left_jacobian_inv(e))
+
+        if nu.ndim == 2 and len(nu):
+            rot_b, t_b = rot[::-1].copy(), t[::-1].copy()
+            expected = ref_compose_arrays(rot, t, rot_b, t_b)
+            for got, want in zip(liegroup.compose_arrays(rot, t, rot_b, t_b), expected):
+                assert_same_bits(got, want)
+            single = liegroup.compose(Pose(rot[0], t[0]), Pose(rot_b[0], t_b[0]))
+            assert_same_bits(single.rotation, expected[0][0])
+            assert_same_bits(single.translation, expected[1][0])
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_near_pi_log_still_raises(self, batched):
+        nu = np.array([0.0, 0.0, np.pi - 1e-9, 1.0, 0.0, 0.0])
+        if batched:  # one bad row among ordinary ones of both branches
+            nu = np.stack([tangent_batch("single", 1, 3), nu, np.zeros(6),
+                           tangent_batch("single", 1, 4)])
+        rot, t = liegroup.se3_exp_arrays(nu)
+        with pytest.raises(liegroup.NearSingularLogError):
+            liegroup.se3_log_arrays(rot, t)
+        with pytest.raises(liegroup.NearSingularLogError):
+            liegroup.se3_log_arrays(rot, t, True)
+
+    def test_drifted_rotation_reprojected_like_before(self, rng):
+        rot = liegroup.so3_exp(rng.normal(size=(5, 3)))
+        rot[1:3] *= 1.0 + 1e-9  # beyond ORTHONORMALITY_DRIFT
+        t = rng.normal(size=(5, 3))
+        expected = ref_compose_arrays(rot, t, rot[::-1].copy(), t[::-1].copy())
+        got = liegroup.compose_arrays(rot, t, rot[::-1].copy(), t[::-1].copy())
+        for g, want in zip(got, expected):
+            assert_same_bits(g, want)
+        single = liegroup.compose(Pose(rot[1], t[1]), Pose(rot[2], t[2]))
+        want = ref_compose_arrays(rot[1], t[1], rot[2], t[2])
+        assert_same_bits(single.rotation, want[0])
+        assert_same_bits(single.translation, want[1])

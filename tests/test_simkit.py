@@ -56,6 +56,15 @@ class TestGenTrajectory:
         with pytest.raises(ValueError):
             gen_trajectory("figure-eight", 200.0, 10.0, seed=1)
 
+    @pytest.mark.parametrize("name,args", [
+        ("duration", (math.nan, 10.0, 0.1)), ("duration", (math.inf, 10.0, 0.1)),
+        ("speed", (200.0, math.nan, 0.1)), ("speed", (200.0, math.inf, 0.1)),
+        ("dt", (200.0, 10.0, math.nan))])
+    def test_non_finite_rejected(self, name, args):
+        duration, speed, dt = args
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            gen_trajectory("circuit", duration, speed, seed=1, dt=dt)
+
 
 class TestTrajectoryIo:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -238,6 +247,14 @@ class TestSpoofing:
     def test_validation(self):
         with pytest.raises(ValueError):
             SpoofProfile(direction=(1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(t_start=math.nan), "t_start"), (dict(t_start=math.inf), "t_start"),
+        (dict(ramp_rate=math.nan), "ramp rate"), (dict(ramp_rate=math.inf), "ramp rate"),
+        (dict(direction=(math.nan, 0.0, 0.0)), "direction")])
+    def test_non_finite_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            SpoofProfile(**kwargs)
         with pytest.raises(ValueError):
             SpoofProfile(ramp_rate=-0.5)
         with pytest.raises(ValueError):
@@ -320,6 +337,14 @@ class TestScenario:
         # number of steps.
         with pytest.raises(ValueError, match="does not divide"):
             Scenario(truth=self._truth(), dt=0.35, gps_rate_hz=1 / 7)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(sigma_gps=math.nan), "sigma_gps"), (dict(sigma_gps=math.inf), "sigma_gps"),
+        (dict(dt=math.nan), "dt"), (dict(gps_rate_hz=math.nan), "gps_rate_hz"),
+        (dict(sigma_icp=(math.nan,) + (0.01,) * 5), "sigma_icp")])
+    def test_non_finite_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            Scenario(truth=self._truth(), **kwargs)
 
     def test_measurement_stream_shapes(self):
         scn = Scenario(truth=self._truth(), seed=12)

@@ -104,52 +104,89 @@ class TestObjective:
         assert o2 == o1 / 4.0
 
 
+def check_blocks_match_dense(rng, order=list) -> WindowGraph:
+    """The solver's scattered blocks equal sum J^T W J and sum J^T W e
+    built factor by factor from linearize(), on a graph built from
+    order(factors); returns that graph."""
+    n = 5
+    truth = truth_chain(rng, n)
+    facs = []
+    for k in range(n - 1):
+        meas = compose(compose(inverse(truth[k]), truth[k + 1]),
+                       exp(random_tangent(rng, max_angle=0.1, max_trans=0.2)))
+        a = rng.normal(size=(6, 6))
+        facs.append(OdometryFactor(k, k + 1, meas, a @ a.T + np.eye(6)))
+    for k in (1, 3, 3, 4):  # two GPS factors share node 3
+        direction = rng.normal(size=3)
+        sat = truth[k].translation + direction / np.linalg.norm(direction) * 1e3
+        facs.append(GpsFactor(k, sat, 1e3 + rng.normal() * 5.0, 5.0))
+    prior = compose(truth[0], exp(random_tangent(rng, max_angle=0.1, max_trans=0.5)))
+    facs.append(AnchorFactor(0, prior, fmod.anchor_information()))
+    start = [compose(p, exp(random_tangent(rng, max_angle=0.2, max_trans=1.0)))
+             for p in truth]
+    g = WindowGraph(list(enumerate(start)), order(facs), window_capacity=n)
+
+    h = np.zeros((n, 6, n, 6))
+    b = np.zeros((n, 6))
+    states = {k: g.estimate_of(k) for k in range(g.base, g.base + len(g))}
+    for f in facs:
+        lin = linearize(f, states)
+        w = (np.array([[f.sigma ** -2]]) if isinstance(f, GpsFactor)
+             else f.information)
+        e = np.atleast_1d(lin.residual)
+        for a, j_a in zip(lin.node_indices, lin.jacobians):
+            b[a] += j_a.T @ w @ e
+            for c, j_c in zip(lin.node_indices, lin.jacobians):
+                h[a, :, c, :] += j_a.T @ w @ j_c
+
+    diag, upper, grad = g._assemble(g.rot, g._residuals(g.rot, g.t))
+
+    idx = np.arange(n)
+    scale = np.max(np.abs(h))
+    close = dict(rtol=1e-9, atol=1e-9 * scale)
+    np.testing.assert_allclose(diag, h[idx, :, idx, :], **close)
+    np.testing.assert_allclose(upper, h[idx[:-1], :, idx[1:], :], **close)
+    np.testing.assert_allclose(grad, b, rtol=1e-9, atol=1e-9 * np.max(np.abs(b)))
+    # Block-tridiagonal: nothing beyond the first off-diagonal.
+    far = np.abs(idx[:, None] - idx[None, :]) > 1
+    assert not np.any(h.transpose(0, 2, 1, 3)[far])
+    return g
+
+
 class TestAssembly:
     def test_blocks_match_dense_normal_equations(self, rng):
-        """The solver's scattered blocks equal sum J^T W J and sum J^T W e
-        built factor by factor from linearize()."""
-        n = 5
-        truth = truth_chain(rng, n)
-        facs = []
-        for k in range(n - 1):
-            meas = compose(compose(inverse(truth[k]), truth[k + 1]),
-                           exp(random_tangent(rng, max_angle=0.1, max_trans=0.2)))
-            a = rng.normal(size=(6, 6))
-            facs.append(OdometryFactor(k, k + 1, meas, a @ a.T + np.eye(6)))
-        for k in (1, 3, 3, 4):  # two GPS factors share node 3
-            direction = rng.normal(size=3)
-            sat = truth[k].translation + direction / np.linalg.norm(direction) * 1e3
-            facs.append(GpsFactor(k, sat, 1e3 + rng.normal() * 5.0, 5.0))
-        prior = compose(truth[0], exp(random_tangent(rng, max_angle=0.1, max_trans=0.5)))
-        facs.append(AnchorFactor(0, prior, fmod.anchor_information()))
-        start = [compose(p, exp(random_tangent(rng, max_angle=0.2, max_trans=1.0)))
-                 for p in truth]
-        g = WindowGraph(list(enumerate(start)), facs, window_capacity=n)
+        check_blocks_match_dense(rng)
 
-        h = np.zeros((n, 6, n, 6))
-        b = np.zeros((n, 6))
-        states = {k: g.estimate_of(k) for k in range(g.base, g.base + len(g))}
-        for f in facs:
-            lin = linearize(f, states)
-            w = (np.array([[f.sigma ** -2]]) if isinstance(f, GpsFactor)
-                 else f.information)
-            e = np.atleast_1d(lin.residual)
-            for a, j_a in zip(lin.node_indices, lin.jacobians):
-                b[a] += j_a.T @ w @ e
-                for c, j_c in zip(lin.node_indices, lin.jacobians):
-                    h[a, :, c, :] += j_a.T @ w @ j_c
+    def test_odometry_out_of_chain_order(self, rng):
+        """Odometry given in any order is compiled along the chain, so the
+        slice-wise assembly still matches the dense normal equations."""
+        def shuffled(facs):
+            return [facs[k] for k in np.random.default_rng(5).permutation(len(facs))]
 
-        diag, upper, grad = g._assemble(g.rot, g._residuals(g.rot, g.t))
+        for order in (lambda facs: facs[::-1], shuffled):
+            g = check_blocks_match_dense(rng, order)
+            assert np.array_equal(g.comp["odo_rows"], np.arange(len(g) - 1))
 
-        idx = np.arange(n)
-        scale = np.max(np.abs(h))
-        close = dict(rtol=1e-9, atol=1e-9 * scale)
-        np.testing.assert_allclose(diag, h[idx, :, idx, :], **close)
-        np.testing.assert_allclose(upper, h[idx[:-1], :, idx[1:], :], **close)
-        np.testing.assert_allclose(grad, b, rtol=1e-9, atol=1e-9 * np.max(np.abs(b)))
-        # Block-tridiagonal: nothing beyond the first off-diagonal.
-        far = np.abs(idx[:, None] - idx[None, :]) > 1
-        assert not np.any(h.transpose(0, 2, 1, 3)[far])
+    def test_one_inverse_jacobian_per_pose_row(self, rng, monkeypatch):
+        """A residual-plus-assembly cycle evaluates the SO(3) V^-1 once per
+        odometry or anchor row: the assembly reuses the one from the logs."""
+        g = small_window(rng, 0.02)
+        rows = []
+        original = liegroup._jl_inv
+
+        def counted(theta, *terms):
+            rows.append(np.shape(theta))
+            return original(theta, *terms)
+
+        monkeypatch.setattr(liegroup, "_jl_inv", counted)
+        res = g._residuals(g.rot, g.t)
+        diag, upper, grad = g._assemble(g.rot, res)
+        n_pose = len(g.comp["odo_rows"]) + len(g.comp["anc_rows"])
+        assert rows == [(n_pose,)]
+        monkeypatch.undo()
+        expected = g._assemble(g.rot, dict(res, pose_jinv=None))
+        for got, want in zip((diag, upper, grad), expected):
+            assert np.array_equal(got, want)
 
     def test_odometry_and_anchor_share_one_kernel_call(self, rng, monkeypatch):
         g = small_window(rng, 0.02)
@@ -335,24 +372,28 @@ class TestForcedFailures:
         assert solves[1] == pytest.approx(10.0 * solves[0])
 
 
+def stationary_window(rng) -> WindowGraph:
+    """Coasting after mitigation: nodes dead-reckoned from the anchor by
+    noisy odometry, GPS stripped; the start is the optimum to roundoff.
+    Hundreds of metres from the origin, as on a circuit, roundoff makes
+    even a 1e-14 step raise the objective; evaluating it would cost a
+    rejection per tenfold damping increase."""
+    offset = Pose(np.eye(3), np.array([300.0, -300.0, 0.0]))
+    truth = [compose(offset, p) for p in truth_chain(rng, 30, step_trans=1.0)]
+    info = fmod.default_odometry_information([0.01] * 3 + [0.05] * 3)
+    odometry = [OdometryFactor(f.from_index, f.to_index,
+                               compose(f.measured_transform,
+                                       exp(0.01 * random_tangent(rng, 1.0, 1.0))),
+                               info) for f in odometry_factors(truth)]
+    g = WindowGraph([(0, truth[0])], [AnchorFactor(0, truth[0], fmod.anchor_information())],
+                    window_capacity=30)
+    g = g.append(range(1, 30), odometry + gps_factors(truth[::10], range(0, 30, 10)))
+    return g.strip_gps()
+
+
 class TestOptimize:
     def test_stationary_window_costs_one_solve(self, rng, monkeypatch):
-        # Coasting after mitigation: nodes dead-reckoned from the anchor by
-        # noisy odometry, GPS stripped; the start is the optimum to roundoff.
-        # Hundreds of metres from the origin, as on a circuit, roundoff makes
-        # even this 1e-14 step raise the objective; evaluating it would cost
-        # a rejection per tenfold damping increase.
-        offset = Pose(np.eye(3), np.array([300.0, -300.0, 0.0]))
-        truth = [compose(offset, p) for p in truth_chain(rng, 30, step_trans=1.0)]
-        info = fmod.default_odometry_information([0.01] * 3 + [0.05] * 3)
-        odometry = [OdometryFactor(f.from_index, f.to_index,
-                                   compose(f.measured_transform,
-                                           exp(0.01 * random_tangent(rng, 1.0, 1.0))),
-                                   info) for f in odometry_factors(truth)]
-        g = WindowGraph([(0, truth[0])], [AnchorFactor(0, truth[0], fmod.anchor_information())],
-                        window_capacity=30)
-        g = g.append(range(1, 30), odometry + gps_factors(truth[::10], range(0, 30, 10)))
-        g = g.strip_gps()
+        g = stationary_window(rng)
         rot, t = g.rot.copy(), g.t.copy()
         solves = []
         original = WindowGraph._solve_banded
@@ -367,6 +408,13 @@ class TestOptimize:
         assert (report.status, report.converged, report.iterations) == ("step-norm", True, 0)
         assert report.objective_history == (report.final_objective,)
         assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
+
+    def test_iteration_time_counts_only_steps_taken(self, rng):
+        # The untaken step that ends a stationary window is no iteration.
+        report = stationary_window(rng).optimize()
+        assert (report.iterations, report.iteration_seconds) == (0, 0.0)
+        report = small_window(rng, 0.02).optimize()
+        assert report.iterations > 0 and report.iteration_seconds > 0.0
 
     def test_anchor_only_fixed_point(self, rng):
         prior = random_pose(rng, max_angle=0.5)
@@ -661,6 +709,12 @@ class TestValidation:
         facs = odometry_factors(truth)
         with pytest.raises(ValueError, match="exactly once"):
             WindowGraph(list(enumerate(truth)), facs + facs[:1], 5)
+
+    def test_rejects_second_anchor(self, rng):
+        truth = truth_chain(rng, 3)
+        anchors = [AnchorFactor(k, truth[k], fmod.anchor_information()) for k in (0, 1)]
+        with pytest.raises(ValueError, match="one anchor"):
+            WindowGraph(list(enumerate(truth)), odometry_factors(truth) + anchors, 5)
 
     def test_rejects_overflow(self, rng):
         truth = truth_chain(rng, 6)
