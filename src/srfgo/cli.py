@@ -266,6 +266,8 @@ def cmd_sweep(args) -> int:
         if mode not in MODES:
             raise CliError(f"--mode must list values from {MODES}, got {mode!r}")
     rates = _parse_list(s["ramp_rate"], "--ramp-rate", float)
+    for rate in rates:
+        _parse_rate(rate)  # rejects a negative or non-finite rate up front
     sizes = _parse_list(s["window_size"], "--window-size", int)
     runs = int(s["runs"])
     workers = int(s["workers"])

@@ -78,6 +78,13 @@ class TestExitCodes:
     def test_negative_ramp_rate(self):
         assert cli("run", "--mode", "sr-fgo", "--ramp-rate", "-1") == 1
 
+    @pytest.mark.parametrize("rate", ["nan", "-1"])
+    def test_sweep_rejects_bad_ramp_rate(self, tmp_path, capsys, rate):
+        assert cli("sweep", "--mode", "odometry-only", "--ramp-rate", f"0,{rate}",
+                   "--window-size", "20", "--runs", "1", "--seed", "1",
+                   "--out", tmp_path / "sweep") == 1
+        assert "ramp rate" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value,name", [
         ("--ramp-rate", "nan", "ramp rate"), ("--ramp-rate", "inf", "ramp rate"),
         ("--spoof-direction", "nan,0,0", "spoof direction"),
