@@ -259,7 +259,6 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "truth", tuple(self.truth))
-        # Written so that NaN fails each test.
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         slow_channel(self.dt)  # raises unless dt divides the authentication epoch
