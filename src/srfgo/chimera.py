@@ -15,7 +15,7 @@ from typing import NamedTuple, TYPE_CHECKING
 from .detector import DetectorState, mitigate
 
 if TYPE_CHECKING:
-    from .solver import SolverParams, WindowGraph
+    from .solver import WindowGraph
 
 SLOW_CHANNEL_PERIOD_S = 180.0
 
@@ -32,7 +32,7 @@ class AuthSchedule:
                 f"epoch length must be >= 1 step, got {self.epoch_length_steps}")
 
 
-def slow_channel(dt: float = 0.1) -> AuthSchedule:
+def slow_channel(dt: float) -> AuthSchedule:
     """Slow-channel schedule: one authentication every 180 s."""
     steps = SLOW_CHANNEL_PERIOD_S / dt
     if abs(steps - round(steps)) > 1e-9:
@@ -59,15 +59,13 @@ class AuthResult(NamedTuple):
 
 
 def on_authentication(event: AuthEvent, state: DetectorState,
-                      graph: "WindowGraph", sched: AuthSchedule,
-                      params: "SolverParams" = None) -> AuthResult:
+                      graph: "WindowGraph", sched: AuthSchedule) -> AuthResult:
     """Apply one authentication outcome to the detector state and window.
 
     Success overrides the detector: the latch is cleared even if it was set
     by a (now disproven) detection, and GPS is trusted for the next window's
     worth of steps.  Failure latches, strips GPS from the window, and keeps
-    GPS excluded until the next successful authentication; ``params`` are
-    the solver settings for re-optimizing the stripped window.
+    GPS excluded until the next successful authentication.
     """
     if event.time_index % sched.epoch_length_steps != 0:
         raise ValueError(
@@ -79,5 +77,5 @@ def on_authentication(event: AuthEvent, state: DetectorState,
         return AuthResult("gps-readmitted", graph,
                           event.time_index + graph.window_capacity)
     state.spoofed_flag = True
-    cleaned = mitigate(graph, state, params)
+    cleaned = mitigate(graph, state)
     return AuthResult("gps-excluded", cleaned, event.time_index)

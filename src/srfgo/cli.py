@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (MODES, RunConfig, read_run, run as run_pipeline,
-                      summarize_runs, write_run)
+from .harness import (MODES, WINDOW_SHIFT_DEFAULT, WINDOW_SIZE_DEFAULT, RunConfig,
+                      read_run, run as run_pipeline, summarize_runs, write_run)
 from .icp import estimate_normals, gen_scene_cloud, register, save_cloud, two_wall_scene
 from .liegroup import Pose, rotation_angle
 from .simkit import (DT_DEFAULT, SIGMA_GPS_DEFAULT, TRAJECTORY_KINDS, Scenario,
@@ -29,9 +29,9 @@ from .simkit import (DT_DEFAULT, SIGMA_GPS_DEFAULT, TRAJECTORY_KINDS, Scenario,
 RUN_DEFAULTS = {
     "kind": "circuit", "duration": 200.0, "speed": 10.0, "dt": DT_DEFAULT,
     "seed": 0, "sigma_gps": SIGMA_GPS_DEFAULT, "mode": None,
-    "window_size": 100, "window_shift": 10, "ramp_rate": None,
-    "spoof_start": 100.0, "spoof_direction": "1,0,0", "trajectory": None,
-    "out": None,
+    "window_size": WINDOW_SIZE_DEFAULT, "window_shift": WINDOW_SHIFT_DEFAULT,
+    "ramp_rate": None, "spoof_start": 100.0, "spoof_direction": "1,0,0",
+    "trajectory": None, "out": None,
 }
 # Sweeps have no fallback for the grid axes: mode, ramp rate, window
 # size, base seed, and run count must arrive via flag or config.
@@ -191,7 +191,7 @@ def _parse_list(value, flag: str, kind) -> list:
 def _build_scenario(s: dict, seed: int) -> Scenario:
     if s.get("trajectory"):
         try:
-            truth = load_trajectory(s["trajectory"])
+            truth = load_trajectory(s["trajectory"], dt=s["dt"])
         except OSError as err:
             raise CliError(f"cannot read trajectory {s['trajectory']}: "
                            f"{err}") from None
@@ -316,6 +316,8 @@ def cmd_sweep(args) -> int:
         summary["ramp_rate"] = cell["ramp_rate"]
         summary["window_size"] = cell["window_size"]
         summary["failures"] = sorted(cell["failures"])
+        # A cell whose every run failed before write_run has no directory yet.
+        (out / cell["name"]).mkdir(exist_ok=True)
         (out / cell["name"] / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n")
         cell_summaries.append(summary)

@@ -19,7 +19,7 @@ from typing import Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .solver import SolverParams, WindowGraph
+    from .solver import WindowGraph
 
 DEFAULT_ALPHA = 0.001
 
@@ -184,8 +184,7 @@ def decide(q: float, tau: float, state: DetectorState,
     return "spoof-detected" if state.spoofed_flag else "authentic"
 
 
-def mitigate(graph: "WindowGraph", state: DetectorState,
-             params: "SolverParams" = None) -> "WindowGraph":
+def mitigate(graph: "WindowGraph", state: DetectorState) -> "WindowGraph":
     """Drop all GPS from the window and re-optimize on odometry alone.
 
     Also marks the state so the pipeline excludes GPS from future windows
@@ -198,5 +197,5 @@ def mitigate(graph: "WindowGraph", state: DetectorState,
     if not graph.gps_count():
         return graph
     stripped = graph.strip_gps()
-    stripped.optimize(params)
+    stripped.optimize()
     return stripped

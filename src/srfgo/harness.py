@@ -38,7 +38,7 @@ from .detector import test_statistic as window_statistic
 from .factors import AnchorFactor, GpsFactor, OdometryFactor
 from .liegroup import compose, rotation_to_quaternion
 from .simkit import MeasurementStream, Scenario, build_measurements
-from .solver import SolverParams, WindowGraph
+from .solver import WindowGraph
 
 MODES = ("odometry-only", "naive-fgo", "sr-fgo")
 
@@ -53,7 +53,6 @@ class RunConfig:
     window_size: int = WINDOW_SIZE_DEFAULT
     window_shift: int = WINDOW_SHIFT_DEFAULT
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    solver: Optional[SolverParams] = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -225,7 +224,7 @@ def run(cfg: RunConfig) -> RunRecord:
         def authenticate(step: int, graph: WindowGraph) -> tuple[WindowGraph, int]:
             row = auth_rows[step // epoch]
             result = on_authentication(AuthEvent(step, row["outcome"]), det_state,
-                                       graph, cfg.auth_schedule, cfg.solver)
+                                       graph, cfg.auth_schedule)
             row["action"] = result.action
             return result.graph, result.trust_until
 
@@ -246,7 +245,7 @@ def run(cfg: RunConfig) -> RunRecord:
                 graph = graph.append(batch, new_factors)
 
             started = time.perf_counter()
-            report = graph.optimize(cfg.solver)
+            report = graph.optimize()
             opt_seconds.append(time.perf_counter() - started)
             iteration_counts.append(report.iterations)
             iteration_seconds.append(report.iteration_seconds)
@@ -262,7 +261,7 @@ def run(cfg: RunConfig) -> RunRecord:
                                    "n": n, "decision": decision})
                 # sr mode strips GPS on a latch, so no trial runs latched.
                 if sr_mode and decision == "spoof-detected":
-                    graph = mitigate(graph, det_state, cfg.solver)
+                    graph = mitigate(graph, det_state)
 
             if sr_mode and k_end % epoch == 0:
                 graph, trust_until = authenticate(k_end, graph)

@@ -26,6 +26,9 @@ DEGENERATE_EIGENVALUE_RATIO = 1e-9
 
 MIN_REGISTRATION_POINTS = 100
 MIN_CORRESPONDENCES = 6
+MAX_CORRESPONDENCE_DIST_M = 1.0
+MAX_ITERATIONS = 30
+CONVERGENCE_TOL = 1e-6
 MAX_STEP_HALVINGS = 10
 # Line-search failure after a relative improvement this small means the
 # iterate sits on the correspondence noise floor, not in a stall.
@@ -54,18 +57,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-@dataclass(frozen=True)
-class IcpParams:
-    max_correspondence_dist: float = 1.0
-    max_iterations: int = 30
-    convergence_tol: float = 1e-6
-
-    def __post_init__(self):
-        if (self.max_correspondence_dist <= 0.0 or self.max_iterations <= 0
-                or self.convergence_tol <= 0.0):
-            raise ValueError("all ICP parameters must be positive")
 
 
 @dataclass
@@ -106,16 +97,15 @@ def estimate_normals(cloud: PointCloud, k_neighbors: int = 10,
     return PointCloud(pts, normals)
 
 
-def _match(tree: cKDTree, valid_normal: np.ndarray, transformed: np.ndarray,
-           max_dist: float):
+def _match(tree: cKDTree, valid_normal: np.ndarray, transformed: np.ndarray):
     dist, idx = tree.query(transformed)
-    keep = (dist <= max_dist) & valid_normal[idx]
+    keep = (dist <= MAX_CORRESPONDENCE_DIST_M) & valid_normal[idx]
     return np.nonzero(keep)[0], idx[keep]
 
 
-def _objective(tree, valid_normal, target, source_pts, pose, max_dist):
+def _objective(tree, valid_normal, target, source_pts, pose):
     transformed = source_pts @ pose.rotation.T + pose.translation
-    src_rows, tgt_rows = _match(tree, valid_normal, transformed, max_dist)
+    src_rows, tgt_rows = _match(tree, valid_normal, transformed)
     if len(src_rows) < MIN_CORRESPONDENCES:
         return None, src_rows, tgt_rows
     r = np.einsum("ni,ni->n", target.normals[tgt_rows],
@@ -123,11 +113,9 @@ def _objective(tree, valid_normal, target, source_pts, pose, max_dist):
     return float(r @ r) / len(r), src_rows, tgt_rows
 
 
-def register(source: PointCloud, target: PointCloud, init: Pose = None,
-             params: IcpParams = None) -> tuple[Pose, IcpReport]:
+def register(source: PointCloud, target: PointCloud,
+             init: Pose = None) -> tuple[Pose, IcpReport]:
     """Estimate the transform taking source points onto the target surface."""
-    if params is None:
-        params = IcpParams()
     if init is None:
         init = Pose.identity()
     if target.normals is None:
@@ -138,15 +126,14 @@ def register(source: PointCloud, target: PointCloud, init: Pose = None,
     tree = cKDTree(target.points)
     valid_normal = ~np.isnan(target.normals[:, 0])
     pose = init
-    obj, src_rows, tgt_rows = _objective(
-        tree, valid_normal, target, source.points, pose, params.max_correspondence_dist)
+    obj, src_rows, tgt_rows = _objective(tree, valid_normal, target, source.points, pose)
     if obj is None:
         return pose, IcpReport(False, "insufficient-correspondences", 0,
                                len(src_rows), math.inf)
     history = [obj]
     reason = "max-iterations"
     iterations = 0
-    for iterations in range(1, params.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         transformed = source.points[src_rows] @ pose.rotation.T + pose.translation
         normals = target.normals[tgt_rows]
         r = np.einsum("ni,ni->n", normals, transformed - target.points[tgt_rows])
@@ -168,8 +155,7 @@ def register(source: PointCloud, target: PointCloud, init: Pose = None,
         for _ in range(MAX_STEP_HALVINGS):
             candidate = compose(pose, exp(scale * delta))
             obj_new, new_src, new_tgt = _objective(
-                tree, valid_normal, target, source.points, candidate,
-                params.max_correspondence_dist)
+                tree, valid_normal, target, source.points, candidate)
             if obj_new is not None and obj_new <= obj:
                 pose = candidate
                 obj, src_rows, tgt_rows = obj_new, new_src, new_tgt
@@ -183,7 +169,7 @@ def register(source: PointCloud, target: PointCloud, init: Pose = None,
                     <= FLAT_RELATIVE_DECREASE * history[-2])
             reason = "converged" if flat else "stalled"
             break
-        if np.linalg.norm(scale * delta) < params.convergence_tol:
+        if np.linalg.norm(scale * delta) < CONVERGENCE_TOL:
             reason = "converged"
             break
 

@@ -24,7 +24,7 @@ sweeps run through ``srfgo sweep``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,8 +41,11 @@ DT_DEFAULT = 0.1
 SIGMA_GPS_DEFAULT = 7.0
 SIGMA_ICP_DEFAULT = (0.01, 0.01, 0.01, 0.05, 0.05, 0.05)
 
+GPS_RATE_HZ = 1.0
+NUM_SATELLITES = 8
 EARTH_RADIUS_M = 6.371e6
 GPS_ORBIT_ALTITUDE_M = 2.02e7
+GPS_ORBIT_RADIUS_M = EARTH_RADIUS_M + GPS_ORBIT_ALTITUDE_M
 # One revolution per sidereal half-day (11 h 58 m).
 GPS_ANGULAR_RATE = 2.0 * math.pi / 43080.0
 
@@ -129,8 +132,9 @@ def save_trajectory(path, poses: list[Pose], dt: float = DT_DEFAULT) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_trajectory(path) -> list[Pose]:
-    """Parse a trajectory CSV; quaternions off unit norm by more than 1e-3
+def load_trajectory(path, dt: float = DT_DEFAULT) -> list[Pose]:
+    """Parse a trajectory CSV sampled every dt seconds: row k must lie at
+    k * dt (within 1e-6 s).  Quaternions off unit norm by more than 1e-3
     are rejected, smaller deviations are renormalized."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -140,7 +144,8 @@ def load_trajectory(path) -> list[Pose]:
         raise ValueError("trajectory file has no rows")
     poses = []
     last_t = -math.inf
-    for row_num, line in enumerate(lines[1:], start=2):
+    for k, line in enumerate(lines[1:]):
+        row_num = k + 2
         parts = line.split(",")
         if len(parts) != 8:
             raise ValueError(f"row {row_num}: expected 8 fields, got {len(parts)}")
@@ -153,40 +158,27 @@ def load_trajectory(path) -> list[Pose]:
         t, x, y, z, qx, qy, qz, qw = values
         if t <= last_t:
             raise ValueError(f"row {row_num}: timestamps must increase")
+        if abs(t - k * dt) > 1e-6:
+            found = f"starts at {t:g} s" if k == 0 else f"steps {t - last_t:g} s"
+            raise ValueError(f"row {row_num}: t={t:g} s is not at {k} x dt; "
+                             f"the file {found}, but dt is {dt:g} s")
         last_t = t
         rot = quaternion_to_rotation(np.array([qx, qy, qz, qw]))
         poses.append(Pose(rot, np.array([x, y, z])))
     return poses
 
 
-@dataclass(frozen=True)
-class Constellation:
-    """Satellites on deterministic circular orbits around the scene origin,
-    evenly spaced in azimuth with elevations alternating 30/60 degrees."""
-
-    num_satellites: int = 8
-    orbit_radius: float = EARTH_RADIUS_M + GPS_ORBIT_ALTITUDE_M
-    angular_rate: float = GPS_ANGULAR_RATE
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.num_satellites < 4:
-            raise ValueError(
-                f"need >= 4 satellites for a well-posed fix, got {self.num_satellites}")
-        if self.orbit_radius <= 0.0:
-            raise ValueError("orbit radius must be positive")
-
-
-def sat_positions(t: float, constellation: Constellation) -> np.ndarray:
-    """(m, 3) ENU satellite positions at time t; pure function of t."""
-    m = constellation.num_satellites
-    azimuths = (constellation.phase + 2.0 * math.pi * np.arange(m) / m
-                + constellation.angular_rate * t)
+def sat_positions(t: float) -> np.ndarray:
+    """(m, 3) ENU positions at time t of the m = NUM_SATELLITES satellites,
+    on circular orbits around the scene origin, evenly spaced in azimuth
+    with elevations alternating 30/60 degrees; pure function of t."""
+    m = NUM_SATELLITES
+    azimuths = 2.0 * math.pi * np.arange(m) / m + GPS_ANGULAR_RATE * t
     elevations = np.where(np.arange(m) % 2 == 0, math.radians(30.0), math.radians(60.0))
     east = np.cos(elevations) * np.sin(azimuths)
     north = np.cos(elevations) * np.cos(azimuths)
     up = np.sin(elevations)
-    return constellation.orbit_radius * np.stack([east, north, up], axis=1)
+    return GPS_ORBIT_RADIUS_M * np.stack([east, north, up], axis=1)
 
 
 @dataclass(frozen=True)
@@ -250,8 +242,6 @@ class Scenario:
 
     truth: tuple
     dt: float = DT_DEFAULT
-    constellation: Constellation = field(default_factory=Constellation)
-    gps_rate_hz: float = 1.0
     sigma_gps: float = SIGMA_GPS_DEFAULT
     sigma_icp: tuple = SIGMA_ICP_DEFAULT
     spoof: Optional[SpoofProfile] = None
@@ -268,9 +258,7 @@ class Scenario:
                 f"trajectory covers {duration:.1f} s; "
                 f"need >= one {SLOW_CHANNEL_PERIOD_S:.0f} s epoch")
         # One node per odometry step dt; GPS epochs must land on nodes.
-        if not (math.isfinite(self.gps_rate_hz) and self.gps_rate_hz > 0.0):
-            raise ValueError(f"gps_rate_hz must be finite and positive, got {self.gps_rate_hz}")
-        gps_period = 1.0 / (self.gps_rate_hz * self.dt)
+        gps_period = 1.0 / (GPS_RATE_HZ * self.dt)
         if abs(gps_period - round(gps_period)) > 1e-9:
             raise ValueError("GPS rate must divide the node rate")
         if not (math.isfinite(self.sigma_gps) and self.sigma_gps >= 0.0):
@@ -285,7 +273,7 @@ class Scenario:
 
     @property
     def gps_every_steps(self) -> int:
-        return int(round(1.0 / (self.gps_rate_hz * self.dt)))
+        return int(round(1.0 / (GPS_RATE_HZ * self.dt)))
 
 
 @dataclass(frozen=True)
@@ -311,7 +299,7 @@ def build_measurements(scenario: Scenario) -> MeasurementStream:
 
     steps = list(range(0, scenario.steps + 1, scenario.gps_every_steps))
     times = [step * scenario.dt for step in steps]
-    sats = np.stack([sat_positions(time, scenario.constellation) for time in times])
+    sats = np.stack([sat_positions(time) for time in times])
     positions = t[steps]
     if scenario.spoof is not None:
         positions = positions + spoof_bias(times, scenario.spoof)

@@ -15,9 +15,9 @@ the SO(3) V^-1 those logs already computed.  Odometry is compiled in chain
 order, row k linking nodes k and k + 1, so its blocks add by slices; the
 window's one anchor adds to its node's blocks directly.
 Levenberg-Marquardt damping wraps the Gauss-Newton step: lambda starts at
-damping_init, divides by 10 on an accepted step and multiplies by 10 on a
+DAMPING_INIT, divides by 10 on an accepted step and multiplies by 10 on a
 rejected one, so accepted objectives never increase.  Each iteration first
-solves at the current lambda; if that step's norm is below step_norm_tol,
+solves at the current lambda; if that step's norm is below STEP_NORM_TOL,
 the solve ends "step-norm" without taking it, before any exp or residual
 work (Madsen, Nielsen & Tingleff 2004, Alg. 3.16), so a window already at
 its optimum costs one solve.  A step that is short only because rejections
@@ -27,7 +27,8 @@ factored, when its residuals are undefined (a near-pi SE(3) log, a receiver
 on a satellite) or when its objective rises; past DAMPING_MAX the solve
 ends "cholesky-failure" if the last trial could not be factored and
 "stalled" otherwise.  An accepted step whose objective decrease is below
-relative_decrease_tol of the objective ends the solve "relative-decrease".
+RELATIVE_DECREASE_TOL of the objective ends the solve "relative-decrease";
+a solve that takes MAX_ITERATIONS steps ends "max-iterations".
 ``iterations`` counts accepted steps.
 
 Estimates update by right perturbation x <- x * exp(delta).
@@ -48,6 +49,10 @@ from srfgo import liegroup
 from srfgo.factors import AnchorFactor, GpsFactor, OdometryFactor
 from srfgo.liegroup import Pose
 
+MAX_ITERATIONS = 50
+RELATIVE_DECREASE_TOL = 1e-6
+STEP_NORM_TOL = 1e-8
+DAMPING_INIT = 1e-6
 # Damping escalated past this is hopeless; report failure instead of looping.
 DAMPING_MAX = 1e8
 
@@ -55,19 +60,6 @@ DAMPING_MAX = 1e8
 # the upper triangle of a diagonal block, every entry of an upper block.
 _DIAG_A, _DIAG_B = np.triu_indices(6)
 _UPPER_A, _UPPER_B = np.indices((6, 6)).reshape(2, -1)
-
-
-@dataclass
-class SolverParams:
-    max_iterations: int = 50
-    relative_decrease_tol: float = 1e-6
-    step_norm_tol: float = 1e-8
-    damping_init: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if (self.max_iterations <= 0 or self.relative_decrease_tol <= 0
-                or self.step_norm_tol <= 0 or self.damping_init <= 0):
-            raise ValueError("all solver parameters must be positive")
 
 
 @dataclass(eq=False)
@@ -266,19 +258,18 @@ class WindowGraph:
         # One node keeps bandwidth 11 too: LAPACK ignores entries outside H.
         return scipy.linalg.solveh_banded(ab.reshape(12, 6 * n), rhs, lower=False)
 
-    def optimize(self, params: SolverParams | None = None) -> SolveReport:
+    def optimize(self) -> SolveReport:
         """Damped Gauss-Newton to convergence; replaces the node estimates."""
-        params = params or SolverParams()
         rot, t = self.rot, self.t
         res = self._residuals(rot, t)
         obj = self._objective_of(res)
         history = [obj]
-        damping = params.damping_init
+        damping = DAMPING_INIT
         status = "max-iterations"
         iterations = 0
         iter_seconds = 0.0
 
-        while iterations < params.max_iterations:
+        while iterations < MAX_ITERATIONS:
             iter_started = time.perf_counter()
             diag, upper, grad = self._assemble(rot, res)
             accepted = False
@@ -288,7 +279,7 @@ class WindowGraph:
                     delta = self._solve_banded(diag, upper, -grad.reshape(-1), damping)
                     # A short first step ends the solve, untaken; one that
                     # escalated damping shortened is an ordinary trial.
-                    if trial == 0 and np.sqrt(delta.dot(delta)) < params.step_norm_tol:
+                    if trial == 0 and np.sqrt(delta.dot(delta)) < STEP_NORM_TOL:
                         status = "step-norm"
                         break
                     rot_s, t_s = liegroup.se3_exp_arrays(delta.reshape(-1, 6))
@@ -314,7 +305,7 @@ class WindowGraph:
             decrease = obj - obj_new
             rot, t, res, obj = rot_new, t_new, res_new, obj_new
             history.append(obj)
-            if decrease <= params.relative_decrease_tol * max(obj, 1e-300):
+            if decrease <= RELATIVE_DECREASE_TOL * max(obj, 1e-300):
                 status = "relative-decrease"
                 break
 

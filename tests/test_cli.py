@@ -125,6 +125,17 @@ class TestSimulate:
                    "--trajectory", sim / "trajectory.csv", "--out", out) == 0
         assert (out / "summary.json").exists()
 
+    def test_trajectory_time_column_must_match_dt(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert cli("simulate", "--duration", "400", "--dt", "0.2", "--out", sim) == 0
+        args = ("run", "--mode", "naive-fgo", "--window-size", "20",
+                "--trajectory", sim / "trajectory.csv")
+        assert cli(*args, "--out", tmp_path / "bad") == 1
+        err = capsys.readouterr().err
+        assert "steps 0.2 s" in err and "dt is 0.1 s" in err
+        assert not (tmp_path / "bad").exists()
+        assert cli(*args, "--dt", "0.2", "--out", tmp_path / "good") == 0
+
 
 class TestRun:
     def test_writes_run_directory(self, tmp_path):
@@ -216,6 +227,18 @@ class TestSweep:
         large = json.loads((out / "odometry-only-r0-N200" / "summary.json").read_text())
         assert (small["runs"], small["failures"]) == (1, [])
         assert (large["runs"], large["failures"]) == (0, [str(blocked)])
+
+    def test_cell_with_no_successful_run_still_summarized(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert cli("sweep", "--mode", "odometry-only", "--ramp-rate", "0",
+                   "--sigma-gps", "nan", "--window-size", "20", "--runs", "1",
+                   "--seed", "1", "--duration", "180", "--out", out) == 2
+        run_dir = out / "odometry-only-r0-N20" / "run-000"
+        assert f"failed: {run_dir}: ValueError: sigma_gps" in capsys.readouterr().err
+        cell = json.loads((out / "odometry-only-r0-N20" / "summary.json").read_text())
+        assert (cell["runs"], cell["failures"]) == (0, [str(run_dir)])
+        top = json.loads((out / "summary.json").read_text())
+        assert [c["runs"] for c in top["cells"]] == [0]
 
     def test_config_can_supply_grid(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from srfgo.icp import (IcpParams, PlanePatch, PointCloud, estimate_normals,
-                       gen_scene_cloud, load_cloud, register, save_cloud,
-                       two_wall_scene)
+from srfgo.icp import (PlanePatch, PointCloud, estimate_normals, gen_scene_cloud,
+                       load_cloud, register, save_cloud, two_wall_scene)
 from srfgo.liegroup import Pose, compose, exp, inverse, ominus, rotation_angle
 
 
@@ -176,12 +175,6 @@ class TestRegister:
         cloud = gen_scene_cloud(two_wall_scene(), Pose.identity(), 25.0, 0.0, seed=1)
         with pytest.raises(ValueError):
             register(cloud, cloud)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            IcpParams(max_correspondence_dist=0.0)
-        with pytest.raises(ValueError):
-            IcpParams(max_iterations=0)
 
 
 class TestCloudIo:

@@ -8,10 +8,10 @@ import pytest
 from srfgo.liegroup import Pose, compose, exp, inverse, ominus
 from srfgo.rngutil import GPS_STREAM, ODOMETRY_STREAM, make_rng, normal
 from srfgo.simkit import (CIRCUIT_RADIUS_M, EARTH_RADIUS_M, GPS_ORBIT_ALTITUDE_M,
-                          Constellation, MeasurementStream, Scenario, SpoofProfile,
-                          build_measurements, gen_odometry, gen_pseudoranges,
-                          gen_trajectory, load_trajectory, sat_positions,
-                          save_trajectory, spoof_bias)
+                          GPS_ORBIT_RADIUS_M, MeasurementStream, Scenario,
+                          SpoofProfile, build_measurements, gen_odometry,
+                          gen_pseudoranges, gen_trajectory, load_trajectory,
+                          sat_positions, save_trajectory, spoof_bias)
 
 
 class TestGenTrajectory:
@@ -115,6 +115,17 @@ class TestTrajectoryIo:
         with pytest.raises(ValueError):
             load_trajectory(path)
 
+    def test_rows_must_lie_on_dt_grid(self, tmp_path):
+        path = tmp_path / "g.csv"
+        poses = gen_trajectory("straight", 20.0, 10.0, seed=1, dt=0.2)
+        save_trajectory(path, poses, dt=0.2)
+        assert len(load_trajectory(path, dt=0.2)) == 101
+        with pytest.raises(ValueError, match="steps 0.2 s, but dt is 0.1 s"):
+            load_trajectory(path)
+        path.write_text("t,x,y,z,qx,qy,qz,qw\n5.0,0,0,0,0,0,0,1\n")
+        with pytest.raises(ValueError, match="starts at 5 s"):
+            load_trajectory(path)
+
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,x,y,z,qx,qy,qz,qw\n0.0,1,0,0,0,0,1\n")
@@ -127,28 +138,22 @@ class TestTrajectoryIo:
 
 class TestConstellation:
     def test_orbit_radius(self):
-        sats = sat_positions(0.0, Constellation())
+        sats = sat_positions(0.0)
         assert sats.shape == (8, 3)
         radii = np.linalg.norm(sats, axis=1)
-        nominal = EARTH_RADIUS_M + GPS_ORBIT_ALTITUDE_M
-        assert np.all(np.abs(radii - nominal) < 0.01 * nominal)
+        assert GPS_ORBIT_RADIUS_M == EARTH_RADIUS_M + GPS_ORBIT_ALTITUDE_M
+        assert np.all(np.abs(radii - GPS_ORBIT_RADIUS_M) < 0.01 * GPS_ORBIT_RADIUS_M)
 
     def test_continuity_bound(self):
-        c = Constellation()
         for t in np.arange(0.0, 200.0, 20.0):
-            d = np.linalg.norm(sat_positions(t + 0.1, c) - sat_positions(t, c), axis=1)
+            d = np.linalg.norm(sat_positions(t + 0.1) - sat_positions(t), axis=1)
             assert np.all(d < 5000.0)
 
     def test_pure_function(self):
-        c = Constellation()
-        assert np.array_equal(sat_positions(42.0, c), sat_positions(42.0, c))
-
-    def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            Constellation(3)
+        assert np.array_equal(sat_positions(42.0), sat_positions(42.0))
 
     def test_elevations_above_horizon(self):
-        sats = sat_positions(123.0, Constellation())
+        sats = sat_positions(123.0)
         assert np.all(sats[:, 2] > 0.0)
 
 
@@ -165,7 +170,7 @@ def reference_measurements(scenario):
     gps = {}
     for step in range(0, scenario.steps + 1, scenario.gps_every_steps):
         t = step * scenario.dt
-        sats = sat_positions(t, scenario.constellation)
+        sats = sat_positions(t)
         position = scenario.truth[step].translation
         if spoof is not None and t >= spoof.t_start:
             position = position + (np.asarray(spoof.direction) * spoof.ramp_rate
@@ -209,7 +214,7 @@ class TestStreamContract:
 class TestPseudoranges:
     def test_zero_sigma_exact(self):
         position = np.array([[100.0, -50.0, 3.0]])
-        sats = sat_positions(0.0, Constellation())[None]
+        sats = sat_positions(0.0)[None]
         ranges = gen_pseudoranges(position, sats, 0.0, make_rng(1, GPS_STREAM))
         expected = np.linalg.norm(position[0] - sats[0], axis=1)
         assert ranges.shape == (1, len(expected))
@@ -217,7 +222,7 @@ class TestPseudoranges:
 
     def test_noise_statistics(self):
         positions = np.zeros((1250, 3))
-        sats = np.broadcast_to(sat_positions(0.0, Constellation()), (1250, 8, 3))
+        sats = np.broadcast_to(sat_positions(0.0), (1250, 8, 3))
         rng = make_rng(11, GPS_STREAM)
         true_ranges = np.linalg.norm(positions[:, None, :] - sats, axis=-1)
         errs = gen_pseudoranges(positions, sats, 7.0, rng) - true_ranges
@@ -227,7 +232,7 @@ class TestPseudoranges:
 
     def test_seed_determinism(self):
         positions = np.zeros((3, 3))
-        sats = np.stack([sat_positions(t, Constellation()) for t in (0.0, 1.0, 2.0)])
+        sats = np.stack([sat_positions(t) for t in (0.0, 1.0, 2.0)])
         a = gen_pseudoranges(positions, sats, 7.0, make_rng(9, GPS_STREAM))
         b = gen_pseudoranges(positions, sats, 7.0, make_rng(9, GPS_STREAM))
         assert np.array_equal(a, b)
@@ -263,7 +268,7 @@ class TestSpoofing:
     def test_pre_start_identical_to_nominal(self):
         positions = np.array([[5.0, 5.0, 0.0], [6.0, 5.0, 0.0]])
         times = np.array([12.0, 13.0])
-        sats = np.stack([sat_positions(t, Constellation()) for t in times])
+        sats = np.stack([sat_positions(t) for t in times])
         profile = SpoofProfile(t_start=100.0, ramp_rate=2.0)
         nominal = gen_pseudoranges(positions, sats, 7.0, make_rng(4, GPS_STREAM))
         spoofed = gen_pseudoranges(positions + spoof_bias(times, profile), sats, 7.0,
@@ -328,19 +333,17 @@ class TestScenario:
             Scenario(truth=self._truth(100.0))
 
     def test_rates_must_align(self):
-        truth = self._truth()
-        with pytest.raises(ValueError):
-            Scenario(truth=truth, gps_rate_hz=3.0)
+        # dt = 0.36 s divides the 180 s epoch but not the 1 s GPS period.
+        with pytest.raises(ValueError, match="GPS rate must divide"):
+            Scenario(truth=self._truth(), dt=0.36)
 
     def test_dt_must_divide_auth_epoch(self):
-        # The GPS rate agrees with dt = 0.35 s, but 180 s is no whole
-        # number of steps.
         with pytest.raises(ValueError, match="does not divide"):
-            Scenario(truth=self._truth(), dt=0.35, gps_rate_hz=1 / 7)
+            Scenario(truth=self._truth(), dt=0.35)
 
     @pytest.mark.parametrize("kwargs,name", [
         (dict(sigma_gps=math.nan), "sigma_gps"), (dict(sigma_gps=math.inf), "sigma_gps"),
-        (dict(dt=math.nan), "dt"), (dict(gps_rate_hz=math.nan), "gps_rate_hz"),
+        (dict(dt=math.nan), "dt"), (dict(dt=math.inf), "dt"),
         (dict(sigma_icp=(math.nan,) + (0.01,) * 5), "sigma_icp")])
     def test_non_finite_rejected(self, kwargs, name):
         with pytest.raises(ValueError, match=name):

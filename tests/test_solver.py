@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from srfgo import factors as fmod
-from srfgo import liegroup
+from srfgo import liegroup, solver
 from srfgo.factors import (AnchorFactor, DegenerateGeometryError, GpsFactor,
                            OdometryFactor, linearize)
 from srfgo.liegroup import NearSingularLogError, Pose, compose, exp, inverse
-from srfgo.solver import DAMPING_MAX, SolveReport, SolverParams, WindowGraph
+from srfgo.solver import DAMPING_MAX, STEP_NORM_TOL, SolveReport, WindowGraph
 from conftest import random_pose, random_tangent
 
 SIGMA_GPS = 7.0
@@ -320,7 +320,7 @@ class TestForcedFailures:
         g = small_window(rng, 0.0)
         rot, t = g.rot.copy(), g.t.copy()
         report = g.optimize()
-        assert 1e-10 * np.sqrt(6 * len(g)) < SolverParams().step_norm_tol
+        assert 1e-10 * np.sqrt(6 * len(g)) < STEP_NORM_TOL
         assert len(solves) > 2
         assert report.status == "stalled"
         assert (report.iterations, report.converged) == (0, False)
@@ -408,6 +408,13 @@ class TestOptimize:
         assert (report.status, report.converged, report.iterations) == ("step-norm", True, 0)
         assert report.objective_history == (report.final_objective,)
         assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
+
+    def test_iteration_cap_ends_max_iterations(self, rng, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        report = small_window(rng, 0.02).optimize()
+        assert (report.status, report.converged, report.iterations) == (
+            "max-iterations", False, 1)
+        assert len(report.objective_history) == 2
 
     def test_iteration_time_counts_only_steps_taken(self, rng):
         # The untaken step that ends a stationary window is no iteration.
@@ -729,9 +736,3 @@ class TestValidation:
         for step in (3, 4, 8):
             with pytest.raises(ValueError, match="outside the window"):
                 g.estimate_of(step)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            SolverParams(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverParams(damping_init=-1.0)
