@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from srfgo import harness
+from srfgo.detector import DetectorState, test_statistic as window_statistic
 from srfgo.harness import (MODES, RunConfig, RunRecord, detection_stats,
                            epoch_false_alarm_probability, l2_errors, read_run,
                            run, summarize, summarize_runs, write_run)
 from srfgo.simkit import Scenario, SpoofProfile, gen_trajectory
+from srfgo.solver import WindowGraph
 
 SPEED = 10.0
 # Along-track at attack onset: circuit heading at t=100 s is 5.0 rad.
@@ -254,6 +258,66 @@ class TestModeBehavior:
     def test_sr_outperforms_naive_under_attack(self, spoofed_sr, spoofed_naive):
         assert (spoofed_sr.summary["mean_error_m"]
                 < spoofed_naive.summary["mean_error_m"])
+
+
+class TestCoasting:
+    def test_gps_excluded_windows_coast_at_their_optimum(self, monkeypatch):
+        # Nominal N 20 seed 6005 raises a false alarm, coasts, and is
+        # readmitted by the authentic fix at 180 s.
+        truth = gen_trajectory("circuit", 400.0, SPEED, seed=6005)
+        cfg = RunConfig(scenario=Scenario(truth=truth, seed=6005), mode="sr-fgo",
+                        window_size=20)
+        states, solved, taken = [], [], []
+
+        def state_factory():
+            states.append(DetectorState())
+            return states[-1]
+
+        def optimize(graph):
+            solved.append(graph)
+            return original_optimize(graph)
+
+        def statistic(graph):
+            taken.append((graph, states[0].gps_excluded))
+            return window_statistic(graph)
+
+        original_optimize = WindowGraph.optimize
+        monkeypatch.setattr(harness, "DetectorState", state_factory)
+        monkeypatch.setattr(WindowGraph, "optimize", optimize)
+        monkeypatch.setattr(harness, "window_statistic", statistic)
+        record = run(cfg)
+        monkeypatch.undo()
+
+        def was_solved(graph):
+            return any(graph is g for g in solved)
+
+        assert len(taken) == len(harness._batches(4000, 10, 1800))
+        coasted = [graph for graph, excluded in taken if excluded]
+        assert record.summary["windows_coasted"] == len(coasted) > 0
+        assert (record.summary["windows_optimized"] + len(coasted)
+                == len(taken))
+        for graph in coasted:
+            assert graph.gps_count() == 0 and not was_solved(graph)
+            probe = copy.deepcopy(graph)
+            report = probe.optimize()
+            assert (report.status, report.iterations) == ("step-norm", 0)
+            assert np.array_equal(probe.rot, graph.rot)
+            assert np.array_equal(probe.t, graph.t)
+        # Every other window is solved, including those after readmission.
+        assert all(was_solved(graph) for graph, excluded in taken if not excluded)
+        flags = [excluded for _, excluded in taken]
+        readmitted = [k for k in range(1, len(flags)) if flags[k - 1] and not flags[k]]
+        assert readmitted and was_solved(taken[readmitted[0]][0])
+        assert any(row["action"] == "gps-readmitted" and row["time_s"] == 180.0
+                   for row in record.auth_events)
+
+    def test_window_counts_add_up(self, nominal_naive, spoofed_sr):
+        for record in (nominal_naive, spoofed_sr):
+            assert (record.summary["windows_optimized"]
+                    + record.summary["windows_coasted"]
+                    == len(harness._batches(2000, 10, 1800)))
+        assert nominal_naive.summary["windows_coasted"] == 0
+        assert spoofed_sr.summary["windows_coasted"] > 0
 
 
 class TestSerialization:
