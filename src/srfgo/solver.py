@@ -77,6 +77,12 @@ class SolveReport:
     iteration_seconds: float = 0.0
 
 
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows a_k @ v_k of stacked (n, r, c) matrices and (n, c) vectors, as
+    one batched matmul."""
+    return (a @ v[:, :, None])[:, :, 0]
+
+
 def _compile(factors: Sequence, base: int) -> dict:
     """Factor objects as the stacked arrays the batched kernels take, keyed
     gps_*/odo_*/anc_*, odometry in chain order and the rest in input order;
@@ -181,10 +187,8 @@ class WindowGraph:
     def _objective_of(self, res: dict) -> float:
         comp = self.comp
         total = float(np.dot(comp["gps_w"], res["gps"] ** 2))
-        total += float(np.einsum("ni,nij,nj->", res["odometry"],
-                                 comp["odo_info"], res["odometry"]))
-        total += float(np.einsum("ni,nij,nj->", res["anchor"],
-                                 comp["anc_info"], res["anchor"]))
+        for kind, info in (("odometry", comp["odo_info"]), ("anchor", comp["anc_info"])):
+            total += float(np.vdot(res[kind], _matvec(info, res[kind])))
         return total
 
     def objective(self) -> float:
@@ -233,8 +237,9 @@ class WindowGraph:
             diag[:-1] += j_it @ (info @ j_i)
             diag[1:] += j_jt @ info_jj
             upper += j_it @ info_jj
-            grad[:-1] += np.einsum("nij,njk,nk->ni", j_it, info, e)
-            grad[1:] += np.einsum("nij,njk,nk->ni", j_jt, info, e)
+            info_e = _matvec(info, e)
+            grad[:-1] += _matvec(j_it, info_e)
+            grad[1:] += _matvec(j_jt, info_e)
 
         arow = comp["anc_rows"]
         if arow.size:  # the window's one anchor
@@ -242,7 +247,7 @@ class WindowGraph:
             jac_a = jac[n - 1:]
             jac_t = np.swapaxes(jac_a, -1, -2)
             diag[arow] += jac_t @ comp["anc_info"] @ jac_a
-            grad[arow] += np.einsum("nij,njk,nk->ni", jac_t, comp["anc_info"], e)
+            grad[arow] += _matvec(jac_t, _matvec(comp["anc_info"], e))
         return diag, upper, grad
 
     @staticmethod

@@ -211,6 +211,80 @@ class TestAssembly:
         assert np.array_equal(res["anchor"], anchor)
 
 
+def einsum_objective(g: WindowGraph, res: dict) -> float:
+    """Oracle: the objective with its quadratic forms as three-operand
+    einsums."""
+    comp = g.comp
+    total = float(np.dot(comp["gps_w"], res["gps"] ** 2))
+    total += float(np.einsum("ni,nij,nj->", res["odometry"], comp["odo_info"],
+                             res["odometry"]))
+    total += float(np.einsum("ni,nij,nj->", res["anchor"], comp["anc_info"],
+                             res["anchor"]))
+    return total
+
+
+def einsum_gradient(g: WindowGraph, rot: np.ndarray, res: dict) -> np.ndarray:
+    """Oracle: the gradient blocks sum J^T W e with every J^T W e of the
+    odometry and the anchor as a three-operand einsum."""
+    comp = g.comp
+    n = len(rot)
+    grad = np.zeros((n, 6))
+    rows = comp["gps_rows"]
+    if rows.size:
+        jt = fmod.gps_jacobians(rot[rows], res["gps_diff"], res["gps_ranges"])
+        np.add.at(grad, (rows, slice(3, None)),
+                  (comp["gps_w"] * res["gps"])[:, None] * jt)
+    jac = fmod.relative_jacobians(res["pose"], res["pose_jinv"])
+    if n > 1:
+        j_i, j_j = fmod.odometry_jacobians(jac[:n - 1], res["odo_rot_pred"],
+                                           res["odo_t_pred"])
+        for rows_of, j in ((slice(None, -1), j_i), (slice(1, None), j_j)):
+            grad[rows_of] += np.einsum("nij,njk,nk->ni", np.swapaxes(j, -1, -2),
+                                       comp["odo_info"], res["odometry"])
+    if comp["anc_rows"].size:
+        grad[comp["anc_rows"]] += np.einsum(
+            "nij,njk,nk->ni", np.swapaxes(jac[n - 1:], -1, -2), comp["anc_info"],
+            res["anchor"])
+    return grad
+
+
+class TestContractions:
+    @settings(max_examples=60, deadline=None)
+    @example(n=1, seed=0, with_gps=False, with_anchor=False)
+    @example(n=1, seed=0, with_gps=True, with_anchor=True)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
+           with_gps=st.booleans(), with_anchor=st.booleans())
+    def test_matmuls_match_einsum_oracle(self, n, seed, with_gps, with_anchor):
+        rng = np.random.default_rng(seed)
+        truth = truth_chain(rng, n)
+        facs = []
+        for k in range(n - 1):
+            meas = compose(compose(inverse(truth[k]), truth[k + 1]),
+                           exp(random_tangent(rng, max_angle=0.1, max_trans=0.2)))
+            a = rng.normal(size=(6, 6))
+            facs.append(OdometryFactor(k, k + 1, meas, a @ a.T + np.eye(6)))
+        if with_gps:
+            for k in rng.integers(0, n, size=rng.integers(1, 2 * n + 1)):
+                direction = rng.normal(size=3)
+                sat = truth[k].translation + direction / np.linalg.norm(direction) * 1e3
+                facs.append(GpsFactor(int(k), sat, 1e3 + rng.normal() * 5.0, 5.0))
+        if with_anchor:
+            prior = compose(truth[0], exp(random_tangent(rng, max_angle=0.1,
+                                                         max_trans=0.5)))
+            facs.append(AnchorFactor(0, prior, fmod.anchor_information()))
+        start = [compose(p, exp(random_tangent(rng, max_angle=0.2, max_trans=1.0)))
+                 for p in truth]
+        g = WindowGraph(list(enumerate(start)), facs, window_capacity=n)
+
+        res = g._residuals(g.rot, g.t)
+        want = einsum_objective(g, res)
+        assert abs(g._objective_of(res) - want) <= 1e-12 * want
+        _, _, grad = g._assemble(g.rot, res)
+        want = einsum_gradient(g, g.rot, res)
+        np.testing.assert_allclose(grad, want, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(want), initial=0.0))
+
+
 def random_normal_blocks(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and upper 6x6 blocks of H = B^T B for a random, well
     conditioned block upper bidiagonal B: an SPD block-tridiagonal H."""
