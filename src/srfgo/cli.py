@@ -274,24 +274,29 @@ def cmd_sweep(args) -> int:
     if runs < 1 or workers < 1:
         raise CliError("--runs and --workers must be >= 1")
     base_seed = int(s["seed"])
+    # Cells named alike (rates 1 and 1.0, a mode or size listed twice) would
+    # share run directories.
+    grid = [(f"{mode}-r{rate:g}-N{size}", mode, rate, size)
+            for mode in modes for rate in rates for size in sizes]
+    names = [name for name, *_ in grid]
+    for name in names:
+        if names.count(name) > 1:
+            raise CliError(f"sweep grid repeats cell {name}")
     out = Path(s["out"])
     out.mkdir(parents=True, exist_ok=True)
 
     # Each run is paired with its cell, so a failure is filed under that cell
     # only; workers receive the payload alone.
     cells, tasks = [], []
-    for mode in modes:
-        for rate in rates:
-            for size in sizes:
-                name = f"{mode}-r{rate:g}-N{size}"
-                cell = {"name": name, "mode": mode, "ramp_rate": rate,
-                        "window_size": size, "failures": {},
-                        "run_dirs": [str(out / name / f"run-{i:03d}") for i in range(runs)]}
-                settings = dict(s, mode=mode, ramp_rate=rate, window_size=size)
-                cells.append(cell)
-                tasks += [(cell, {"settings": settings, "seed": base_seed + i,
-                                  "out_dir": run_dir})
-                          for i, run_dir in enumerate(cell["run_dirs"])]
+    for name, mode, rate, size in grid:
+        cell = {"name": name, "mode": mode, "ramp_rate": rate,
+                "window_size": size, "failures": {},
+                "run_dirs": [str(out / name / f"run-{i:03d}") for i in range(runs)]}
+        settings = dict(s, mode=mode, ramp_rate=rate, window_size=size)
+        cells.append(cell)
+        tasks += [(cell, {"settings": settings, "seed": base_seed + i,
+                          "out_dir": run_dir})
+                  for i, run_dir in enumerate(cell["run_dirs"])]
 
     def attempt(cell: dict, payload: dict, call) -> None:
         try:

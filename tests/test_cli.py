@@ -85,6 +85,19 @@ class TestExitCodes:
                    "--out", tmp_path / "sweep") == 1
         assert "ramp rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("modes,rates,sizes,cell", [
+        ("odometry-only", "1,1.0", "20", "odometry-only-r1-N20"),
+        ("odometry-only,odometry-only", "0", "20", "odometry-only-r0-N20"),
+        ("odometry-only", "0", "20,020", "odometry-only-r0-N20")])
+    def test_sweep_rejects_repeated_cell(self, tmp_path, capsys, modes, rates,
+                                         sizes, cell):
+        # Two cells of one name would share their run directories.
+        assert cli("sweep", "--mode", modes, "--ramp-rate", rates,
+                   "--window-size", sizes, "--runs", "1", "--seed", "1",
+                   "--duration", "180", "--out", tmp_path / "sweep") == 1
+        assert f"repeats cell {cell}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     @pytest.mark.parametrize("flag,value,name", [
         ("--ramp-rate", "nan", "ramp rate"), ("--ramp-rate", "inf", "ramp rate"),
         ("--spoof-direction", "nan,0,0", "spoof direction"),
