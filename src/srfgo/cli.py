@@ -188,31 +188,32 @@ def _parse_list(value, flag: str, kind) -> list:
         raise CliError(f"bad {flag} list {value!r}") from None
 
 
-def _build_scenario(s: dict, seed: int) -> Scenario:
+def _trajectory(s: dict, seed: int) -> list:
     if s.get("trajectory"):
         try:
-            truth = load_trajectory(s["trajectory"], dt=s["dt"])
+            return load_trajectory(s["trajectory"], dt=s["dt"])
         except OSError as err:
             raise CliError(f"cannot read trajectory {s['trajectory']}: "
                            f"{err}") from None
-    else:
-        truth = gen_trajectory(s["kind"], s["duration"], s["speed"], seed=seed,
-                               dt=s["dt"])
+    return gen_trajectory(s["kind"], s["duration"], s["speed"], seed=seed,
+                          dt=s["dt"])
+
+
+def _run_config(s: dict, seed: int, truth) -> RunConfig:
     rate = _parse_rate(s["ramp_rate"])
     spoof = None
     if rate is not None:
         spoof = SpoofProfile(t_start=s["spoof_start"], ramp_rate=rate,
                              direction=_parse_direction(s["spoof_direction"]))
-    return Scenario(truth=truth, dt=s["dt"], sigma_gps=s["sigma_gps"],
-                    spoof=spoof, seed=seed)
+    scenario = Scenario(truth=truth, dt=s["dt"], sigma_gps=s["sigma_gps"],
+                        spoof=spoof, seed=seed)
+    return RunConfig(scenario=scenario, mode=s["mode"],
+                     window_size=int(s["window_size"]),
+                     window_shift=int(s["window_shift"]))
 
 
 def _execute_run(s: dict, seed: int, out_dir: Path):
-    scenario = _build_scenario(s, seed)
-    cfg = RunConfig(scenario=scenario, mode=s["mode"],
-                    window_size=int(s["window_size"]),
-                    window_shift=int(s["window_shift"]))
-    record = run_pipeline(cfg)
+    record = run_pipeline(_run_config(s, seed, _trajectory(s, seed)))
     write_run(record, out_dir)
     return record
 
@@ -266,8 +267,6 @@ def cmd_sweep(args) -> int:
         if mode not in MODES:
             raise CliError(f"--mode must list values from {MODES}, got {mode!r}")
     rates = _parse_list(s["ramp_rate"], "--ramp-rate", float)
-    for rate in rates:
-        _parse_rate(rate)  # rejects a negative or non-finite rate up front
     sizes = _parse_list(s["window_size"], "--window-size", int)
     runs = int(s["runs"])
     workers = int(s["workers"])
@@ -283,20 +282,24 @@ def cmd_sweep(args) -> int:
         if names.count(name) > 1:
             raise CliError(f"sweep grid repeats cell {name}")
     out = Path(s["out"])
-    out.mkdir(parents=True, exist_ok=True)
 
     # Each run is paired with its cell, so a failure is filed under that cell
-    # only; workers receive the payload alone.
+    # only; workers receive the payload alone.  Every cell is checked before
+    # any run starts, on one trajectory: no check depends on the seed.
+    truth = _trajectory(s, base_seed)
     cells, tasks = [], []
     for name, mode, rate, size in grid:
         cell = {"name": name, "mode": mode, "ramp_rate": rate,
                 "window_size": size, "failures": {},
                 "run_dirs": [str(out / name / f"run-{i:03d}") for i in range(runs)]}
         settings = dict(s, mode=mode, ramp_rate=rate, window_size=size)
+        _run_config(settings, base_seed, truth)
         cells.append(cell)
         tasks += [(cell, {"settings": settings, "seed": base_seed + i,
                           "out_dir": run_dir})
                   for i, run_dir in enumerate(cell["run_dirs"])]
+    del truth  # the runs build their own; freed, it adds nothing to peak memory
+    out.mkdir(parents=True, exist_ok=True)
 
     def attempt(cell: dict, payload: dict, call) -> None:
         try:

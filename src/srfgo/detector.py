@@ -59,10 +59,10 @@ def test_statistic(graph: "WindowGraph") -> Optional[Tuple[float, int]]:
     evaluated at the current estimates.  A window without GPS cannot be
     tested, which is distinct from a window that passes with q = 0.
     """
-    residuals, sigmas = graph.gps_residuals()
+    residuals, sigma = graph.gps_residuals()
     if residuals.size == 0:
         return None
-    normalized = residuals / sigmas
+    normalized = residuals / sigma
     return float(normalized @ normalized), int(residuals.size)
 
 

@@ -19,6 +19,9 @@ to one kind.  ``linearize`` runs the kernels on one factor, so the test
 suite's finite-difference checks of ``linearize`` (against independent
 per-pose references kept in the tests) cover the optimizer's Jacobians.
 
+GPS and odometry factors carry no noise: each stream has one, held by the
+window (srfgo.solver).  The anchor carries its own information.
+
 The odometry prediction is the body-frame relative transform x_i^-1 x_{i+1}.
 That form keeps the residual a function of local pose differences only; the
 world-frame alternative couples rotation error to absolute position and turns
@@ -27,7 +30,6 @@ near-degenerate at kilometre-scale coordinates.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -49,20 +51,12 @@ class DegenerateGeometryError(ValueError):
     """Receiver and satellite positions coincide; range direction undefined."""
 
 
-def _check_spd(info: np.ndarray, name: str) -> np.ndarray:
+def check_information(info: np.ndarray, name: str) -> np.ndarray:
+    """info as a float 6x6 array, once checked symmetric and positive
+    definite."""
     info = np.asarray(info, dtype=float)
     if info.shape != (6, 6):
         raise ValueError(f"{name} information must be 6x6, got {info.shape}")
-    _check_spd_values(info.tobytes(), name)
-    return info
-
-
-@functools.lru_cache(maxsize=64)
-def _check_spd_values(data: bytes, name: str) -> None:
-    """Symmetry and positive definiteness of one 6x6 matrix, by its bytes:
-    each distinct matrix is checked once, since every odometry factor of a
-    run carries the same one.  A rejection raises, so it is never cached."""
-    info = np.frombuffer(data).reshape(6, 6)
     # Exact symmetry, the common case, skips the costlier tolerance test;
     # NaN and asymmetric input still reach allclose and are rejected.
     if not (np.array_equal(info, info.T) or np.allclose(info, info.T, atol=1e-9)):
@@ -71,41 +65,38 @@ def _check_spd_values(data: bytes, name: str) -> None:
         np.linalg.cholesky(info)
     except np.linalg.LinAlgError as err:
         raise ValueError(f"{name} information must be positive definite") from err
+    return info
 
 
 @dataclass(eq=False)
 class GpsFactor:
-    """One pseudorange to one satellite at one node."""
+    """One pseudorange to one satellite at one node; its sigma is the
+    window's."""
 
     node_index: int
     sat_position: np.ndarray
     measured_range: float
-    sigma: float
 
     def __post_init__(self) -> None:
         self.sat_position = np.asarray(self.sat_position, dtype=float).reshape(3)
         self.measured_range = float(self.measured_range)
-        self.sigma = float(self.sigma)
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.measured_range <= 0:
             raise ValueError(f"measured_range must be positive, got {self.measured_range}")
 
 
 @dataclass(eq=False)
 class OdometryFactor:
-    """Relative-pose constraint between consecutive nodes."""
+    """Relative-pose constraint between consecutive nodes; its information
+    is the window's."""
 
     from_index: int
     to_index: int
     measured_transform: Pose
-    information: np.ndarray
 
     def __post_init__(self) -> None:
         if self.to_index != self.from_index + 1:
             raise ValueError(
                 f"odometry must link consecutive nodes, got {self.from_index}->{self.to_index}")
-        self.information = _check_spd(self.information, "odometry")
 
 
 @dataclass(eq=False)
@@ -117,7 +108,7 @@ class AnchorFactor:
     information: np.ndarray
 
     def __post_init__(self) -> None:
-        self.information = _check_spd(self.information, "anchor")
+        self.information = check_information(self.information, "anchor")
 
 
 @dataclass(eq=False)

@@ -170,14 +170,10 @@ def _auth_outcome(scenario: Scenario, t: float) -> str:
     return "failed" if active else "authentic"
 
 
-def _gps_factors_at(step: int, stream: MeasurementStream, sigma: float):
+def _gps_factors_at(step: int, stream: MeasurementStream):
     """GPS factors of the step's epoch; none on a step without one."""
     sats, ranges = stream.gps_epochs.get(step, ((), ()))
-    # A noiseless scenario (sigma 0) still needs a finite factor weight;
-    # unit sigma turns the GPS terms into plain least squares.
-    weight_sigma = sigma if sigma > 0.0 else 1.0
-    return [GpsFactor(step, sat, float(rho), weight_sigma)
-            for sat, rho in zip(sats, ranges)]
+    return [GpsFactor(step, sat, float(rho)) for sat, rho in zip(sats, ranges)]
 
 
 def _batches(n_steps: int, shift: int, epoch: int) -> list:
@@ -216,15 +212,16 @@ def run(cfg: RunConfig) -> RunRecord:
         smoothed_rot, smoothed_t = rot[-cfg.window_size:], t[-cfg.window_size:]
     else:
         det_state = DetectorState()
-        # Same unit-weight fallback as GPS: a noiseless run still needs a
-        # finite information matrix on the odometry chain.
-        odo_sigmas = tuple(s if s > 0.0 else 1.0 for s in scenario.sigma_icp)
-        odo_info = fmod.default_odometry_information(odo_sigmas)
         sr_mode = cfg.mode == "sr-fgo"
 
+        # A noiseless stream (sigma 0) still needs a finite weight; unit
+        # sigma turns its terms into plain least squares.
+        sigma_gps, *sigma_icp = (s if s > 0.0 else 1.0
+                                 for s in (scenario.sigma_gps, *scenario.sigma_icp))
         initial_factors = [AnchorFactor(0, truth[0], fmod.anchor_information()),
-                           *_gps_factors_at(0, stream, scenario.sigma_gps)]
-        graph = WindowGraph([(0, truth[0])], initial_factors, cfg.window_size)
+                           *_gps_factors_at(0, stream)]
+        graph = WindowGraph([(0, truth[0])], initial_factors, cfg.window_size,
+                            fmod.default_odometry_information(sigma_icp), sigma_gps)
 
         def authenticate(step: int, graph: WindowGraph) -> tuple[WindowGraph, int]:
             row = auth_rows[step // epoch]
@@ -238,10 +235,9 @@ def run(cfg: RunConfig) -> RunRecord:
             k_end = batch[-1]
             new_factors = []
             for i in batch:
-                new_factors.append(OdometryFactor(i - 1, i, stream.odometry[i - 1],
-                                                  odo_info))
+                new_factors.append(OdometryFactor(i - 1, i, stream.odometry[i - 1]))
                 if not det_state.gps_excluded:
-                    new_factors += _gps_factors_at(i, stream, scenario.sigma_gps)
+                    new_factors += _gps_factors_at(i, stream)
 
             overflow = len(graph) + len(batch) - cfg.window_size
             if overflow > 0:

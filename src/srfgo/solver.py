@@ -5,6 +5,8 @@ factor per consecutive pair, GPS pseudorange factors on the nodes that carry
 a GPS epoch, and a single anchor prior on the oldest node, all as arrays:
 stacked node states, and each factor compiled once, on entering the window,
 into the stacked arrays that the batched kernels of srfgo.factors take.
+Each sensor stream has one noise model: the window holds one odometry
+information and one GPS sigma; its anchor keeps its own information.
 The normal equations H delta = -b are block-tridiagonal in 6x6 blocks; we
 assemble the blocks from those kernels, applied to every factor at once,
 write them straight into LAPACK's upper band storage, ab[11 + i - j, j] =
@@ -78,8 +80,8 @@ class SolveReport:
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows a_k @ v_k of stacked (n, r, c) matrices and (n, c) vectors, as
-    one batched matmul."""
+    """Rows a_k @ v_k of stacked (n, r, c) matrices, or a @ v_k of one
+    (r, c) matrix, and (n, c) vectors, as one batched matmul."""
     return (a @ v[:, :, None])[:, :, 0]
 
 
@@ -100,11 +102,9 @@ def _compile(factors: Sequence, base: int) -> dict:
         "gps_rows": arr([f.node_index - base for f in gps], -1, int),
         "gps_sat": arr([f.sat_position for f in gps], (-1, 3)),
         "gps_meas": arr([f.measured_range for f in gps], -1),
-        "gps_w": arr([1.0 / f.sigma ** 2 for f in gps], -1),
         "odo_rows": arr([f.from_index - base for f in odo], -1, int),
         "odo_rot": arr([f.measured_transform.rotation for f in odo], (-1, 3, 3)),
         "odo_t": arr([f.measured_transform.translation for f in odo], (-1, 3)),
-        "odo_info": arr([f.information for f in odo], (-1, 6, 6)),
         "anc_rows": arr([f.node_index - base for f in anc], -1, int),
         "anc_rot": arr([f.prior_pose.rotation for f in anc], (-1, 3, 3)),
         "anc_t": arr([f.prior_pose.translation for f in anc], (-1, 3)),
@@ -114,18 +114,24 @@ def _compile(factors: Sequence, base: int) -> dict:
 
 class WindowGraph:
     """Window over the consecutive time steps base .. base + n - 1, held as
-    arrays only: node estimates ``rot`` (n, 3, 3) and ``t`` (n, 3), and the
-    factor arrays ``comp`` compiled when the factors entered the window.
+    arrays only: node estimates ``rot`` (n, 3, 3) and ``t`` (n, 3), the
+    factor arrays ``comp`` compiled when the factors entered the window, and
+    its odometry and GPS noise, ``odometry_information`` and ``gps_sigma``.
 
     ``optimize`` replaces the estimates of this graph; ``append``, ``slide``
     and ``strip_gps`` return a new graph and leave this one unchanged.
     """
 
     def __init__(self, nodes: Sequence[tuple[int, Pose]], factors: Sequence,
-                 window_capacity: int):
+                 window_capacity: int, odometry_information: np.ndarray,
+                 gps_sigma: float):
         idx = [int(i) for i, _ in nodes]
         if any(b - a != 1 for a, b in zip(idx, idx[1:])):
             raise ValueError("node time indices must be consecutive and increasing")
+        self.odometry_information = fmod.check_information(odometry_information, "odometry")
+        self.gps_sigma = float(gps_sigma)
+        if not 0.0 < self.gps_sigma < np.inf:  # also rejects NaN
+            raise ValueError(f"GPS sigma must be finite and positive, got {gps_sigma}")
         self.window_capacity = int(window_capacity)
         self.base = idx[0] if idx else 0
         self.rot = np.array([p.rotation for _, p in nodes]).reshape(-1, 3, 3)
@@ -185,9 +191,9 @@ class WindowGraph:
                 "anchor": pose[n_odo:], "odo_rot_pred": rot_pred, "odo_t_pred": t_pred}
 
     def _objective_of(self, res: dict) -> float:
-        comp = self.comp
-        total = float(np.dot(comp["gps_w"], res["gps"] ** 2))
-        for kind, info in (("odometry", comp["odo_info"]), ("anchor", comp["anc_info"])):
+        total = float(np.dot(res["gps"], res["gps"])) / self.gps_sigma ** 2
+        for kind, info in (("odometry", self.odometry_information),
+                           ("anchor", self.comp["anc_info"])):
             total += float(np.vdot(res[kind], _matvec(info, res[kind])))
         return total
 
@@ -195,12 +201,12 @@ class WindowGraph:
         """Sum of information-normalized squared residuals over all factors."""
         return self._objective_of(self._residuals(self.rot, self.t))
 
-    def gps_residuals(self) -> tuple[np.ndarray, np.ndarray]:
-        """(residuals, sigmas) for the GPS factors at current estimates."""
+    def gps_residuals(self) -> tuple[np.ndarray, float]:
+        """(residuals, sigma) for the GPS factors at current estimates."""
         comp = self.comp
         res, _, _ = fmod.gps_errors(self.t[comp["gps_rows"]], comp["gps_sat"],
                                     comp["gps_meas"])
-        return res, 1.0 / np.sqrt(comp["gps_w"])
+        return res, self.gps_sigma
 
     # -- normal equations --------------------------------------------------
 
@@ -217,8 +223,8 @@ class WindowGraph:
         rows = comp["gps_rows"]
         if rows.size:
             jt = fmod.gps_jacobians(rot[rows], res["gps_diff"], res["gps_ranges"])
-            w = comp["gps_w"]
-            blocks = w[:, None, None] * jt[:, :, None] * jt[:, None, :]
+            w = 1.0 / self.gps_sigma ** 2
+            blocks = w * jt[:, :, None] * jt[:, None, :]
             np.add.at(diag, (rows, slice(3, None), slice(3, None)), blocks)
             np.add.at(grad, (rows, slice(3, None)), (w * res["gps"])[:, None] * jt)
 
@@ -227,7 +233,7 @@ class WindowGraph:
         jac = fmod.relative_jacobians(res["pose"], res["pose_jinv"])
         if n > 1:
             e = res["odometry"]
-            info = comp["odo_info"]
+            info = self.odometry_information
             j_i, j_j = fmod.odometry_jacobians(jac[:n - 1], res["odo_rot_pred"],
                                                res["odo_t_pred"])
             j_it = np.swapaxes(j_i, -1, -2)
@@ -343,6 +349,7 @@ class WindowGraph:
         new = _compile(new_factors, base)
         graph = WindowGraph.__new__(WindowGraph)
         graph.window_capacity, graph.base = self.window_capacity, base
+        graph.odometry_information, graph.gps_sigma = self.odometry_information, self.gps_sigma
         graph.rot, graph.t = np.concatenate(rots), np.concatenate(ts)
         graph.comp = {key: np.concatenate([value, new[key]]) for key, value in comp.items()}
         graph._validate()

@@ -6,6 +6,15 @@ import numpy as np
 import pytest
 
 from srfgo import liegroup
+from srfgo.factors import default_odometry_information
+
+# The test windows' noise model, WindowGraph's last two arguments: the
+# odometry information of 0.01 rad and 0.05 m tangent stds, and a 7 m
+# pseudorange sigma.
+ODOMETRY_INFORMATION = default_odometry_information([0.01] * 3 + [0.05] * 3)
+ODOMETRY_INFORMATION.setflags(write=False)
+SIGMA_GPS = 7.0
+NOISE = (ODOMETRY_INFORMATION, SIGMA_GPS)
 
 
 def random_tangent(rng: np.random.Generator, max_angle: float = 3.0,

@@ -10,6 +10,7 @@ from srfgo.detector import DetectorState, mitigate
 from srfgo.factors import AnchorFactor, GpsFactor, OdometryFactor
 from srfgo.liegroup import Pose, compose, inverse
 from srfgo.solver import WindowGraph
+from conftest import NOISE
 
 
 class TestSchedule:
@@ -28,17 +29,16 @@ class TestSchedule:
 
 
 def _window_with_gps():
-    info = fmod.default_odometry_information([0.01] * 3 + [0.05] * 3)
     poses = [Pose(np.eye(3), np.array([0.5 * k, 0.0, 0.0])) for k in range(4)]
-    facs = [OdometryFactor(k, k + 1, compose(poses[k + 1], inverse(poses[k])), info)
+    facs = [OdometryFactor(k, k + 1, compose(poses[k + 1], inverse(poses[k])))
             for k in range(3)]
     facs.append(AnchorFactor(0, poses[0], fmod.anchor_information()))
     sats = [np.array([2.0e7, 0.0, 0.0]), np.array([0.0, 2.0e7, 0.0]),
             np.array([0.0, 0.0, 2.0e7])]
     for s in sats:
         true_range = float(np.linalg.norm(poses[3].translation - s))
-        facs.append(GpsFactor(3, s, true_range + 50.0, 7.0))
-    return WindowGraph(list(enumerate(poses)), facs, 10)
+        facs.append(GpsFactor(3, s, true_range + 50.0))
+    return WindowGraph(list(enumerate(poses)), facs, 10, *NOISE)
 
 
 class TestOnAuthentication:

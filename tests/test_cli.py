@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from srfgo import cli as cli_module
 from srfgo.cli import main
 from srfgo.harness import read_run
 from srfgo.simkit import load_trajectory
@@ -96,6 +97,25 @@ class TestExitCodes:
                    "--window-size", sizes, "--runs", "1", "--seed", "1",
                    "--duration", "180", "--out", tmp_path / "sweep") == 1
         assert f"repeats cell {cell}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--mode", "naive-fgo", "--ramp-rate", "0", "--window-size", "5"],
+         "shift < window size"),
+        (["--mode", "odometry-only", "--ramp-rate", "0", "--window-size", "20",
+          "--sigma-gps", "nan"], "sigma_gps"),
+        (["--mode", "odometry-only", "--ramp-rate", "0,1", "--window-size", "20",
+          "--spoof-start", "nan"], "t_start")])
+    def test_sweep_rejects_invalid_cell_before_any_run(self, tmp_path, capsys,
+                                                       monkeypatch, flags, message):
+        # The configuration error `run` reports (exit 1), before any run.
+        def forbidden(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli_module, "run_pipeline", forbidden)
+        assert cli("sweep", *flags, "--runs", "1", "--seed", "1", "--duration", "180",
+                   "--out", tmp_path / "sweep") == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("flag,value,name", [
@@ -241,13 +261,18 @@ class TestSweep:
         assert (small["runs"], small["failures"]) == (1, [])
         assert (large["runs"], large["failures"]) == (0, [str(blocked)])
 
-    def test_cell_with_no_successful_run_still_summarized(self, tmp_path, capsys):
+    def test_cell_with_no_successful_run_still_summarized(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def fail(cfg):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(cli_module, "run_pipeline", fail)
         out = tmp_path / "sw"
         assert cli("sweep", "--mode", "odometry-only", "--ramp-rate", "0",
-                   "--sigma-gps", "nan", "--window-size", "20", "--runs", "1",
+                   "--window-size", "20", "--runs", "1",
                    "--seed", "1", "--duration", "180", "--out", out) == 2
         run_dir = out / "odometry-only-r0-N20" / "run-000"
-        assert f"failed: {run_dir}: ValueError: sigma_gps" in capsys.readouterr().err
+        assert f"failed: {run_dir}: RuntimeError: run failed" in capsys.readouterr().err
         cell = json.loads((out / "odometry-only-r0-N20" / "summary.json").read_text())
         assert (cell["runs"], cell["failures"]) == (0, [str(run_dir)])
         top = json.loads((out / "summary.json").read_text())

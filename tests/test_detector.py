@@ -16,8 +16,8 @@ from srfgo.factors import AnchorFactor, GpsFactor, OdometryFactor
 from srfgo.liegroup import Pose, compose, inverse
 from srfgo.rngutil import GPS_STREAM, make_rng, normal
 from srfgo.solver import WindowGraph
+from conftest import NOISE, SIGMA_GPS
 
-SIGMA_GPS = 7.0
 
 # Frozen before the implementation existed, from bisection on
 # scipy.special.gammainc (an independent evaluation route).
@@ -97,7 +97,7 @@ class TestThreshold:
             threshold(DetectorConfig(), 0)
 
 
-def _single_node_graph(offsets, sigma=SIGMA_GPS):
+def _single_node_graph(offsets):
     """One node at the origin with one GPS factor per range offset."""
     pose = Pose(np.eye(3), np.zeros(3))
     sats = [np.array([2.0e7, 0.0, 0.0]), np.array([0.0, 2.0e7, 0.0]),
@@ -108,8 +108,8 @@ def _single_node_graph(offsets, sigma=SIGMA_GPS):
     for k, off in enumerate(offsets):
         sat = sats[k % len(sats)]
         rng_true = float(np.linalg.norm(sat))
-        factors.append(GpsFactor(0, sat, rng_true + off, sigma))
-    return WindowGraph([(0, pose)], factors, window_capacity=2)
+        factors.append(GpsFactor(0, sat, rng_true + off))
+    return WindowGraph([(0, pose)], factors, 2, *NOISE)
 
 
 class TestTestStatistic:
@@ -124,7 +124,7 @@ class TestTestStatistic:
     def test_no_gps_is_no_test(self):
         pose = Pose(np.eye(3), np.zeros(3))
         g = WindowGraph([(0, pose), (1, pose)],
-                        [OdometryFactor(0, 1, Pose.identity(), np.eye(6))], 4)
+                        [OdometryFactor(0, 1, Pose.identity())], 4, *NOISE)
         assert window_statistic(g) is None
 
     def test_permutation_invariance(self):
@@ -191,9 +191,8 @@ class TestDecide:
 class TestMitigate:
     def _spoofed_window(self, rng):
         # Noiseless odometry chain; GPS carries a +100 m range bias.
-        info = fmod.default_odometry_information([0.01] * 3 + [0.05] * 3)
         poses = [Pose(np.eye(3), np.array([0.5 * k, 0.0, 0.0])) for k in range(6)]
-        facs = [OdometryFactor(k, k + 1, compose(inverse(poses[k]), poses[k + 1]), info)
+        facs = [OdometryFactor(k, k + 1, compose(inverse(poses[k]), poses[k + 1]))
                 for k in range(5)]
         facs.append(AnchorFactor(0, poses[0], fmod.anchor_information()))
         sats = [np.array([2.0e7, 0.0, 0.0]), np.array([0.0, 2.0e7, 0.0]),
@@ -201,8 +200,8 @@ class TestMitigate:
         for k in (0, 5):
             for s in sats:
                 true_range = float(np.linalg.norm(poses[k].translation - s))
-                facs.append(GpsFactor(k, s, true_range + 100.0, SIGMA_GPS))
-        return WindowGraph(list(enumerate(poses)), facs, 10), poses
+                facs.append(GpsFactor(k, s, true_range + 100.0))
+        return WindowGraph(list(enumerate(poses)), facs, 10, *NOISE), poses
 
     def test_requires_latched_state(self, rng):
         g, _ = self._spoofed_window(rng)

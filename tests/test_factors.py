@@ -15,7 +15,8 @@ from srfgo.factors import (
     linearize,
 )
 from srfgo.liegroup import Pose, compose, exp, inverse, ominus
-from conftest import random_pose, random_tangent
+from srfgo.solver import WindowGraph
+from conftest import ODOMETRY_INFORMATION, SIGMA_GPS, random_pose, random_tangent
 
 FD_STEP = 1e-6
 
@@ -86,14 +87,14 @@ def random_factor_case(rng, kind: int):
         direction /= np.linalg.norm(direction)
         sat = pose.translation + direction * rng.uniform(5e2, 5e3)
         f = GpsFactor(0, sat, float(np.linalg.norm(sat - pose.translation))
-                      + rng.normal() * 7, 7.0)
+                      + rng.normal() * 7)
         return f, {0: pose}, lambda st: gps_residual(f, st[0])
     if kind == 1:
         x_i = random_pose(rng, max_angle=1.2)
         x_j = compose(exp(random_tangent(rng, max_angle=0.8, max_trans=1.0)), x_i)
         meas = compose(odom_predict(x_i, x_j),
                        exp(random_tangent(rng, max_angle=0.5, max_trans=0.5)))
-        f = OdometryFactor(0, 1, meas, np.eye(6))
+        f = OdometryFactor(0, 1, meas)
         return f, {0: x_i, 1: x_j}, lambda st: odom_residual(f, st[0], st[1])
     x = random_pose(rng, max_angle=1.5)
     prior = compose(x, exp(random_tangent(rng, max_angle=0.8, max_trans=1.0)))
@@ -121,11 +122,11 @@ class TestGpsPredict:
 
 class TestGpsResidual:
     def test_measured_minus_predicted(self):
-        f = GpsFactor(0, np.array([3.0, 4.0, 0.0]), 5.5, 7.0)
+        f = GpsFactor(0, np.array([3.0, 4.0, 0.0]), 5.5)
         assert gps_residual(f, transl(0, 0, 0)) == pytest.approx(0.5)
 
     def test_zero_at_truth(self):
-        f = GpsFactor(0, np.array([3.0, 4.0, 0.0]), 5.0, 7.0)
+        f = GpsFactor(0, np.array([3.0, 4.0, 0.0]), 5.0)
         assert gps_residual(f, transl(0, 0, 0)) == pytest.approx(0.0)
 
     def test_bias_along_los_passes_through(self, rng):
@@ -134,13 +135,13 @@ class TestGpsResidual:
         truth = random_pose(rng, max_angle=1.0)
         sat = truth.translation + 2.0e7 * np.array([0.3, -0.5, 0.81]) / np.linalg.norm([0.3, -0.5, 0.81])
         b = 12.5
-        f = GpsFactor(0, sat, gps_predict(truth, sat) + b, 7.0)
+        f = GpsFactor(0, sat, gps_predict(truth, sat) + b)
         assert gps_residual(f, truth) == pytest.approx(b, abs=1e-6)
 
     def test_rotation_invariance(self, rng):
         sat = np.array([1.0e7, -5.0e6, 2.0e7])
         t = np.array([10.0, 20.0, 30.0])
-        vals = [gps_residual(GpsFactor(0, sat, 2.1e7, 7.0),
+        vals = [gps_residual(GpsFactor(0, sat, 2.1e7),
                              Pose(random_pose(rng).rotation, t)) for _ in range(5)]
         assert np.ptp(vals) < 1e-9
 
@@ -163,11 +164,11 @@ class TestOdomPredictResidual:
     def test_zero_residual_when_consistent(self, rng):
         x_i = random_pose(rng)
         x_j = random_pose(rng)
-        f = OdometryFactor(0, 1, odom_predict(x_i, x_j), np.eye(6))
+        f = OdometryFactor(0, 1, odom_predict(x_i, x_j))
         assert np.allclose(odom_residual(f, x_i, x_j), 0.0, atol=1e-9)
 
     def test_pure_translation_measurement(self):
-        f = OdometryFactor(0, 1, transl(0.1, 0, 0), np.eye(6))
+        f = OdometryFactor(0, 1, transl(0.1, 0, 0))
         r = odom_residual(f, Pose.identity(), Pose.identity())
         assert np.allclose(r, [0, 0, 0, 0.1, 0, 0], atol=1e-12)
 
@@ -178,13 +179,13 @@ class TestOdomPredictResidual:
         nu = random_tangent(rng, max_angle=0.3, max_trans=0.5)
         pred = odom_predict(x_i, x_j)
         meas = compose(pred, exp(nu))
-        f = OdometryFactor(4, 5, meas, np.eye(6))
+        f = OdometryFactor(4, 5, meas)
         assert np.allclose(odom_residual(f, x_i, x_j), nu, atol=1e-9)
 
     def test_residual_nonzero_iff_inconsistent(self, rng):
         x_i = random_pose(rng)
         x_j = random_pose(rng)
-        f = OdometryFactor(0, 1, compose(odom_predict(x_i, x_j), exp(1e-3 * np.ones(6))), np.eye(6))
+        f = OdometryFactor(0, 1, compose(odom_predict(x_i, x_j), exp(1e-3 * np.ones(6))))
         assert np.linalg.norm(odom_residual(f, x_i, x_j)) > 1e-4
 
 
@@ -193,7 +194,7 @@ class TestLinearize:
         truth = Pose(np.eye(3), np.array([5.0, -3.0, 2.0]))
         sat = np.array([1.2e7, 0.8e7, 1.9e7])
         noise = -1.7
-        f = GpsFactor(3, sat, gps_predict(truth, sat) + noise, 7.0)
+        f = GpsFactor(3, sat, gps_predict(truth, sat) + noise)
         lin = linearize(f, {3: truth})
         assert lin.residual[0] == pytest.approx(noise)
         los = (sat - truth.translation) / np.linalg.norm(sat - truth.translation)
@@ -204,14 +205,14 @@ class TestLinearize:
         for _ in range(10):
             pose = random_pose(rng)
             sat = pose.translation + rng.normal(size=3) * 1.0e7
-            f = GpsFactor(0, sat, float(np.linalg.norm(sat - pose.translation)) + 1.0, 7.0)
+            f = GpsFactor(0, sat, float(np.linalg.norm(sat - pose.translation)) + 1.0)
             lin = linearize(f, {0: pose})
             assert np.max(np.abs(lin.jacobians[0][0, :3])) <= 1e-10
 
     def test_odometry_consistent_full_rank(self, rng):
         x_i = random_pose(rng, max_angle=0.5)
         x_j = random_pose(rng, max_angle=0.5)
-        f = OdometryFactor(0, 1, odom_predict(x_i, x_j), np.eye(6))
+        f = OdometryFactor(0, 1, odom_predict(x_i, x_j))
         lin = linearize(f, {0: x_i, 1: x_j})
         assert np.allclose(lin.residual, 0.0, atol=1e-9)
         for jac in lin.jacobians:
@@ -231,7 +232,7 @@ class TestLinearize:
             x_j = compose(x_i, exp(random_tangent(rng, max_angle=0.8, max_trans=1.0)))
             meas = compose(odom_predict(x_i, x_j),
                            exp(random_tangent(rng, max_angle=0.5, max_trans=0.5)))
-            f = OdometryFactor(0, 1, meas, np.eye(6))
+            f = OdometryFactor(0, 1, meas)
             lin = linearize(f, {0: x_i, 1: x_j})
             e = lin.residual
             alt = (liegroup.se3_right_jacobian_inv(e)
@@ -256,35 +257,41 @@ class TestLinearize:
         assert worst <= 1e-5, f"worst relative Jacobian deviation {worst:.3e}"
 
 
+def one_node_window(odometry_information=ODOMETRY_INFORMATION,
+                    gps_sigma=SIGMA_GPS) -> WindowGraph:
+    """A window built with the given noise model, which it validates."""
+    return WindowGraph([(0, Pose.identity())], [], 1, odometry_information, gps_sigma)
+
+
 class TestValidation:
     def test_gps_rejects_bad_sigma(self):
+        # The sigma is the window's, so the window checks it.
+        for sigma in (0.0, -7.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                one_node_window(gps_sigma=sigma)
         with pytest.raises(ValueError):
-            GpsFactor(0, np.ones(3), 5.0, 0.0)
-        with pytest.raises(ValueError):
-            GpsFactor(0, np.ones(3), -5.0, 7.0)
+            GpsFactor(0, np.ones(3), -5.0)
 
     def test_odometry_rejects_nonconsecutive(self):
         with pytest.raises(ValueError):
-            OdometryFactor(0, 2, Pose.identity(), np.eye(6))
+            OdometryFactor(0, 2, Pose.identity())
 
     def test_odometry_rejects_non_spd(self):
-        with pytest.raises(ValueError):
-            OdometryFactor(0, 1, Pose.identity(), -np.eye(6))
-        with pytest.raises(ValueError):
-            bad = np.eye(6)
-            bad[0, 5] = 1.0
-            OdometryFactor(0, 1, Pose.identity(), bad)
+        bad = np.eye(6)
+        bad[0, 5] = 1.0
+        for info in (-np.eye(6), bad, np.eye(5)):
+            with pytest.raises(ValueError, match="odometry information"):
+                one_node_window(info)
 
     def test_information_symmetry_tolerance(self):
         near = np.eye(6)
         near[0, 5] = 1e-12  # within the 1e-9 tolerance, not exactly symmetric
-        assert np.array_equal(OdometryFactor(0, 1, Pose.identity(), near).information,
-                              near)
+        assert np.array_equal(one_node_window(near).odometry_information, near)
         for bad_value in (np.nan, 1e-3):
             bad = np.eye(6)
             bad[0, 5] = bad_value
             with pytest.raises(ValueError, match="symmetric"):
-                OdometryFactor(0, 1, Pose.identity(), bad)
+                one_node_window(bad)
 
     def test_anchor_rejects_non_spd(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,9 @@ from srfgo.detector import DetectorState, test_statistic as window_statistic
 from srfgo.harness import (MODES, RunConfig, RunRecord, detection_stats,
                            epoch_false_alarm_probability, l2_errors, read_run,
                            run, summarize, summarize_runs, write_run)
-from srfgo.simkit import Scenario, SpoofProfile, gen_trajectory
+from srfgo.factors import default_odometry_information
+from srfgo.simkit import (SIGMA_GPS_DEFAULT, SIGMA_ICP_DEFAULT, Scenario, SpoofProfile,
+                          gen_trajectory)
 from srfgo.solver import WindowGraph
 
 SPEED = 10.0
@@ -176,6 +178,27 @@ class TestOdometryOnly:
                               record.est_translations[-100:])
         assert np.array_equal(record.smoothed_quaternions,
                               record.est_quaternions[-100:])
+
+
+class TestNoiseModel:
+    @pytest.mark.parametrize("overrides,information,sigma", [
+        ({}, default_odometry_information(SIGMA_ICP_DEFAULT), SIGMA_GPS_DEFAULT),
+        # A noiseless stream still needs a finite weight: unit sigma.
+        ({"sigma_gps": 0.0, "sigma_icp": (0.0,) * 6}, np.eye(6), 1.0)])
+    def test_window_built_with_the_scenario_noise(self, monkeypatch, overrides,
+                                                  information, sigma):
+        class FirstSolve(Exception):
+            pass
+
+        def optimize(graph):
+            raise FirstSolve(graph)
+
+        monkeypatch.setattr(WindowGraph, "optimize", optimize)
+        with pytest.raises(FirstSolve) as stop:
+            run(RunConfig(scenario=make_scenario(**overrides), mode="naive-fgo"))
+        graph = stop.value.args[0]
+        assert np.array_equal(graph.odometry_information, information)
+        assert graph.gps_sigma == sigma
 
 
 class TestAuthenticationEpochs:

@@ -14,9 +14,7 @@ from srfgo.factors import (AnchorFactor, DegenerateGeometryError, GpsFactor,
                            OdometryFactor, linearize)
 from srfgo.liegroup import NearSingularLogError, Pose, compose, exp, inverse
 from srfgo.solver import DAMPING_MAX, STEP_NORM_TOL, SolveReport, WindowGraph
-from conftest import random_pose, random_tangent
-
-SIGMA_GPS = 7.0
+from conftest import NOISE, ODOMETRY_INFORMATION, SIGMA_GPS, random_pose, random_tangent
 
 # Well-spread unit directions for synthetic satellites.
 SAT_DIRECTIONS = np.array([
@@ -47,22 +45,20 @@ def truth_chain(rng, n: int, step_trans=0.5, step_rot=0.05) -> list[Pose]:
 
 
 def odometry_factors(truth: list[Pose], start_index: int = 0) -> list[OdometryFactor]:
-    info = fmod.default_odometry_information([0.01] * 3 + [0.05] * 3)
     out = []
     for k in range(len(truth) - 1):
         meas = compose(inverse(truth[k]), truth[k + 1])
-        out.append(OdometryFactor(start_index + k, start_index + k + 1, meas, info))
+        out.append(OdometryFactor(start_index + k, start_index + k + 1, meas))
     return out
 
 
-def gps_factors(truth: list[Pose], node_indices, num_sats: int = 8,
-                sigma: float = SIGMA_GPS) -> list[GpsFactor]:
+def gps_factors(truth: list[Pose], node_indices, num_sats: int = 8) -> list[GpsFactor]:
     sats = sat_positions(num_sats)
     out = []
     for k, pose in zip(node_indices, truth):
         for s in sats:
             rng_true = float(np.linalg.norm(pose.translation - s))
-            out.append(GpsFactor(k, s, rng_true, sigma))
+            out.append(GpsFactor(k, s, rng_true))
     return out
 
 
@@ -71,25 +67,25 @@ class TestObjective:
         truth = truth_chain(rng, 5)
         g = WindowGraph(list(enumerate(truth)),
                         odometry_factors(truth) + [AnchorFactor(0, truth[0], fmod.anchor_information())],
-                        window_capacity=10)
+                        10, *NOISE)
         assert g.objective() == pytest.approx(0.0, abs=1e-18)
 
     def test_single_gps_normalization(self):
         pose = Pose(np.eye(3), np.zeros(3))
         sat = np.array([0.0, 0.0, 2.0e7])
-        f = GpsFactor(0, sat, 2.0e7 + SIGMA_GPS, SIGMA_GPS)
-        g = WindowGraph([(0, pose)], [f], window_capacity=2)
+        f = GpsFactor(0, sat, 2.0e7 + SIGMA_GPS)
+        g = WindowGraph([(0, pose)], [f], 2, *NOISE)
         assert g.objective() == pytest.approx(1.0, rel=1e-12)
 
     def test_additivity(self):
         pose = Pose(np.eye(3), np.zeros(3))
         sat_a = np.array([0.0, 0.0, 2.0e7])
         sat_b = np.array([2.0e7, 0.0, 0.0])
-        fa = GpsFactor(0, sat_a, 2.0e7 + 3.0, SIGMA_GPS)
-        fb = GpsFactor(0, sat_b, 2.0e7 - 4.0, SIGMA_GPS)
-        ga = WindowGraph([(0, pose)], [fa], 2).objective()
-        gb = WindowGraph([(0, pose)], [fb], 2).objective()
-        gab = WindowGraph([(0, pose)], [fa, fb], 2).objective()
+        fa = GpsFactor(0, sat_a, 2.0e7 + 3.0)
+        fb = GpsFactor(0, sat_b, 2.0e7 - 4.0)
+        ga = WindowGraph([(0, pose)], [fa], 2, *NOISE).objective()
+        gb = WindowGraph([(0, pose)], [fb], 2, *NOISE).objective()
+        gab = WindowGraph([(0, pose)], [fa, fb], 2, *NOISE).objective()
         assert gab == pytest.approx(ga + gb, rel=1e-12)
 
     def test_gps_sigma_scaling_exact(self):
@@ -97,10 +93,10 @@ class TestObjective:
         # keeps float arithmetic exact).
         pose = Pose(np.eye(3), np.zeros(3))
         sat = np.array([0.0, 0.0, 2.0e7])
-        f1 = GpsFactor(0, sat, 2.0e7 + 3.0, SIGMA_GPS)
-        f2 = GpsFactor(0, sat, 2.0e7 + 3.0, 2.0 * SIGMA_GPS)
-        o1 = WindowGraph([(0, pose)], [f1], 2).objective()
-        o2 = WindowGraph([(0, pose)], [f2], 2).objective()
+        f = GpsFactor(0, sat, 2.0e7 + 3.0)
+        o1 = WindowGraph([(0, pose)], [f], 2, *NOISE).objective()
+        o2 = WindowGraph([(0, pose)], [f], 2, ODOMETRY_INFORMATION,
+                         2.0 * SIGMA_GPS).objective()
         assert o2 == o1 / 4.0
 
 
@@ -114,25 +110,30 @@ def check_blocks_match_dense(rng, order=list) -> WindowGraph:
     for k in range(n - 1):
         meas = compose(compose(inverse(truth[k]), truth[k + 1]),
                        exp(random_tangent(rng, max_angle=0.1, max_trans=0.2)))
-        a = rng.normal(size=(6, 6))
-        facs.append(OdometryFactor(k, k + 1, meas, a @ a.T + np.eye(6)))
+        facs.append(OdometryFactor(k, k + 1, meas))
     for k in (1, 3, 3, 4):  # two GPS factors share node 3
         direction = rng.normal(size=3)
         sat = truth[k].translation + direction / np.linalg.norm(direction) * 1e3
-        facs.append(GpsFactor(k, sat, 1e3 + rng.normal() * 5.0, 5.0))
+        facs.append(GpsFactor(k, sat, 1e3 + rng.normal() * 5.0))
     prior = compose(truth[0], exp(random_tangent(rng, max_angle=0.1, max_trans=0.5)))
     facs.append(AnchorFactor(0, prior, fmod.anchor_information()))
     start = [compose(p, exp(random_tangent(rng, max_angle=0.2, max_trans=1.0)))
              for p in truth]
-    g = WindowGraph(list(enumerate(start)), order(facs), window_capacity=n)
+    # A full SPD information, so off-diagonal entries are exercised too.
+    a = rng.normal(size=(6, 6))
+    g = WindowGraph(list(enumerate(start)), order(facs), n, a @ a.T + np.eye(6), 5.0)
 
     h = np.zeros((n, 6, n, 6))
     b = np.zeros((n, 6))
     states = {k: g.estimate_of(k) for k in range(g.base, g.base + len(g))}
     for f in facs:
         lin = linearize(f, states)
-        w = (np.array([[f.sigma ** -2]]) if isinstance(f, GpsFactor)
-             else f.information)
+        if isinstance(f, GpsFactor):
+            w = np.array([[g.gps_sigma ** -2]])
+        elif isinstance(f, OdometryFactor):
+            w = g.odometry_information
+        else:
+            w = f.information
         e = np.atleast_1d(lin.residual)
         for a, j_a in zip(lin.node_indices, lin.jacobians):
             b[a] += j_a.T @ w @ e
@@ -211,12 +212,17 @@ class TestAssembly:
         assert np.array_equal(res["anchor"], anchor)
 
 
+def stacked_information(g: WindowGraph) -> np.ndarray:
+    """The window's one odometry information, broadcast to every row."""
+    return np.broadcast_to(g.odometry_information, (len(g) - 1, 6, 6))
+
+
 def einsum_objective(g: WindowGraph, res: dict) -> float:
     """Oracle: the objective with its quadratic forms as three-operand
     einsums."""
     comp = g.comp
-    total = float(np.dot(comp["gps_w"], res["gps"] ** 2))
-    total += float(np.einsum("ni,nij,nj->", res["odometry"], comp["odo_info"],
+    total = float(np.dot(np.full(len(res["gps"]), g.gps_sigma ** -2), res["gps"] ** 2))
+    total += float(np.einsum("ni,nij,nj->", res["odometry"], stacked_information(g),
                              res["odometry"]))
     total += float(np.einsum("ni,nij,nj->", res["anchor"], comp["anc_info"],
                              res["anchor"]))
@@ -233,14 +239,14 @@ def einsum_gradient(g: WindowGraph, rot: np.ndarray, res: dict) -> np.ndarray:
     if rows.size:
         jt = fmod.gps_jacobians(rot[rows], res["gps_diff"], res["gps_ranges"])
         np.add.at(grad, (rows, slice(3, None)),
-                  (comp["gps_w"] * res["gps"])[:, None] * jt)
+                  (g.gps_sigma ** -2 * res["gps"])[:, None] * jt)
     jac = fmod.relative_jacobians(res["pose"], res["pose_jinv"])
     if n > 1:
         j_i, j_j = fmod.odometry_jacobians(jac[:n - 1], res["odo_rot_pred"],
                                            res["odo_t_pred"])
         for rows_of, j in ((slice(None, -1), j_i), (slice(1, None), j_j)):
             grad[rows_of] += np.einsum("nij,njk,nk->ni", np.swapaxes(j, -1, -2),
-                                       comp["odo_info"], res["odometry"])
+                                       stacked_information(g), res["odometry"])
     if comp["anc_rows"].size:
         grad[comp["anc_rows"]] += np.einsum(
             "nij,njk,nk->ni", np.swapaxes(jac[n - 1:], -1, -2), comp["anc_info"],
@@ -261,20 +267,20 @@ class TestContractions:
         for k in range(n - 1):
             meas = compose(compose(inverse(truth[k]), truth[k + 1]),
                            exp(random_tangent(rng, max_angle=0.1, max_trans=0.2)))
-            a = rng.normal(size=(6, 6))
-            facs.append(OdometryFactor(k, k + 1, meas, a @ a.T + np.eye(6)))
+            facs.append(OdometryFactor(k, k + 1, meas))
         if with_gps:
             for k in rng.integers(0, n, size=rng.integers(1, 2 * n + 1)):
                 direction = rng.normal(size=3)
                 sat = truth[k].translation + direction / np.linalg.norm(direction) * 1e3
-                facs.append(GpsFactor(int(k), sat, 1e3 + rng.normal() * 5.0, 5.0))
+                facs.append(GpsFactor(int(k), sat, 1e3 + rng.normal() * 5.0))
         if with_anchor:
             prior = compose(truth[0], exp(random_tangent(rng, max_angle=0.1,
                                                          max_trans=0.5)))
             facs.append(AnchorFactor(0, prior, fmod.anchor_information()))
         start = [compose(p, exp(random_tangent(rng, max_angle=0.2, max_trans=1.0)))
                  for p in truth]
-        g = WindowGraph(list(enumerate(start)), facs, window_capacity=n)
+        a = rng.normal(size=(6, 6))
+        g = WindowGraph(list(enumerate(start)), facs, n, a @ a.T + np.eye(6), 5.0)
 
         res = g._residuals(g.rot, g.t)
         want = einsum_objective(g, res)
@@ -350,7 +356,7 @@ def small_window(rng, perturbation: float, n: int = 6) -> WindowGraph:
             + [AnchorFactor(0, truth[0], fmod.anchor_information())])
     start = [compose(p, exp(perturbation * random_tangent(rng, 1.0, 1.0)))
              for p in truth]
-    return WindowGraph(list(enumerate(start)), facs, window_capacity=n)
+    return WindowGraph(list(enumerate(start)), facs, n, *NOISE)
 
 
 class TestForcedFailures:
@@ -454,13 +460,12 @@ def stationary_window(rng) -> WindowGraph:
     rejection per tenfold damping increase."""
     offset = Pose(np.eye(3), np.array([300.0, -300.0, 0.0]))
     truth = [compose(offset, p) for p in truth_chain(rng, 30, step_trans=1.0)]
-    info = fmod.default_odometry_information([0.01] * 3 + [0.05] * 3)
     odometry = [OdometryFactor(f.from_index, f.to_index,
                                compose(f.measured_transform,
-                                       exp(0.01 * random_tangent(rng, 1.0, 1.0))),
-                               info) for f in odometry_factors(truth)]
+                                       exp(0.01 * random_tangent(rng, 1.0, 1.0))))
+                for f in odometry_factors(truth)]
     g = WindowGraph([(0, truth[0])], [AnchorFactor(0, truth[0], fmod.anchor_information())],
-                    window_capacity=30)
+                    30, *NOISE)
     g = g.append(range(1, 30), odometry + gps_factors(truth[::10], range(0, 30, 10)))
     return g.strip_gps()
 
@@ -501,9 +506,9 @@ class TestOptimize:
         prior = random_pose(rng, max_angle=0.5)
         start = compose(prior, exp(0.01 * random_tangent(rng, 1.0, 1.0)))
         g = WindowGraph([(0, start), (1, start)],
-                        [OdometryFactor(0, 1, Pose.identity(), np.eye(6)),
+                        [OdometryFactor(0, 1, Pose.identity()),
                          AnchorFactor(0, prior, fmod.anchor_information())],
-                        window_capacity=2)
+                        2, np.eye(6), SIGMA_GPS)
         report = g.optimize()
         assert report.converged
         est = g.estimate_of(0)
@@ -514,7 +519,7 @@ class TestOptimize:
         start = [compose(p, exp(0.05 * random_tangent(rng, 1.0, 1.0))) for p in truth]
         start[0] = truth[0]
         facs = odometry_factors(truth) + [AnchorFactor(0, truth[0], fmod.anchor_information())]
-        g = WindowGraph(list(enumerate(start)), facs, window_capacity=5)
+        g = WindowGraph(list(enumerate(start)), facs, 5, *NOISE)
         report = g.optimize()
         assert report.converged
         for k, p in enumerate(truth):
@@ -525,7 +530,7 @@ class TestOptimize:
         facs = odometry_factors(truth) + gps_factors(truth, [0, 1], num_sats=6)
         start = [compose(p, exp(np.array([0.001, -0.002, 0.001, 0.5, -0.3, 0.4])))
                  for p in truth]
-        g = WindowGraph(list(enumerate(start)), facs, window_capacity=5)
+        g = WindowGraph(list(enumerate(start)), facs, 5, *NOISE)
         report = g.optimize()
         assert report.converged
         for k, p in enumerate(truth):
@@ -541,7 +546,7 @@ class TestOptimize:
                 + [AnchorFactor(0, truth[0], fmod.anchor_information())])
         start = [compose(p, exp(0.01 * random_tangent(rng, 1.0, 1.0))) for p in truth]
         start[0] = truth[0]
-        g = WindowGraph(list(enumerate(start)), facs, window_capacity=100)
+        g = WindowGraph(list(enumerate(start)), facs, 100, *NOISE)
         report = g.optimize()
         assert report.converged
         worst = max(np.linalg.norm(g.estimate_of(k).translation - truth[k].translation)
@@ -557,12 +562,12 @@ class TestOptimize:
         for f in facs:
             if isinstance(f, GpsFactor):
                 noisy.append(GpsFactor(f.node_index, f.sat_position,
-                                       f.measured_range + rng.normal() * SIGMA_GPS, f.sigma))
+                                       f.measured_range + rng.normal() * SIGMA_GPS))
             else:
                 noisy.append(f)
         noisy.append(AnchorFactor(0, truth[0], fmod.anchor_information()))
         start = [compose(p, exp(0.05 * random_tangent(rng, 1.0, 1.0))) for p in truth]
-        g = WindowGraph(list(enumerate(start)), noisy, window_capacity=20)
+        g = WindowGraph(list(enumerate(start)), noisy, 20, *NOISE)
         report = g.optimize()
         hist = np.array(report.objective_history)
         assert np.all(np.diff(hist) <= 0.0)
@@ -575,7 +580,7 @@ class TestOptimize:
                 [truth[k] for k in range(0, 15, 5)], range(0, 15, 5))
             facs.append(AnchorFactor(0, truth[0], fmod.anchor_information()))
             start = [compose(p, exp(0.02 * random_tangent(local, 1.0, 1.0))) for p in truth]
-            return WindowGraph(list(enumerate(start)), facs, window_capacity=15)
+            return WindowGraph(list(enumerate(start)), facs, 15, *NOISE)
 
         g1, g2 = build(), build()
         r1, r2 = g1.optimize(), g2.optimize()
@@ -592,11 +597,10 @@ class TestOptimize:
         truth = truth_chain(rng, 10)
         facs = odometry_factors(truth)
         # Perturbed odometry so the optimum objective is nonzero.
-        info = fmod.default_odometry_information([0.01] * 3 + [0.05] * 3)
         noisy = [OdometryFactor(f.from_index, f.to_index,
                                 compose(f.measured_transform,
-                                        exp(0.01 * random_tangent(rng, 1.0, 1.0))),
-                                info) for f in facs]
+                                        exp(0.01 * random_tangent(rng, 1.0, 1.0))))
+                 for f in facs]
         start = [compose(p, exp(0.02 * random_tangent(rng, 1.0, 1.0))) for p in truth]
 
         def solve(transform: Pose) -> float:
@@ -604,7 +608,7 @@ class TestOptimize:
             # left-composed rigid motion of every state and the anchor prior.
             nodes = [(k, compose(transform, p)) for k, p in enumerate(start)]
             anchor = AnchorFactor(0, compose(transform, start[0]), fmod.anchor_information())
-            g = WindowGraph(nodes, noisy + [anchor], window_capacity=10)
+            g = WindowGraph(nodes, noisy + [anchor], 10, *NOISE)
             return g.optimize().final_objective
 
         base = solve(Pose.identity())
@@ -619,11 +623,10 @@ class TestSlide:
         facs = (odometry_factors(truth)
                 + gps_factors([truth[k] for k in gps_nodes], gps_nodes)
                 + [AnchorFactor(0, truth[0], fmod.anchor_information())])
-        g = WindowGraph(list(enumerate(truth)), facs, capacity)
+        g = WindowGraph(list(enumerate(truth)), facs, capacity, *NOISE)
         return g, truth
 
     def _continuation(self, rng, truth, count):
-        info = fmod.default_odometry_information([0.01] * 3 + [0.05] * 3)
         base = len(truth)
         new_truth = list(truth)
         new_nodes, new_facs = [], []
@@ -634,7 +637,7 @@ class TestSlide:
             new_truth.append(compose(motion, new_truth[-1]))
             meas = compose(inverse(new_truth[-2]), new_truth[-1])
             new_nodes.append(idx)
-            new_facs.append(OdometryFactor(idx - 1, idx, meas, info))
+            new_facs.append(OdometryFactor(idx - 1, idx, meas))
         return new_nodes, new_facs
 
     def test_full_window_count_constant(self, rng):
@@ -706,7 +709,7 @@ class TestStripGps:
         facs = (odometry_factors(truth)
                 + gps_factors([truth[k] for k in gps_nodes], gps_nodes, num_sats=4)
                 + [AnchorFactor(0, truth[0], fmod.anchor_information())])
-        return WindowGraph(list(enumerate(truth)), facs, 12), truth
+        return WindowGraph(list(enumerate(truth)), facs, 12, *NOISE), truth
 
     def test_count_reduced_exactly(self, rng):
         g, _ = self._graph(rng)
@@ -739,6 +742,22 @@ class TestStripGps:
             assert err < 1e-8
 
 
+class TestNoiseModel:
+    def test_derived_windows_keep_the_noise_model(self, rng):
+        truth = truth_chain(rng, 12)
+        a = rng.normal(size=(6, 6))
+        g = WindowGraph(list(enumerate(truth[:8])),
+                        odometry_factors(truth[:8]) + gps_factors(truth[:1], [0])
+                        + [AnchorFactor(0, truth[0], fmod.anchor_information())],
+                        12, a @ a.T + np.eye(6), 3.0)
+        grown = g.strip_gps().append([8], odometry_factors(truth)[7:8])
+        slid = g.slide(range(8, 12), odometry_factors(truth)[7:]
+                       + gps_factors(truth[8:9], [8]), shift=4)
+        for derived in (grown, slid, slid.strip_gps()):
+            assert derived.odometry_information is g.odometry_information
+            assert derived.gps_sigma == 3.0
+
+
 class TestGpsResiduals:
     def _optimized(self, rng):
         truth = truth_chain(rng, 12)
@@ -747,14 +766,14 @@ class TestGpsResiduals:
                 + gps_factors([truth[k] for k in gps_nodes], gps_nodes, num_sats=4)
                 + [AnchorFactor(0, truth[0], fmod.anchor_information())])
         start = [compose(p, exp(0.02 * random_tangent(rng, 1.0, 1.0))) for p in truth]
-        g = WindowGraph(list(enumerate(start)), facs, 12)
+        g = WindowGraph(list(enumerate(start)), facs, 12, *NOISE)
         return g, g.optimize()
 
     def test_equal_to_solver_residuals_bit_for_bit(self, rng):
         g, report = self._optimized(rng)
-        residuals, sigmas = g.gps_residuals()
+        residuals, sigma = g.gps_residuals()
         assert residuals.tobytes() == report.residuals["gps"].tobytes()
-        np.testing.assert_allclose(sigmas, SIGMA_GPS, rtol=1e-15)
+        assert sigma == SIGMA_GPS
 
     def test_takes_no_se3_log(self, rng, monkeypatch):
         g, _ = self._optimized(rng)
@@ -772,40 +791,40 @@ class TestValidation:
         truth = truth_chain(rng, 3)
         facs = odometry_factors(truth)
         with pytest.raises(ValueError):
-            WindowGraph([(0, truth[0]), (2, truth[2])], facs[:1], 5)
+            WindowGraph([(0, truth[0]), (2, truth[2])], facs[:1], 5, *NOISE)
 
     def test_rejects_missing_odometry_link(self, rng):
         truth = truth_chain(rng, 3)
         with pytest.raises(ValueError):
-            WindowGraph(list(enumerate(truth)), odometry_factors(truth)[:1], 5)
+            WindowGraph(list(enumerate(truth)), odometry_factors(truth)[:1], 5, *NOISE)
 
     def test_rejects_dangling_factor(self, rng):
         truth = truth_chain(rng, 3)
-        facs = odometry_factors(truth) + [GpsFactor(7, [0, 0, 2e7], 2e7, 7.0)]
+        facs = odometry_factors(truth) + [GpsFactor(7, [0, 0, 2e7], 2e7)]
         with pytest.raises(ValueError):
-            WindowGraph(list(enumerate(truth)), facs, 5)
+            WindowGraph(list(enumerate(truth)), facs, 5, *NOISE)
 
     def test_rejects_duplicate_odometry(self, rng):
         truth = truth_chain(rng, 3)
         facs = odometry_factors(truth)
         with pytest.raises(ValueError, match="exactly once"):
-            WindowGraph(list(enumerate(truth)), facs + facs[:1], 5)
+            WindowGraph(list(enumerate(truth)), facs + facs[:1], 5, *NOISE)
 
     def test_rejects_second_anchor(self, rng):
         truth = truth_chain(rng, 3)
         anchors = [AnchorFactor(k, truth[k], fmod.anchor_information()) for k in (0, 1)]
         with pytest.raises(ValueError, match="one anchor"):
-            WindowGraph(list(enumerate(truth)), odometry_factors(truth) + anchors, 5)
+            WindowGraph(list(enumerate(truth)), odometry_factors(truth) + anchors, 5, *NOISE)
 
     def test_rejects_overflow(self, rng):
         truth = truth_chain(rng, 6)
         with pytest.raises(ValueError):
-            WindowGraph(list(enumerate(truth)), odometry_factors(truth), 5)
+            WindowGraph(list(enumerate(truth)), odometry_factors(truth), 5, *NOISE)
 
     def test_estimate_of_rejects_steps_outside_window(self, rng):
         truth = truth_chain(rng, 3)
         g = WindowGraph(list(enumerate(truth, start=5)),
-                        odometry_factors(truth, start_index=5), 5)
+                        odometry_factors(truth, start_index=5), 5, *NOISE)
         assert np.array_equal(g.estimate_of(7).translation, truth[2].translation)
         for step in (3, 4, 8):
             with pytest.raises(ValueError, match="outside the window"):
