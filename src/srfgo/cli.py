@@ -13,14 +13,12 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .harness import (MODES, WINDOW_SHIFT_DEFAULT, WINDOW_SIZE_DEFAULT, RunConfig,
                       read_run, run as run_pipeline, summarize_runs, write_run)
-from .icp import estimate_normals, gen_scene_cloud, register, save_cloud, two_wall_scene
 from .liegroup import Pose, rotation_angle
 from .simkit import (DT_DEFAULT, SIGMA_GPS_DEFAULT, TRAJECTORY_KINDS, Scenario,
                      SpoofProfile, gen_trajectory, load_trajectory,
@@ -311,6 +309,7 @@ def cmd_sweep(args) -> int:
         for cell, payload in tasks:
             attempt(cell, payload, lambda: _sweep_task(payload))
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(cell, payload, pool.submit(_sweep_task, payload))
                        for cell, payload in tasks]
@@ -344,6 +343,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_icp_demo(args) -> int:
+    # Imported here so that the other commands never load scipy.spatial.
+    from .icp import estimate_normals, gen_scene_cloud, register, save_cloud, two_wall_scene
+
     yaw = math.radians(args.yaw_deg)
     c, v = math.cos(yaw), math.sin(yaw)
     rot = np.array([[c, -v, 0.0], [v, c, 0.0], [0.0, 0.0, 1.0]])

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +327,25 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         for command in ("simulate", "run", "sweep", "icp-demo", "report"):
             assert command in proc.stdout
+
+
+class TestRunPathImports:
+    def test_run_loads_neither_icp_nor_process_pool(self, tmp_path):
+        # A fresh interpreter, because other tests import srfgo.icp here.
+        out = tmp_path / "run"
+        script = (
+            "import sys\n"
+            "from srfgo import cli\n"
+            "cli.build_parser()\n"
+            "code = cli.main(['run', '--mode', 'sr-fgo', '--duration', '180',"
+            " '--window-size', '20', '--seed', '1', '--out', sys.argv[1]])\n"
+            "print(code, sorted(m for m in ('srfgo.icp', 'scipy.spatial',"
+            " 'concurrent.futures.process') if m in sys.modules))\n")
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert (out / "summary.json").exists()
