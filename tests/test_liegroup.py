@@ -175,6 +175,25 @@ class TestJacobianHelpers:
             closed = liegroup.se3_right_jacobian_inv(nu)
             assert np.allclose(closed, fd, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("theta", [1e-3, 3e-3])
+    def test_series_branch_matches_closed_forms(self, rng, monkeypatch, theta):
+        # The same inputs through the closed forms, then through the Taylor
+        # series by raising SMALL_ANGLE above theta: at these angles both
+        # are accurate, so they must agree far below the series' own terms.
+        axes = rng.normal(size=(8, 3))
+        omega = theta * axes / np.linalg.norm(axes, axis=1, keepdims=True)
+        nu = np.concatenate([omega, rng.uniform(-5.0, 5.0, (8, 3))], axis=1)
+        rot, t = liegroup.se3_exp_arrays(nu)
+
+        def kernels():
+            return (*liegroup.se3_exp_arrays(nu), liegroup.se3_log_arrays(rot, t),
+                    liegroup.se3_left_jacobian_inv(nu))
+
+        closed = kernels()
+        monkeypatch.setattr(liegroup, "SMALL_ANGLE", 1.0)
+        for got, want in zip(kernels(), closed):
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
     def test_adjoint_conjugation(self, rng):
         x = random_pose(rng, max_angle=2.0)
         nu = 1e-4 * random_tangent(rng, max_angle=1.0, max_trans=1.0)
@@ -364,7 +383,7 @@ def ref_q_matrix(rho, omega):
     t = np.where(small, 1.0, theta)
     t2 = theta * theta
     c1 = np.where(small, 1.0 / 6.0 - t2 / 120.0, (t - np.sin(t)) / t ** 3)
-    c2 = np.where(small, 1.0 / 24.0 - t2 / 720.0,
+    c2 = np.where(small, -1.0 / 24.0 + t2 / 720.0,
                   (1.0 - t2 / 2.0 - np.cos(t)) / t ** 4)
     c3 = np.where(small, -1.0 / 120.0 + t2 / 5040.0,
                   (t - np.sin(t) - t ** 3 / 6.0) / t ** 5)
