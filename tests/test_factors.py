@@ -286,8 +286,19 @@ class TestValidation:
     def test_information_symmetry_tolerance(self):
         near = np.eye(6)
         near[0, 5] = 1e-12  # within the 1e-9 tolerance, not exactly symmetric
-        assert np.array_equal(one_node_window(near).odometry_information, near)
-        for bad_value in (np.nan, 1e-3):
+        accepted = [near]
+        for scale in (1e4, 1e8):  # one ulp apart: roundoff at the entries' scale
+            ulp = np.eye(6) * scale
+            ulp[0, 5] = ulp[5, 0] = scale / 2.0
+            ulp[5, 0] = np.nextafter(ulp[5, 0], np.inf)
+            accepted.append(ulp)
+        for info in accepted:
+            assert np.array_equal(one_node_window(info).odometry_information, info)
+        large = np.eye(6) * 1e4  # 0.04 apart: visible, though within rtol 1e-5
+        large[0, 5], large[5, 0] = 5000.0, 5000.04
+        with pytest.raises(ValueError, match="symmetric"):
+            one_node_window(large)
+        for bad_value in (np.nan, np.inf, 1e-3):
             bad = np.eye(6)
             bad[0, 5] = bad_value
             with pytest.raises(ValueError, match="symmetric"):
