@@ -98,10 +98,11 @@ def gen_trajectory(kind: str, duration_s: float, speed_mps: float, seed: int,
     heading = 0.0
     position = np.zeros(3)
     poses = [_yaw_pose(heading, position.copy())]
-    for _ in range(steps):
+    # One draw per step, taken in one call: the same stream as step-wise calls.
+    for draw in normal(rng, steps).tolist():
         position = position + speed_mps * dt * np.array(
             [math.cos(heading), math.sin(heading), 0.0])
-        yaw_rate = decay * yaw_rate + kick * float(normal(rng, 1)[0])
+        yaw_rate = decay * yaw_rate + kick * draw
         heading += yaw_rate * dt
         poses.append(_yaw_pose(heading, position.copy()))
     return poses

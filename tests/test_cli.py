@@ -340,7 +340,8 @@ class TestRunPathImports:
             "code = cli.main(['run', '--mode', 'sr-fgo', '--duration', '180',"
             " '--window-size', '20', '--seed', '1', '--out', sys.argv[1]])\n"
             "print(code, sorted(m for m in ('srfgo.icp', 'scipy.spatial',"
-            " 'concurrent.futures.process') if m in sys.modules))\n")
+            " 'scipy.special', 'concurrent.futures.process')"
+            " if m in sys.modules))\n")
         src = str(Path(cli_module.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
