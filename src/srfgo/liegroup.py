@@ -38,12 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 # Below this angle the closed-form Rodrigues/log coefficients hit 0/0 and we
-# switch to their Taylor series, which are accurate to ~1e-15 there.  Just
-# above it the closed forms of the SE(3) Q block (_q_matrix) lose digits to
-# cancellation in (t - sin t), (1 - t^2/2 - cos t) and (t - sin t - t^3/6):
-# against a 50-digit reference, Q's Frobenius-relative error is 8.5e-10 at
-# t = 1.01e-4, 2.2e-9 at 2e-4, 6.7e-11 at 1e-3 and 4e-13 at 1e-2.
+# switch to their Taylor series, which are accurate to ~1e-15 there.
 SMALL_ANGLE = 1e-4
+
+# The SE(3) Q block (_q_matrix) switches higher.  Its closed forms lose
+# digits to cancellation in (t - sin t), (1 - t^2/2 - cos t) and
+# (t - sin t - t^3/6), about eps/t^2 of Q: against a 50-digit reference,
+# Q's Frobenius-relative error is 2.2e-9 at t = 2e-4, 4e-13 at 1e-2 and
+# under 2e-14 at 0.1.  Below 0.1 its four-term series is good to ~1e-16.
+Q_SMALL_ANGLE = 0.1
 
 # log() is ill-conditioned as the rotation angle approaches pi (the axis
 # becomes ambiguous).  Inside this margin we refuse to answer rather than
@@ -82,13 +85,13 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def _split(theta: np.ndarray, divisor: np.ndarray) -> tuple:
-    """(small, t): small marks the rows whose angle theta takes the Taylor
-    series, None when no row does; t is the divisor of the closed forms,
-    set to 1 on the small rows.  t is an array even for one row: numpy
-    computes a scalar's t ** 3 by another route than an array's, and rounds
-    it differently."""
-    small = theta < SMALL_ANGLE
+def _split(theta: np.ndarray, divisor: np.ndarray, switch: float) -> tuple:
+    """(small, t): small marks the rows whose angle theta lies below switch
+    and takes the Taylor series, None when no row does; t is the divisor of
+    the closed forms, set to 1 on the small rows.  t is an array even for
+    one row: numpy computes a scalar's t ** 3 by another route than an
+    array's, and rounds it differently."""
+    small = theta < switch
     if not np.count_nonzero(small):
         return None, np.asarray(divisor)
     return small, np.where(small, 1.0, divisor)
@@ -98,7 +101,7 @@ def _angle(omega: np.ndarray) -> tuple:
     """(theta, small, t, [w]_x) of each row w, theta = |w|, with small and t
     as _split gives them."""
     theta = _norm(omega)
-    return (theta, *_split(theta, theta), skew(omega))
+    return (theta, *_split(theta, theta, SMALL_ANGLE), skew(omega))
 
 
 def _per_row(theta, small, t, series, closed) -> list:
@@ -161,7 +164,7 @@ def so3_log(rot: np.ndarray) -> np.ndarray:
         raise NearSingularLogError(
             f"rotation angle {bad:.9f} rad within {NEAR_PI_MARGIN:g} of pi")
     # theta/sin(theta), series 1 + t^2/6 + 7 t^4/360 near zero
-    ratio, = _per_row(theta, *_split(theta, s),
+    ratio, = _per_row(theta, *_split(theta, s, SMALL_ANGLE),
                       lambda t2: [1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0],
                       lambda d: [theta / d])
     return s_vec * ratio[..., None]
@@ -210,17 +213,21 @@ def se3_log_arrays(rot: np.ndarray, t: np.ndarray, with_jinv: bool = False):
     return (nu, jinv) if with_jinv else nu
 
 
-def _q_matrix(rho: np.ndarray, theta, small, t, wx) -> np.ndarray:
-    """Translation-rotation coupling block of the SE(3) left Jacobian."""
+def _q_matrix(rho: np.ndarray, theta, wx) -> np.ndarray:
+    """Translation-rotation coupling block of the SE(3) left Jacobian, with
+    the series below Q_SMALL_ANGLE."""
     def closed(t):
         sin = np.sin(t)
         return [(t - sin) / t ** 3, (1.0 - t * t / 2.0 - np.cos(t)) / t ** 4,
                 (t - sin - t ** 3 / 6.0) / t ** 5]
 
-    c1, c2, c3 = _per_row(
-        theta, small, t,
-        lambda t2: [1.0 / 6.0 - t2 / 120.0, -1.0 / 24.0 + t2 / 720.0,
-                    -1.0 / 120.0 + t2 / 5040.0], closed)
+    def series(t2):
+        t4 = t2 * t2
+        return [1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0 - t4 * t2 / 362880.0,
+                -1.0 / 24.0 + t2 / 720.0 - t4 / 40320.0 + t4 * t2 / 3628800.0,
+                -1.0 / 120.0 + t2 / 5040.0 - t4 / 362880.0 + t4 * t2 / 39916800.0]
+
+    c1, c2, c3 = _per_row(theta, *_split(theta, theta, Q_SMALL_ANGLE), series, closed)
     rx = skew(rho)
     wxrx = wx @ rx
     rxwx = rx @ wx
@@ -243,7 +250,7 @@ def se3_left_jacobian_inv(nu: np.ndarray, jinv: np.ndarray | None = None) -> np.
     terms = _angle(nu[..., :3])
     if jinv is None:
         jinv = _jl_inv(*terms)
-    q = _q_matrix(nu[..., 3:], *terms)
+    q = _q_matrix(nu[..., 3:], terms[0], terms[3])
     out = np.zeros(nu.shape[:-1] + (6, 6))
     out[..., :3, :3] = jinv
     out[..., 3:, 3:] = jinv

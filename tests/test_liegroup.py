@@ -178,8 +178,9 @@ class TestJacobianHelpers:
     @pytest.mark.parametrize("theta", [1e-3, 3e-3])
     def test_series_branch_matches_closed_forms(self, rng, monkeypatch, theta):
         # The same inputs through the closed forms, then through the Taylor
-        # series by raising SMALL_ANGLE above theta.  Both branches are good
-        # to about 1e-10 here, while a wrong series term shows at theta^2.
+        # series by raising SMALL_ANGLE and Q_SMALL_ANGLE above theta.  Both
+        # branches are good to about 1e-10 here, while a wrong series term
+        # shows at theta^2.
         axes = rng.normal(size=(8, 3))
         omega = theta * axes / np.linalg.norm(axes, axis=1, keepdims=True)
         nu = np.concatenate([omega, rng.uniform(-5.0, 5.0, (8, 3))], axis=1)
@@ -189,8 +190,10 @@ class TestJacobianHelpers:
             return (*liegroup.se3_exp_arrays(nu), liegroup.se3_log_arrays(rot, t),
                     liegroup.se3_left_jacobian_inv(nu))
 
+        monkeypatch.setattr(liegroup, "Q_SMALL_ANGLE", liegroup.SMALL_ANGLE)
         closed = kernels()
         monkeypatch.setattr(liegroup, "SMALL_ANGLE", 1.0)
+        monkeypatch.setattr(liegroup, "Q_SMALL_ANGLE", 1.0)
         for got, want in zip(kernels(), closed):
             assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
@@ -225,6 +228,52 @@ def scalar_rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:
     if q[3] < 0:
         q = -q
     return q / np.linalg.norm(q)
+
+
+def mp_q_matrix(rho, omega):
+    """The SE(3) Q block in 50-digit arithmetic, from its closed forms."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        def sk(v):
+            x, y, z = (mp.mpf(float(c)) for c in v)
+            return mp.matrix([[0, -z, y], [z, 0, -x], [-y, x, 0]])
+
+        rx, wx = sk(rho), sk(omega)
+        t = mp.sqrt(sum(mp.mpf(float(w)) ** 2 for w in omega))
+        c1 = (t - mp.sin(t)) / t ** 3
+        c2 = (1 - t ** 2 / 2 - mp.cos(t)) / t ** 4
+        c3 = (t - mp.sin(t) - t ** 3 / 6) / t ** 5
+        wxrx, rxwx = wx * rx, rx * wx
+        wxrxwx = wxrx * wx
+        q = (rx / 2 + c1 * (wxrx + rxwx + wxrxwx)
+             - c2 * (wx * wxrx + rxwx * wx - 3 * wxrxwx)
+             - (c2 - 3 * c3) / 2 * (wxrxwx * wx + wx * wxrxwx))
+        return [[q[i, j] for j in range(3)] for i in range(3)]
+
+
+class TestQBlockAccuracy:
+    def test_matches_high_precision_reference(self, rng):
+        # Just above SMALL_ANGLE the closed forms were off by up to 2.2e-9
+        # before the Q block took its own switch; on both sides of that
+        # switch both branches are good to ~2e-14.
+        import mpmath as mp
+
+        switch = liegroup.Q_SMALL_ANGLE
+        thetas = [1.01e-4, 2e-4, 1e-3, 1e-2, np.nextafter(switch, 0.0), switch,
+                  np.nextafter(switch, 1.0), 1.01 * switch, 0.5]
+        axes = rng.normal(size=(len(thetas) * 4, 3))
+        omega = (np.repeat(thetas, 4)[:, None] * axes
+                 / np.linalg.norm(axes, axis=1, keepdims=True))
+        rho = rng.normal(size=omega.shape) * 10.0 ** rng.uniform(-3.0, 3.0, (len(omega), 1))
+        theta, _, _, wx = liegroup._angle(omega)
+        got = liegroup._q_matrix(rho, theta, wx)
+        for q, r, w in zip(got, rho, omega):
+            want = mp_q_matrix(r, w)
+            err = mp.sqrt(sum((mp.mpf(float(q[i, j])) - want[i][j]) ** 2
+                              for i in range(3) for j in range(3)))
+            scale = mp.sqrt(sum(x ** 2 for row in want for x in row))
+            assert err <= 1e-13 * scale, (np.linalg.norm(w), float(err / scale))
 
 
 class TestQuaternions:
@@ -379,13 +428,16 @@ def ref_se3_log_arrays(rot, t):
 
 def ref_q_matrix(rho, omega):
     theta = np.linalg.norm(omega, axis=-1)
-    small = theta < liegroup.SMALL_ANGLE
+    small = theta < liegroup.Q_SMALL_ANGLE
     t = np.where(small, 1.0, theta)
     t2 = theta * theta
-    c1 = np.where(small, 1.0 / 6.0 - t2 / 120.0, (t - np.sin(t)) / t ** 3)
-    c2 = np.where(small, -1.0 / 24.0 + t2 / 720.0,
+    t4 = t2 * t2
+    c1 = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0 - t4 * t2 / 362880.0,
+                  (t - np.sin(t)) / t ** 3)
+    c2 = np.where(small, -1.0 / 24.0 + t2 / 720.0 - t4 / 40320.0 + t4 * t2 / 3628800.0,
                   (1.0 - t2 / 2.0 - np.cos(t)) / t ** 4)
-    c3 = np.where(small, -1.0 / 120.0 + t2 / 5040.0,
+    c3 = np.where(small,
+                  -1.0 / 120.0 + t2 / 5040.0 - t4 / 362880.0 + t4 * t2 / 39916800.0,
                   (t - np.sin(t) - t ** 3 / 6.0) / t ** 5)
     rx, wx = ref_skew(rho), ref_skew(omega)
     wxrx, rxwx = wx @ rx, rx @ wx
