@@ -163,9 +163,16 @@ def _parse_direction(text: str) -> tuple:
     vec = np.asarray(parts, dtype=float)
     if not np.isfinite(vec).all():
         raise CliError(f"spoof direction must be finite, got {text!r}")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise CliError("spoof direction must be nonzero")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if not 0.0 < norm < math.inf:
+        # The squares under- or overflowed: scale by the largest component
+        # first, only here, so that every other direction keeps its bits.
+        scale = float(np.max(np.abs(vec)))
+        if scale == 0.0:
+            raise CliError("spoof direction must be nonzero")
+        vec = vec / scale
+        norm = float(np.linalg.norm(vec))
     return tuple(vec / norm)
 
 

@@ -6,8 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from srfgo import cli as cli_module
@@ -77,6 +79,24 @@ class TestExitCodes:
                    "--spoof-direction", "1,2") == 1
         assert cli("run", "--mode", "sr-fgo", "--ramp-rate", "1",
                    "--spoof-direction", "0,0,0") == 1
+
+    @pytest.mark.parametrize("text,expected", [
+        ("1e-200,0,0", (1.0, 0.0, 0.0)),
+        ("1e308,1e308,0", (0.7071067811865475, 0.7071067811865475, 0.0)),
+        ("5e-324,0,-5e-324", (0.7071067811865475, 0.0, -0.7071067811865475))])
+    def test_spoof_direction_at_float_range_edges(self, tmp_path, text, expected):
+        # The plain norm under- or overflows for these; no warning may print.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_module._parse_direction(text) == expected
+        assert cli("run", "--mode", "odometry-only", "--duration", "180",
+                   "--ramp-rate", "1", "--spoof-direction", text, "--seed", "1",
+                   "--out", tmp_path / "run") == 0
+
+    def test_spoof_direction_bits_unchanged_in_range(self, rng):
+        for vec in rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-100, 100, (200, 1)):
+            text = ",".join(repr(float(v)) for v in vec)
+            assert cli_module._parse_direction(text) == tuple(vec / np.linalg.norm(vec))
 
     def test_negative_ramp_rate(self):
         assert cli("run", "--mode", "sr-fgo", "--ramp-rate", "-1") == 1
