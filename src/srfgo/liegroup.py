@@ -223,9 +223,10 @@ def _q_matrix(rho: np.ndarray, theta, wx) -> np.ndarray:
 
     def series(t2):
         t4 = t2 * t2
-        return [1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0 - t4 * t2 / 362880.0,
-                -1.0 / 24.0 + t2 / 720.0 - t4 / 40320.0 + t4 * t2 / 3628800.0,
-                -1.0 / 120.0 + t2 / 5040.0 - t4 / 362880.0 + t4 * t2 / 39916800.0]
+        t6 = t4 * t2
+        return [1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0 - t6 / 362880.0,
+                -1.0 / 24.0 + t2 / 720.0 - t4 / 40320.0 + t6 / 3628800.0,
+                -1.0 / 120.0 + t2 / 5040.0 - t4 / 362880.0 + t6 / 39916800.0]
 
     c1, c2, c3 = _per_row(theta, *_split(theta, theta, Q_SMALL_ANGLE), series, closed)
     rx = skew(rho)
