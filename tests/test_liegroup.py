@@ -254,9 +254,9 @@ def mp_q_matrix(rho, omega):
 
 class TestQBlockAccuracy:
     def test_matches_high_precision_reference(self, rng):
-        # Just above SMALL_ANGLE the closed forms were off by up to 2.2e-9
-        # before the Q block took its own switch; on both sides of that
-        # switch both branches are good to ~2e-14.
+        # Just above SMALL_ANGLE the closed forms lose up to 2.2e-9 to
+        # cancellation; on both sides of Q's own switch both branches are
+        # good to ~2e-14.
         import mpmath as mp
 
         switch = liegroup.Q_SMALL_ANGLE
