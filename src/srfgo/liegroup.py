@@ -248,10 +248,10 @@ def se3_left_jacobian_inv(nu: np.ndarray, jinv: np.ndarray | None = None) -> np.
     jinv, when given, is V(w)^-1 of w = nu[..., :3], as se3_log_arrays
     returns it."""
     nu = np.asarray(nu, dtype=float)
-    terms = _angle(nu[..., :3])
+    theta, small, t, wx = _angle(nu[..., :3])
     if jinv is None:
-        jinv = _jl_inv(*terms)
-    q = _q_matrix(nu[..., 3:], terms[0], terms[3])
+        jinv = _jl_inv(theta, small, t, wx)
+    q = _q_matrix(nu[..., 3:], theta, wx)
     out = np.zeros(nu.shape[:-1] + (6, 6))
     out[..., :3, :3] = jinv
     out[..., 3:, 3:] = jinv
