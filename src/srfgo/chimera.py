@@ -1,10 +1,11 @@
-"""Periodic GPS authentication state machine.
+"""Periodic GPS authentication outcomes.
 
 Authentication arrives on a fixed epoch grid (180 s slow channel).  A
 successful event is ground truth that the received GPS was authentic: it
 clears any detector latch, re-admits GPS, and opens a trust window during
 which detection trials are logged but do not latch.  A failed event forces
-mitigation; its "gps-excluded" action is what flags a run as fail-safe.
+mitigation and latches; its "gps-excluded" action is what flags a run as
+fail-safe.  The latch itself is held by the caller (srfgo.harness.run).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, TYPE_CHECKING
 
-from .detector import DetectorState, mitigate
+from .detector import mitigate
 
 if TYPE_CHECKING:
     from .solver import WindowGraph
@@ -22,22 +23,12 @@ SLOW_CHANNEL_PERIOD_S = 180.0
 OUTCOMES = ("authentic", "failed")
 
 
-@dataclass(frozen=True)
-class AuthSchedule:
-    epoch_length_steps: int
-
-    def __post_init__(self):
-        if self.epoch_length_steps < 1:
-            raise ValueError(
-                f"epoch length must be >= 1 step, got {self.epoch_length_steps}")
-
-
-def slow_channel(dt: float) -> AuthSchedule:
-    """Slow-channel schedule: one authentication every 180 s."""
+def slow_channel(dt: float) -> int:
+    """Steps per slow-channel epoch: one authentication every 180 s."""
     steps = SLOW_CHANNEL_PERIOD_S / dt
     if abs(steps - round(steps)) > 1e-9:
         raise ValueError(f"dt={dt} does not divide the {SLOW_CHANNEL_PERIOD_S} s epoch")
-    return AuthSchedule(int(round(steps)))
+    return int(round(steps))
 
 
 @dataclass(frozen=True)
@@ -53,29 +44,25 @@ class AuthEvent:
 
 
 class AuthResult(NamedTuple):
-    action: str            # "gps-readmitted" | "gps-excluded"
+    action: str            # "gps-readmitted" | "gps-excluded" (latched)
     graph: "WindowGraph"   # mitigated copy on failure, input graph otherwise
     trust_until: int       # node step through which crossings do not latch
 
 
-def on_authentication(event: AuthEvent, state: DetectorState,
-                      graph: "WindowGraph", sched: AuthSchedule) -> AuthResult:
-    """Apply one authentication outcome to the detector state and window.
+def on_authentication(event: AuthEvent, graph: "WindowGraph",
+                      epoch_steps: int) -> AuthResult:
+    """Apply one authentication outcome to the window.
 
-    Success overrides the detector: the latch is cleared even if it was set
-    by a (now disproven) detection, and GPS is trusted for the next window's
-    worth of steps.  Failure latches, strips GPS from the window, and keeps
-    GPS excluded until the next successful authentication.
+    Success overrides the detector: the latch clears even if a (now
+    disproven) detection set it, and GPS is trusted for the next window's
+    worth of steps.  Failure latches: it strips GPS from the window, and GPS
+    stays excluded until the next successful authentication.
     """
-    if event.time_index % sched.epoch_length_steps != 0:
+    if event.time_index % epoch_steps != 0:
         raise ValueError(
             f"authentication at step {event.time_index} is off the "
-            f"{sched.epoch_length_steps}-step schedule")
+            f"{epoch_steps}-step schedule")
     if event.outcome == "authentic":
-        state.spoofed_flag = False
-        state.gps_excluded = False
         return AuthResult("gps-readmitted", graph,
                           event.time_index + graph.window_capacity)
-    state.spoofed_flag = True
-    cleaned = mitigate(graph, state)
-    return AuthResult("gps-excluded", cleaned, event.time_index)
+    return AuthResult("gps-excluded", mitigate(graph), event.time_index)

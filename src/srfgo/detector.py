@@ -39,19 +39,6 @@ class DetectorConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
 
-@dataclass
-class DetectorState:
-    """Mutable per-run detector state.
-
-    ``spoofed_flag`` latches on the first detection and stays set until an
-    authentication event clears it; ``gps_excluded`` marks that incoming GPS
-    must be kept out of the graph until then.
-    """
-
-    spoofed_flag: bool = False
-    gps_excluded: bool = False
-
-
 def test_statistic(graph: "WindowGraph") -> Optional[Tuple[float, int]]:
     """Return (q, n) over the window's GPS residuals, or None if it has none.
 
@@ -170,30 +157,22 @@ def threshold(cfg: DetectorConfig, n: int) -> float:
     return _threshold_cached(cfg.alpha, int(n))
 
 
-def decide(q: float, tau: float, state: DetectorState,
-           monitoring: bool = True) -> str:
-    """Run one detection trial and return its decision.
+def decide(q: float, tau: float, latched: bool, monitoring: bool = True) -> str:
+    """Decision of one detection trial.
 
-    Strict comparison: q == tau is authentic.  A crossing latches
-    ``spoofed_flag``; once latched every later trial reports spoof-detected
-    regardless of q.  With ``monitoring=False`` (authentication trust window)
-    a crossing does not latch.  The caller keeps the trial log.
+    Strict comparison: q == tau is authentic.  A latched run reports
+    spoof-detected regardless of q; the caller holds the latch and sets it
+    from the decision.  With ``monitoring=False`` (authentication trust
+    window) a crossing does not detect.  The caller keeps the trial log.
     """
-    if monitoring and q > tau:
-        state.spoofed_flag = True
-    return "spoof-detected" if state.spoofed_flag else "authentic"
+    return "spoof-detected" if latched or (monitoring and q > tau) else "authentic"
 
 
-def mitigate(graph: "WindowGraph", state: DetectorState) -> "WindowGraph":
+def mitigate(graph: "WindowGraph") -> "WindowGraph":
     """Drop all GPS from the window and re-optimize on odometry alone.
 
-    Also marks the state so the pipeline excludes GPS from future windows
-    until an authentication clears it.  A window that already has no GPS is
-    returned unchanged.
+    A window that already has no GPS is returned unchanged.
     """
-    if not state.spoofed_flag:
-        raise ValueError("mitigation requires a latched detection")
-    state.gps_excluded = True
     if not graph.gps_count():
         return graph
     stripped = graph.strip_gps()

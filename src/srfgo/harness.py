@@ -36,8 +36,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import factors as fmod
-from .chimera import AuthEvent, AuthSchedule, on_authentication, slow_channel
-from .detector import DetectorConfig, DetectorState, decide, mitigate, threshold
+from .chimera import AuthEvent, on_authentication, slow_channel
+from .detector import DetectorConfig, decide, mitigate, threshold
 from .detector import test_statistic as window_statistic
 from .factors import AnchorFactor, GpsFactor, OdometryFactor
 from .liegroup import compose, rotation_to_quaternion
@@ -67,10 +67,6 @@ class RunConfig:
             raise ValueError(
                 f"need 1 <= shift < window size, got shift={self.window_shift} "
                 f"N={self.window_size}")
-
-    @property
-    def auth_schedule(self) -> AuthSchedule:
-        return slow_channel(self.scenario.dt)
 
 
 @dataclass
@@ -191,7 +187,7 @@ def run(cfg: RunConfig) -> RunRecord:
     truth = scenario.truth
     n_steps = scenario.steps
     dt = scenario.dt
-    epoch = cfg.auth_schedule.epoch_length_steps
+    epoch = slow_channel(dt)
 
     rot = np.empty((n_steps + 1, 3, 3))
     t = np.empty((n_steps + 1, 3))
@@ -211,7 +207,6 @@ def run(cfg: RunConfig) -> RunRecord:
             rot[k], t[k] = pose.rotation, pose.translation
         smoothed_rot, smoothed_t = rot[-cfg.window_size:], t[-cfg.window_size:]
     else:
-        det_state = DetectorState()
         sr_mode = cfg.mode == "sr-fgo"
 
         # A noiseless stream (sigma 0) still needs a finite weight; unit
@@ -223,20 +218,24 @@ def run(cfg: RunConfig) -> RunRecord:
         graph = WindowGraph([(0, truth[0])], initial_factors, cfg.window_size,
                             fmod.default_odometry_information(sigma_icp), sigma_gps)
 
-        def authenticate(step: int, graph: WindowGraph) -> tuple[WindowGraph, int]:
+        def authenticate(step: int, graph: WindowGraph) -> tuple[WindowGraph, int, bool]:
             row = auth_rows[step // epoch]
-            result = on_authentication(AuthEvent(step, row["outcome"]), det_state,
-                                       graph, cfg.auth_schedule)
+            result = on_authentication(AuthEvent(step, row["outcome"]), graph, epoch)
             row["action"] = result.action
-            return result.graph, result.trust_until
+            return result.graph, result.trust_until, result.action == "gps-excluded"
 
-        graph, trust_until = authenticate(0, graph) if sr_mode else (graph, -1)
+        # The spoofing latch: a detection or a failed authentication sets
+        # it, an authentic one clears it.  While it holds, sr mode keeps GPS
+        # out of the window.
+        graph, trust_until, latched = (authenticate(0, graph) if sr_mode
+                                       else (graph, -1, False))
         for batch in _batches(n_steps, cfg.window_shift, epoch):
             k_end = batch[-1]
+            excluded = sr_mode and latched
             new_factors = []
             for i in batch:
                 new_factors.append(OdometryFactor(i - 1, i, stream.odometry[i - 1]))
-                if not det_state.gps_excluded:
+                if not excluded:
                     new_factors += _gps_factors_at(i, stream)
 
             overflow = len(graph) + len(batch) - cfg.window_size
@@ -248,7 +247,7 @@ def run(cfg: RunConfig) -> RunRecord:
             # A window taken while GPS is excluded holds only the odometry
             # chain and its anchor, which dead reckoning already satisfies:
             # it coasts on its estimates unsolved.
-            if det_state.gps_excluded:
+            if excluded:
                 windows_coasted += 1
             else:
                 started = time.perf_counter()
@@ -263,15 +262,16 @@ def run(cfg: RunConfig) -> RunRecord:
             if stat is not None:
                 q, n = stat
                 tau = threshold(cfg.detector, n)
-                decision = decide(q, tau, det_state, monitoring=k_end > trust_until)
+                decision = decide(q, tau, latched, monitoring=k_end > trust_until)
                 detections.append({"time_s": k_end * dt, "q": q, "tau": tau,
                                    "n": n, "decision": decision})
+                latched = decision == "spoof-detected"
                 # sr mode strips GPS on a latch, so no trial runs latched.
-                if sr_mode and decision == "spoof-detected":
-                    graph = mitigate(graph, det_state)
+                if sr_mode and latched:
+                    graph = mitigate(graph)
 
             if sr_mode and k_end % epoch == 0:
-                graph, trust_until = authenticate(k_end, graph)
+                graph, trust_until, latched = authenticate(k_end, graph)
             # The batch is the newest nodes of the window.
             rot[batch], t[batch] = graph.rot[-len(batch):], graph.t[-len(batch):]
 
@@ -280,7 +280,7 @@ def run(cfg: RunConfig) -> RunRecord:
     times_s = np.arange(n_steps + 1) * dt
     errors = l2_errors(t, np.array([p.translation for p in truth]))
     mean_error, max_error = summarize(errors)
-    latched = [row["time_s"] for row in detections if row["decision"] == "spoof-detected"]
+    detected = [row["time_s"] for row in detections if row["decision"] == "spoof-detected"]
     summary = {
         "mode": cfg.mode,
         "seed": scenario.seed,
@@ -296,7 +296,7 @@ def run(cfg: RunConfig) -> RunRecord:
         "max_error_m": max_error,
         "detector_trials": len(detections),
         "detector_crossings": sum(row["q"] > row["tau"] for row in detections),
-        "first_detection_time_s": latched[0] if latched else None,
+        "first_detection_time_s": detected[0] if detected else None,
         "failsafe": any(row["action"] == "gps-excluded" for row in auth_rows),
         "windows_optimized": len(opt_seconds),
         "windows_coasted": windows_coasted,

@@ -9,8 +9,8 @@ import pytest
 from scipy.special import gammainc
 
 from srfgo import factors as fmod
-from srfgo.detector import (DEFAULT_ALPHA, DetectorConfig, DetectorState,
-                            chi2_inverse_cdf, decide, mitigate, threshold)
+from srfgo.detector import (DEFAULT_ALPHA, DetectorConfig, chi2_inverse_cdf,
+                            decide, mitigate, threshold)
 from srfgo.detector import test_statistic as window_statistic
 from srfgo.factors import AnchorFactor, GpsFactor, OdometryFactor
 from srfgo.liegroup import Pose, compose, inverse
@@ -171,21 +171,17 @@ class TestTestStatistic:
 
 class TestDecide:
     def test_boundary_is_authentic(self):
-        s = DetectorState()
-        assert decide(10.0, 10.0, s) == "authentic"
-        assert not s.spoofed_flag
+        assert decide(10.0, 10.0, False) == "authentic"
 
     def test_crossing_detects_and_latches(self):
-        s = DetectorState()
-        assert decide(10.0 + 1e-9, 10.0, s) == "spoof-detected"
-        assert s.spoofed_flag
+        assert decide(10.0 + 1e-9, 10.0, False) == "spoof-detected"
         # Latched: a quiet statistic still reports spoofed.
-        assert decide(0.0, 10.0, s) == "spoof-detected"
+        assert decide(0.0, 10.0, True) == "spoof-detected"
 
     def test_trust_window_logs_without_latching(self):
-        s = DetectorState()
-        assert decide(99.0, 10.0, s, monitoring=False) == "authentic"
-        assert not s.spoofed_flag
+        assert decide(99.0, 10.0, False, monitoring=False) == "authentic"
+        # The trust window does not clear a latch; authentication does.
+        assert decide(0.0, 10.0, True, monitoring=False) == "spoof-detected"
 
 
 class TestMitigate:
@@ -203,11 +199,6 @@ class TestMitigate:
                 facs.append(GpsFactor(k, s, true_range + 100.0))
         return WindowGraph(list(enumerate(poses)), facs, 10, *NOISE), poses
 
-    def test_requires_latched_state(self, rng):
-        g, _ = self._spoofed_window(rng)
-        with pytest.raises(ValueError):
-            mitigate(g, DetectorState())
-
     def test_matches_direct_strip_and_optimize(self, rng):
         g, poses = self._spoofed_window(rng)
         g.optimize()
@@ -215,9 +206,7 @@ class TestMitigate:
         reference = g.strip_gps()
         reference.optimize()
 
-        state = DetectorState(spoofed_flag=True)
-        cleaned = mitigate(g, state)
-        assert state.gps_excluded
+        cleaned = mitigate(g)
         assert cleaned.gps_count() == 0
         assert g.gps_count() == 8  # mitigation leaves the input window as it was
         for k in range(6):
@@ -230,7 +219,6 @@ class TestMitigate:
 
     def test_idempotent(self, rng):
         g, _ = self._spoofed_window(rng)
-        state = DetectorState(spoofed_flag=True)
-        once = mitigate(g, state)
-        twice = mitigate(once, state)
+        once = mitigate(g)
+        twice = mitigate(once)
         assert twice is once  # no GPS left, graph unchanged

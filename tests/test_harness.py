@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from srfgo import harness
-from srfgo.detector import DetectorState, test_statistic as window_statistic
+from srfgo.detector import test_statistic as window_statistic
 from srfgo.harness import (MODES, RunConfig, RunRecord, detection_stats,
                            epoch_false_alarm_probability, l2_errors, read_run,
                            run, summarize, summarize_runs, write_run)
@@ -73,10 +73,6 @@ class TestRunConfig:
                           window_size=40, window_shift=40)
             assert RunConfig(scenario=make_scenario(), mode=mode,
                              window_size=40, window_shift=39).window_shift == 39
-
-    def test_auth_schedule_matches_epoch(self):
-        cfg = RunConfig(scenario=make_scenario(), mode="sr-fgo")
-        assert cfg.auth_schedule.epoch_length_steps == 1800
 
 
 class TestL2Errors:
@@ -290,22 +286,33 @@ class TestCoasting:
         truth = gen_trajectory("circuit", 400.0, SPEED, seed=6005)
         cfg = RunConfig(scenario=Scenario(truth=truth, seed=6005), mode="sr-fgo",
                         window_size=20)
-        states, solved, taken = [], [], []
+        solved, taken = [], []
+        # The run's latch, followed through the two calls that set it.
+        latch = SimpleNamespace(held=False)
 
-        def state_factory():
-            states.append(DetectorState())
-            return states[-1]
+        def decide(*args, **kwargs):
+            decision = original_decide(*args, **kwargs)
+            latch.held = decision == "spoof-detected"
+            return decision
+
+        def on_authentication(*args):
+            result = original_on_authentication(*args)
+            latch.held = result.action == "gps-excluded"
+            return result
 
         def optimize(graph):
             solved.append(graph)
             return original_optimize(graph)
 
         def statistic(graph):
-            taken.append((graph, states[0].gps_excluded))
+            taken.append((graph, latch.held))
             return window_statistic(graph)
 
         original_optimize = WindowGraph.optimize
-        monkeypatch.setattr(harness, "DetectorState", state_factory)
+        original_decide = harness.decide
+        original_on_authentication = harness.on_authentication
+        monkeypatch.setattr(harness, "decide", decide)
+        monkeypatch.setattr(harness, "on_authentication", on_authentication)
         monkeypatch.setattr(WindowGraph, "optimize", optimize)
         monkeypatch.setattr(harness, "window_statistic", statistic)
         record = run(cfg)
