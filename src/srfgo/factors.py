@@ -57,13 +57,14 @@ def check_information(info: np.ndarray, name: str) -> np.ndarray:
     info = np.asarray(info, dtype=float)
     if info.shape != (6, 6):
         raise ValueError(f"{name} information must be 6x6, got {info.shape}")
-    # Exact symmetry, the common case, skips the tolerance test.  The
-    # tolerance scales with the largest entry, so roundoff in a large matrix
-    # passes and a visible asymmetry does not; NaN and inf fail it.
-    if not np.array_equal(info, info.T):
-        asym = np.max(np.abs(info - info.T))
-        if not (np.isfinite(asym) and asym <= 1e-9 * max(1.0, np.max(np.abs(info)))):
-            raise ValueError(f"{name} information must be symmetric")
+    bad = ~np.isfinite(info)
+    if bad.any():
+        raise ValueError(f"{name} information must be finite, got "
+                         f"{info[bad].tolist()} at {np.argwhere(bad).tolist()}")
+    # The tolerance scales with the largest entry, so roundoff in a large
+    # matrix passes and a visible asymmetry does not.
+    if np.max(np.abs(info - info.T)) > 1e-9 * max(1.0, np.max(np.abs(info))):
+        raise ValueError(f"{name} information must be symmetric")
     try:
         np.linalg.cholesky(info)
     except np.linalg.LinAlgError as err:

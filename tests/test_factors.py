@@ -298,10 +298,23 @@ class TestValidation:
         large[0, 5], large[5, 0] = 5000.0, 5000.04
         with pytest.raises(ValueError, match="symmetric"):
             one_node_window(large)
-        for bad_value in (np.nan, np.inf, 1e-3):
+        bad = np.eye(6)
+        bad[0, 5] = 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            one_node_window(bad)
+
+    def test_information_must_be_finite(self):
+        # Symmetric or not, a NaN or inf entry is named, not solved with.
+        with pytest.raises(ValueError, match=r"^x information must be finite, "
+                                             r"got \[inf\] at \[\[5, 5\]\]$"):
+            factors.check_information(np.diag([1.0] * 5 + [np.inf]), "x")
+        with pytest.raises(ValueError, match=r"must be finite, got \[inf, .*, \[5, 5\]\]$"):
+            factors.check_information(np.full((6, 6), np.inf), "x")
+        for bad_value in ("nan", "inf"):
             bad = np.eye(6)
-            bad[0, 5] = bad_value
-            with pytest.raises(ValueError, match="symmetric"):
+            bad[0, 5] = float(bad_value)
+            with pytest.raises(ValueError, match=rf"^odometry information must be "
+                                                 rf"finite, got \[{bad_value}\] at \[\[0, 5\]\]$"):
                 one_node_window(bad)
 
     def test_anchor_rejects_non_spd(self):
