@@ -70,7 +70,6 @@ class SolveReport:
     iterations: int
     converged: bool
     status: str
-    residuals: dict
     objective_history: tuple
     damping_final: float
     # Wall time spent inside the bodies (linearize, solve, retry loop) of the
@@ -321,12 +320,9 @@ class WindowGraph:
                 break
 
         self.rot, self.t = rot, t
-        snapshot = {"gps": res["gps"].copy(), "odometry": res["odometry"].copy(),
-                    "anchor": res["anchor"].copy()}
         return SolveReport(final_objective=obj, iterations=iterations,
                            converged=status in ("step-norm", "relative-decrease"),
-                           status=status, residuals=snapshot,
-                           objective_history=tuple(history),
+                           status=status, objective_history=tuple(history),
                            damping_final=damping, iteration_seconds=iter_seconds)
 
     # -- window maintenance ------------------------------------------------
