@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -42,6 +43,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value that starts with a minus and a digit, such as the spoof
+        # direction -1,0,0, is a value: argparse would take it for an option.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise CliError(message)
 

@@ -98,8 +98,20 @@ class TestExitCodes:
             text = ",".join(repr(float(v)) for v in vec)
             assert cli_module._parse_direction(text) == tuple(vec / np.linalg.norm(vec))
 
-    def test_negative_ramp_rate(self):
+    def test_negative_spoof_direction_plain_or_joined(self, tmp_path):
+        # A leading minus and digit make a value, not an option: both forms
+        # give the same westward attack, which the fused estimate shows.
+        args = ("run", "--mode", "naive-fgo", "--duration", "180", "--window-size", "20",
+                "--ramp-rate", "1", "--seed", "1")
+        assert cli(*args, "--spoof-direction", "-1,0,0", "--out", tmp_path / "plain") == 0
+        assert cli(*args, "--spoof-direction=-1,0,0", "--out", tmp_path / "joined") == 0
+        assert cli(*args, "--out", tmp_path / "east") == 0
+        assert tree_bytes(tmp_path / "plain") == tree_bytes(tmp_path / "joined")
+        assert tree_bytes(tmp_path / "plain") != tree_bytes(tmp_path / "east")
+
+    def test_negative_ramp_rate(self, capsys):
         assert cli("run", "--mode", "sr-fgo", "--ramp-rate", "-1") == 1
+        assert "ramp rate must be finite and >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rate", ["nan", "-1"])
     def test_sweep_rejects_bad_ramp_rate(self, tmp_path, capsys, rate):
