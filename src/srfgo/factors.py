@@ -52,8 +52,8 @@ class DegenerateGeometryError(ValueError):
 
 
 def check_information(info: np.ndarray, name: str) -> np.ndarray:
-    """info as a float 6x6 array, once checked symmetric and positive
-    definite."""
+    """info as a float 6x6 array, once checked finite, symmetric and
+    positive definite."""
     info = np.asarray(info, dtype=float)
     if info.shape != (6, 6):
         raise ValueError(f"{name} information must be 6x6, got {info.shape}")
