@@ -260,10 +260,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_task(payload: dict):
-    """Worker entry: one run, written into its own directory."""
-    s = payload["settings"]
-    _execute_run(s, payload["seed"], Path(payload["out_dir"]))
+def _sweep_task(payload: dict) -> dict:
+    """Worker entry: one run, written into its own directory and read back
+    from it; returns the summary read back, all the sweep keeps of a run."""
+    out_dir = Path(payload["out_dir"])
+    _execute_run(payload["settings"], payload["seed"], out_dir)
+    return read_run(out_dir).summary
 
 
 def cmd_sweep(args) -> int:
@@ -295,14 +297,15 @@ def cmd_sweep(args) -> int:
             raise CliError(f"sweep grid repeats cell {name}")
     out = Path(s["out"])
 
-    # Each run is paired with its cell, so a failure is filed under that cell
-    # only; workers receive the payload alone.  Every cell is checked before
-    # any run starts, on one trajectory: no check depends on the seed.
+    # Each run is paired with its cell, so a failure, of the run or of its
+    # read-back, is filed under that cell only; workers receive the payload
+    # alone.  Every cell is checked before any run starts, on one
+    # trajectory: no check depends on the seed.
     truth = _trajectory(s, base_seed)
     cells, tasks = [], []
     for name, mode, rate, size in grid:
         cell = {"name": name, "mode": mode, "ramp_rate": rate,
-                "window_size": size, "failures": {},
+                "window_size": size, "failures": {}, "summaries": [],
                 "run_dirs": [str(out / name / f"run-{i:03d}") for i in range(runs)]}
         settings = dict(s, mode=mode, ramp_rate=rate, window_size=size)
         _run_config(settings, base_seed, truth)
@@ -312,10 +315,13 @@ def cmd_sweep(args) -> int:
                   for i, run_dir in enumerate(cell["run_dirs"])]
     del truth  # the runs build their own; freed, it adds nothing to peak memory
     out.mkdir(parents=True, exist_ok=True)
+    # Graph-mode runs first: the short odometry-only ones then fill the
+    # pool's tail.  A cell's runs keep their order.
+    tasks.sort(key=lambda task: task[0]["mode"] == "odometry-only")
 
     def attempt(cell: dict, payload: dict, call) -> None:
         try:
-            call()
+            cell["summaries"].append(call())
         except Exception as err:  # noqa: BLE001 - sweep survives one bad run
             cell["failures"][payload["out_dir"]] = f"{type(err).__name__}: {err}"
 
@@ -332,8 +338,8 @@ def cmd_sweep(args) -> int:
 
     cell_summaries = []
     for cell in cells:
-        records = [read_run(d) for d in cell["run_dirs"] if d not in cell["failures"]]
-        summary = summarize_runs(records, mode=cell["mode"], base_seed=base_seed)
+        summary = summarize_runs(cell["summaries"], mode=cell["mode"],
+                                 base_seed=base_seed)
         summary["ramp_rate"] = cell["ramp_rate"]
         summary["window_size"] = cell["window_size"]
         summary["failures"] = sorted(cell["failures"])

@@ -12,8 +12,9 @@ exist once, as batched kernels over stacked arrays: ``gps_errors``/
 ``relative_jacobians`` for e = log(a^-1 b), which is the odometry residual
 with a = pred, b = Z and the anchor residual with a = x, b = prior; so the
 window optimizer evaluates both pose kinds in one call on stacked rows.
-``relative_errors`` also returns the SO(3) V^-1 its log computed, and
-``relative_jacobians`` takes it, so J_l^-1 is evaluated once per row.
+``relative_errors`` also returns the SO(3) V^-1 and angle terms its log
+computed, and ``relative_jacobians`` takes them, so neither is evaluated
+twice per row.
 ``odometry_errors``/``odometry_jacobians`` and ``anchor_errors`` apply them
 to one kind.  ``linearize`` runs the kernels on one factor, so the test
 suite's finite-difference checks of ``linearize`` (against independent
@@ -164,18 +165,21 @@ def gps_jacobians(rot: np.ndarray, diff: np.ndarray, ranges: np.ndarray) -> np.n
 
 
 def relative_errors(rot_a, t_a, rot_b, t_b) -> tuple:
-    """(e, jinv): e = log(a^-1 b) per row, and jinv the SO(3) V^-1 of e's
-    rotation part, which the log computed and relative_jacobians reuses."""
+    """(e, terms): e = log(a^-1 b) per row, and terms the liegroup.LogTerms
+    of e's rotation part, which the log computed and relative_jacobians
+    reuses; None when there is no row."""
     rot, t = between(rot_a, t_a, rot_b, t_b)
     if not len(rot):
-        return np.zeros((0, 6)), np.zeros((0, 3, 3))
+        return np.zeros((0, 6)), None
     return liegroup.se3_log_arrays(rot, t, True)
 
 
-def relative_jacobians(e: np.ndarray, jinv: np.ndarray | None = None) -> np.ndarray:
+def relative_jacobians(e: np.ndarray,
+                       terms: liegroup.LogTerms | None = None) -> np.ndarray:
     """-J_l^-1(e), the Jacobian of e = log(a^-1 b) under a <- a exp(delta):
-    e(delta) = log(exp(-delta) exp(e)).  jinv as relative_errors returns it."""
-    return -liegroup.se3_left_jacobian_inv(e, jinv)
+    e(delta) = log(exp(-delta) exp(e)).  terms as relative_errors returns
+    them."""
+    return -liegroup.se3_left_jacobian_inv(e, terms)
 
 
 def odometry_errors(rot_i, t_i, rot_j, t_j, z_rot, z_t) -> tuple:

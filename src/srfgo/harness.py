@@ -20,7 +20,9 @@ outcome and fills in its action.  Modes:
   authentication handling.
 
 Run outputs are plain CSV/JSON; every float is written with repr precision
-so records round-trip losslessly and repeated runs are byte-identical.
+so records round-trip losslessly and repeated runs are byte-identical.  The
+numeric CSV files are written from whole column stacks and parsed back as
+whole arrays, with Python's own repr and float on every value.
 Wall-clock timing goes to a separate timing.json, which is the only
 non-deterministic output.
 """
@@ -334,13 +336,14 @@ def run(cfg: RunConfig) -> RunRecord:
     )
 
 
-def summarize_runs(records, mode: str = None, base_seed: int = None) -> dict:
-    """Aggregate per-run summaries (order-independent: sorted by seed)."""
-    records = sorted(records, key=lambda r: r.seed)
-    means = [r.summary["mean_error_m"] for r in records]
-    maxes = [r.summary["max_error_m"] for r in records]
-    trials = sum(r.summary["detector_trials"] for r in records)
-    crossings = sum(r.summary["detector_crossings"] for r in records)
+def summarize_runs(summaries, mode: str = None, base_seed: int = None) -> dict:
+    """Aggregate the summary dicts of runs (order-independent: sorted by
+    seed)."""
+    summaries = sorted(summaries, key=lambda summary: summary["seed"])
+    means = [summary["mean_error_m"] for summary in summaries]
+    maxes = [summary["max_error_m"] for summary in summaries]
+    trials = sum(summary["detector_trials"] for summary in summaries)
+    crossings = sum(summary["detector_crossings"] for summary in summaries)
 
     def stats(values):
         if not values:
@@ -351,16 +354,16 @@ def summarize_runs(records, mode: str = None, base_seed: int = None) -> dict:
     return {
         "mode": mode,
         "base_seed": base_seed,
-        "runs": len(records),
+        "runs": len(summaries),
         "mean_error_m": stats(means),
         "max_error_m": stats(maxes),
         "detector_trials": trials,
         "detector_crossings": crossings,
-        "runs_with_crossing": sum(1 for r in records
-                                  if r.summary["detector_crossings"] > 0),
-        "failsafe_runs": sum(1 for r in records if r.summary["failsafe"]),
-        "first_detection_times_s": [r.summary["first_detection_time_s"]
-                                    for r in records],
+        "runs_with_crossing": sum(1 for summary in summaries
+                                  if summary["detector_crossings"] > 0),
+        "failsafe_runs": sum(1 for summary in summaries if summary["failsafe"]),
+        "first_detection_times_s": [summary["first_detection_time_s"]
+                                    for summary in summaries],
     }
 
 
@@ -372,12 +375,15 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _float_csv_lines(header: str, *columns) -> list:
+    """header, then one line per row of the stacked columns (1-D arrays are
+    one column, 2-D arrays one per entry), every value as repr(float)."""
+    rows = np.column_stack(columns).tolist()
+    return [header, *(",".join(map(repr, row)) for row in rows)]
+
+
 def _pose_csv_lines(times_s, translations, quaternions):
-    lines = ["t,x,y,z,qx,qy,qz,qw"]
-    for t, p, q in zip(times_s, translations, quaternions):
-        lines.append(",".join(_fmt(v) for v in (t, p[0], p[1], p[2],
-                                                q[0], q[1], q[2], q[3])))
-    return lines
+    return _float_csv_lines("t,x,y,z,qx,qy,qz,qw", times_s, translations, quaternions)
 
 
 def write_run(record: RunRecord, out_dir) -> Path:
@@ -389,11 +395,8 @@ def write_run(record: RunRecord, out_dir) -> Path:
     (out / "smoothed.csv").write_text("\n".join(_pose_csv_lines(
         record.smoothed_times_s, record.smoothed_translations,
         record.smoothed_quaternions)) + "\n")
-
-    err_lines = ["time_s,l2_error_m"]
-    err_lines += [f"{_fmt(t)},{_fmt(e)}"
-                  for t, e in zip(record.times_s, record.errors)]
-    (out / "errors.csv").write_text("\n".join(err_lines) + "\n")
+    (out / "errors.csv").write_text("\n".join(_float_csv_lines(
+        "time_s,l2_error_m", record.times_s, record.errors)) + "\n")
 
     det_lines = ["time_s,q,tau,n,decision"]
     det_lines += [f"{_fmt(r['time_s'])},{_fmt(r['q'])},{_fmt(r['tau'])},"
@@ -418,23 +421,24 @@ def _read_csv(path: Path):
     return header, [line.split(",") for line in lines[1:]]
 
 
+def _read_float_csv(path: Path, width: int) -> np.ndarray:
+    """(rows, width) values of a CSV of floats, its header line skipped."""
+    fields = path.read_text().partition("\n")[2].replace(",", " ").split()
+    if len(fields) % width:
+        raise ValueError(f"{path}: expected {width} values per row")
+    return np.array(list(map(float, fields))).reshape(-1, width)
+
+
 def read_run(run_dir) -> RunRecord:
     run_dir = Path(run_dir)
     summary = json.loads((run_dir / "summary.json").read_text())
     timing = json.loads((run_dir / "timing.json").read_text())
 
-    _, traj_rows = _read_csv(run_dir / "trajectory.csv")
-    times = np.array([float(r[0]) for r in traj_rows])
-    trans = np.array([[float(v) for v in r[1:4]] for r in traj_rows])
-    quats = np.array([[float(v) for v in r[4:8]] for r in traj_rows])
-
-    _, smooth_rows = _read_csv(run_dir / "smoothed.csv")
-    s_times = np.array([float(r[0]) for r in smooth_rows])
-    s_trans = np.array([[float(v) for v in r[1:4]] for r in smooth_rows])
-    s_quats = np.array([[float(v) for v in r[4:8]] for r in smooth_rows])
-
-    _, err_rows = _read_csv(run_dir / "errors.csv")
-    errors = np.array([float(r[1]) for r in err_rows])
+    traj = _read_float_csv(run_dir / "trajectory.csv", 8)
+    times, trans, quats = traj[:, 0], traj[:, 1:4], traj[:, 4:8]
+    smooth = _read_float_csv(run_dir / "smoothed.csv", 8)
+    s_times, s_trans, s_quats = smooth[:, 0], smooth[:, 1:4], smooth[:, 4:8]
+    errors = _read_float_csv(run_dir / "errors.csv", 2)[:, 1]
 
     _, det_rows = _read_csv(run_dir / "detections.csv")
     detections = [{"time_s": float(r[0]), "q": float(r[1]), "tau": float(r[2]),

@@ -19,8 +19,13 @@ Each kernel evaluates a row's sub-expressions once and shares them: theta =
 needs them, and a coefficient's Taylor series or closed form is evaluated
 only when at least one row takes it.  se3_log_arrays can also return the
 SO(3) V(w)^-1 its translation part needed, and se3_left_jacobian_inv takes
-that in place of building it again, so the window optimizer linearizes
-with the V^-1 its residual logs computed.
+that in place of building it again, together with the angle terms (theta,
+the small-angle split and [w]_x) of the same w, so the window optimizer
+linearizes with the V^-1 and angle terms its residual logs computed.
+
+compose, dead reckoning's per-step primitive, multiplies two Poses with
+compose_arrays' matmuls, drift expression and reprojection rule, without
+its batch conversions, so both return the same bits.
 
 The kernels return the same bits as their one-function-per-quantity form,
 kept as the oracle in tests/test_liegroup.py.  That rests on the exact
@@ -34,6 +39,7 @@ every swapaxes view, operand order, power and summation order such as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,15 +208,28 @@ def se3_exp_arrays(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rot, (v @ rho[..., None])[..., 0]
 
 
-def se3_log_arrays(rot: np.ndarray, t: np.ndarray, with_jinv: bool = False):
+class LogTerms(NamedTuple):
+    """What se3_log_arrays computed on the way to nu that J_l^-1(nu) needs:
+    _angle's terms of w = nu[..., :3], and V(w)^-1."""
+
+    theta: np.ndarray
+    small: np.ndarray | None
+    t: np.ndarray
+    wx: np.ndarray
+    jinv: np.ndarray
+
+
+def se3_log_arrays(rot: np.ndarray, t: np.ndarray, with_terms: bool = False):
     """Inverse of se3_exp_arrays; raises NearSingularLogError near pi.  With
-    with_jinv, returns (nu, V(w)^-1) so se3_left_jacobian_inv(nu, ...) can
-    reuse the SO(3) inverse Jacobian that the translation part needed."""
+    with_terms, returns (nu, LogTerms) so se3_left_jacobian_inv(nu, ...) can
+    reuse the angle terms and the SO(3) inverse Jacobian that the
+    translation part needed."""
     omega = so3_log(rot)
-    jinv = _jl_inv(*_angle(omega))
+    angle = _angle(omega)
+    jinv = _jl_inv(*angle)
     rho = (jinv @ np.asarray(t, dtype=float)[..., None])[..., 0]
     nu = np.concatenate([omega, rho], axis=-1)
-    return (nu, jinv) if with_jinv else nu
+    return (nu, LogTerms(*angle, jinv)) if with_terms else nu
 
 
 def _q_matrix(rho: np.ndarray, theta, wx) -> np.ndarray:
@@ -243,14 +262,16 @@ def _q_matrix(rho: np.ndarray, theta, wx) -> np.ndarray:
     return q
 
 
-def se3_left_jacobian_inv(nu: np.ndarray, jinv: np.ndarray | None = None) -> np.ndarray:
+def se3_left_jacobian_inv(nu: np.ndarray, terms: LogTerms | None = None) -> np.ndarray:
     """6x6 inverse left Jacobian: d log(exp(eps) exp(nu))/d eps at eps = 0.
-    jinv, when given, is V(w)^-1 of w = nu[..., :3], as se3_log_arrays
-    returns it."""
+    terms, when given, are those of w = nu[..., :3], as se3_log_arrays
+    returns them."""
     nu = np.asarray(nu, dtype=float)
-    theta, small, t, wx = _angle(nu[..., :3])
-    if jinv is None:
+    if terms is None:
+        theta, small, t, wx = _angle(nu[..., :3])
         jinv = _jl_inv(theta, small, t, wx)
+    else:
+        theta, small, t, wx, jinv = terms
     q = _q_matrix(nu[..., 3:], theta, wx)
     out = np.zeros(nu.shape[:-1] + (6, 6))
     out[..., :3, :3] = jinv
@@ -368,8 +389,14 @@ def log(pose: Pose) -> np.ndarray:
 
 
 def compose(a: Pose, b: Pose) -> Pose:
-    """a * b (apply b first, then a)."""
-    return Pose._of(*_compose(a.rotation, a.translation, b.rotation, b.translation))
+    """a * b (apply b first, then a): _compose's expressions on one pair."""
+    rot_a = a.rotation
+    rot = rot_a @ b.rotation
+    t = (rot_a @ b.translation[..., None])[..., 0] + a.translation
+    off = rot.swapaxes(-1, -2) @ rot - _EYE3
+    if np.sqrt(np.add.reduce(off * off, axis=(-2, -1))) > ORTHONORMALITY_DRIFT:
+        rot = project_rotation(rot)
+    return Pose._of(rot, t)
 
 
 def inverse(pose: Pose) -> Pose:

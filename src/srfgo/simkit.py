@@ -17,6 +17,11 @@ draw order is the contract that keeps run outputs reproducible:
 One (n, k) draw equals n sequential k-sample draws bit for bit, so the
 stream is the same as drawing step by step.
 
+Trajectories and measurements are built as whole arrays, and their poses
+are views of them.  Each equals its per-step build in tests/test_simkit.py
+bit for bit; so math.sin, math.cos and the random-smooth-turn recursion
+stay per step, where numpy's vectorized sin and cos could round otherwise.
+
 Scenarios are built from command-line settings by ``srfgo.cli``, and seed
 sweeps run through ``srfgo sweep``.
 """
@@ -57,10 +62,17 @@ CIRCUIT_RADIUS_M = 200.0
 TRAJECTORY_HEADER = "t,x,y,z,qx,qy,qz,qw"
 
 
-def _yaw_pose(heading: float, position: np.ndarray) -> Pose:
-    c, s = math.cos(heading), math.sin(heading)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return Pose(rot, position)
+def _yaw_poses(cos, sin, x, y) -> list[Pose]:
+    """Planar poses at (x, y, 0), each yawed by the heading whose cosine and
+    sine are given, as views of one rotation and one translation stack."""
+    cos, sin = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
+    rot = np.zeros((len(cos), 3, 3))
+    rot[:, 0, 0], rot[:, 0, 1] = cos, -sin
+    rot[:, 1, 0], rot[:, 1, 1] = sin, cos
+    rot[:, 2, 2] = 1.0
+    t = np.zeros((len(cos), 3))
+    t[:, 0], t[:, 1] = x, y
+    return list(map(Pose._of, rot, t))
 
 
 def gen_trajectory(kind: str, duration_s: float, speed_mps: float, seed: int,
@@ -77,16 +89,14 @@ def gen_trajectory(kind: str, duration_s: float, speed_mps: float, seed: int,
     times = np.arange(steps + 1) * dt
 
     if kind == "straight":
-        return [_yaw_pose(0.0, np.array([speed_mps * t, 0.0, 0.0])) for t in times]
+        return _yaw_poses(np.ones(steps + 1), np.zeros(steps + 1), speed_mps * times, 0.0)
 
     if kind == "circuit":
-        omega = speed_mps / CIRCUIT_RADIUS_M
-        poses = []
-        for t in times:
-            theta = omega * t
-            pos = CIRCUIT_RADIUS_M * np.array([math.sin(theta), 1.0 - math.cos(theta), 0.0])
-            poses.append(_yaw_pose(theta, pos))
-        return poses
+        thetas = (speed_mps / CIRCUIT_RADIUS_M * times).tolist()
+        cos = np.array([math.cos(theta) for theta in thetas])
+        sin = np.array([math.sin(theta) for theta in thetas])
+        return _yaw_poses(cos, sin, CIRCUIT_RADIUS_M * sin,
+                          CIRCUIT_RADIUS_M * (1.0 - cos))
 
     # random-smooth-turn: Ornstein-Uhlenbeck yaw rate, Euler-integrated.
     rng = make_rng(seed, TRAJECTORY_STREAM)
@@ -94,18 +104,23 @@ def gen_trajectory(kind: str, duration_s: float, speed_mps: float, seed: int,
     stationary_rate = 0.05  # rad/s
     decay = math.exp(-dt / correlation_s)
     kick = stationary_rate * math.sqrt(1.0 - decay * decay)
-    yaw_rate = 0.0
-    heading = 0.0
-    position = np.zeros(3)
-    poses = [_yaw_pose(heading, position.copy())]
+    stride = speed_mps * dt
+    yaw_rate = heading = x = y = 0.0
+    cos, sin, xs, ys = [], [], [x], [y]
     # One draw per step, taken in one call: the same stream as step-wise calls.
     for draw in normal(rng, steps).tolist():
-        position = position + speed_mps * dt * np.array(
-            [math.cos(heading), math.sin(heading), 0.0])
+        c, s = math.cos(heading), math.sin(heading)
+        cos.append(c)
+        sin.append(s)
+        x += stride * c
+        y += stride * s
+        xs.append(x)
+        ys.append(y)
         yaw_rate = decay * yaw_rate + kick * draw
         heading += yaw_rate * dt
-        poses.append(_yaw_pose(heading, position.copy()))
-    return poses
+    cos.append(math.cos(heading))
+    sin.append(math.sin(heading))
+    return _yaw_poses(cos, sin, xs, ys)
 
 
 def _snap_unit_quaternion(q: np.ndarray) -> np.ndarray:
@@ -169,17 +184,19 @@ def load_trajectory(path, dt: float = DT_DEFAULT) -> list[Pose]:
     return poses
 
 
-def sat_positions(t: float) -> np.ndarray:
-    """(m, 3) ENU positions at time t of the m = NUM_SATELLITES satellites,
-    on circular orbits around the scene origin, evenly spaced in azimuth
-    with elevations alternating 30/60 degrees; pure function of t."""
+def sat_positions(t) -> np.ndarray:
+    """(..., m, 3) ENU positions at time t, a scalar or an array of times,
+    of the m = NUM_SATELLITES satellites, on circular orbits around the
+    scene origin, evenly spaced in azimuth with elevations alternating
+    30/60 degrees; pure function of t, the same at each time in a batch."""
     m = NUM_SATELLITES
-    azimuths = 2.0 * math.pi * np.arange(m) / m + GPS_ANGULAR_RATE * t
+    azimuths = (2.0 * math.pi * np.arange(m) / m
+                + GPS_ANGULAR_RATE * np.asarray(t, dtype=float)[..., None])
     elevations = np.where(np.arange(m) % 2 == 0, math.radians(30.0), math.radians(60.0))
     east = np.cos(elevations) * np.sin(azimuths)
     north = np.cos(elevations) * np.cos(azimuths)
-    up = np.sin(elevations)
-    return GPS_ORBIT_RADIUS_M * np.stack([east, north, up], axis=1)
+    up = np.broadcast_to(np.sin(elevations), azimuths.shape)
+    return GPS_ORBIT_RADIUS_M * np.stack([east, north, up], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -267,6 +284,15 @@ class Scenario:
         sig = np.asarray(self.sigma_icp, dtype=float)
         if sig.shape != (6,) or not (np.isfinite(sig).all() and (sig >= 0.0).all()):
             raise ValueError("sigma_icp must be six finite non-negative stds")
+        # A stream is weighed by 1/sigma^2, and a zero sigma by 1 (noiseless);
+        # a positive sigma whose square underflows would weigh it infinitely.
+        for name, value in (("sigma_gps", self.sigma_gps), ("sigma_icp", self.sigma_icp)):
+            std = np.asarray(value, dtype=float)
+            with np.errstate(divide="ignore", over="ignore"):
+                weight = 1.0 / np.square(std[std > 0.0])
+            if not np.isfinite(weight).all():
+                raise ValueError(f"{name} must be 0 or large enough that "
+                                 f"1/{name}^2 is finite, got {value}")
 
     @property
     def steps(self) -> int:
@@ -280,15 +306,10 @@ class Scenario:
 @dataclass(frozen=True)
 class MeasurementStream:
     """Per-step measurements: odometry[i] maps node i to i+1; GPS epochs map
-    node step -> (satellite positions, pseudoranges)."""
+    node step -> (satellite positions, pseudoranges), every range positive."""
 
     odometry: tuple
     gps_epochs: dict
-
-    def __post_init__(self):
-        for step, (sats, ranges) in self.gps_epochs.items():
-            if np.any(ranges <= 0.0):
-                raise ValueError(f"non-positive pseudorange at step {step}")
 
 
 def build_measurements(scenario: Scenario) -> MeasurementStream:
@@ -298,15 +319,18 @@ def build_measurements(scenario: Scenario) -> MeasurementStream:
     odo_rot, odo_t = gen_odometry(rot, t, scenario.sigma_icp,
                                   make_rng(scenario.seed, ODOMETRY_STREAM))
 
-    steps = list(range(0, scenario.steps + 1, scenario.gps_every_steps))
-    times = [step * scenario.dt for step in steps]
-    sats = np.stack([sat_positions(time) for time in times])
+    steps = np.arange(0, scenario.steps + 1, scenario.gps_every_steps)
+    times = steps * scenario.dt
+    sats = sat_positions(times)
     positions = t[steps]
     if scenario.spoof is not None:
         positions = positions + spoof_bias(times, scenario.spoof)
     ranges = gen_pseudoranges(positions, sats, scenario.sigma_gps,
                               make_rng(scenario.seed, GPS_STREAM))
+    bad = (ranges <= 0.0).any(axis=1)
+    if bad.any():
+        raise ValueError(f"non-positive pseudorange at step {steps[bad.argmax()]}")
 
-    odometry = tuple(Pose(r, v) for r, v in zip(odo_rot, odo_t))
-    gps_epochs = {step: (sats[j], ranges[j]) for j, step in enumerate(steps)}
+    odometry = tuple(map(Pose._of, odo_rot, odo_t))
+    gps_epochs = {step: (sats[j], ranges[j]) for j, step in enumerate(steps.tolist())}
     return MeasurementStream(odometry, gps_epochs)

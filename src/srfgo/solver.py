@@ -10,10 +10,12 @@ information and one GPS sigma; its anchor keeps its own information.
 The normal equations H delta = -b are block-tridiagonal in 6x6 blocks; we
 assemble the blocks from those kernels, applied to every factor at once,
 write them straight into LAPACK's upper band storage, ab[11 + i - j, j] =
-H[i, j] for i <= j, and solve with a banded Cholesky factorization.
+H[i, j] for i <= j, through flat indices computed once per window size, and
+solve with a banded Cholesky factorization.
 The odometry and anchor residuals are both log(a^-1 b), so one kernel call
-evaluates them on stacked rows, and one J_l^-1 call linearizes them with
-the SO(3) V^-1 those logs already computed.  Odometry is compiled in chain
+evaluates them on stacked rows against their measured transforms, stacked
+once per window, and one J_l^-1 call linearizes them with the SO(3) V^-1
+and angle terms those logs already computed.  Odometry is compiled in chain
 order, row k linking nodes k and k + 1, so its blocks add by slices; the
 window's one anchor adds to its node's blocks directly.
 Levenberg-Marquardt damping wraps the Gauss-Newton step: lambda starts at
@@ -38,6 +40,7 @@ Estimates update by right perturbation x <- x * exp(delta).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -62,6 +65,23 @@ DAMPING_MAX = 1e8
 # the upper triangle of a diagonal block, every entry of an upper block.
 _DIAG_A, _DIAG_B = np.triu_indices(6)
 _UPPER_A, _UPPER_B = np.indices((6, 6)).reshape(2, -1)
+
+
+@functools.lru_cache(maxsize=1)
+def _band_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dst, src) for n nodes: band entry dst[i] of the flattened (12, 6n)
+    storage takes entry src[i] of the diagonal blocks (n, 6, 6) followed by
+    the upper blocks (n - 1, 6, 6), both flattened.  A window keeps its size
+    from one solve to the next, so one size is held."""
+    k = np.arange(n)[:, None]
+    dst = [(11 + _DIAG_A - _DIAG_B) * 6 * n + 6 * k + _DIAG_B,
+           (5 + _UPPER_A - _UPPER_B) * 6 * n + 6 * k[1:] + _UPPER_B]
+    src = [36 * k + 6 * _DIAG_A + _DIAG_B,
+           36 * (n - 1) + 36 * k[1:] + 6 * _UPPER_A + _UPPER_B]
+    out = tuple(np.concatenate([a.reshape(-1) for a in pair]) for pair in (dst, src))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 @dataclass(eq=False)
@@ -172,6 +192,15 @@ class WindowGraph:
 
     # -- residual evaluation ----------------------------------------------
 
+    @functools.cached_property
+    def _pose_measured(self) -> tuple[np.ndarray, np.ndarray]:
+        """Measured transforms of the odometry rows, then the anchor's, as
+        _residuals stacks its pose rows; the factors are fixed for a
+        window's life."""
+        comp = self.comp
+        return (np.concatenate([comp["odo_rot"], comp["anc_rot"]]),
+                np.concatenate([comp["odo_t"], comp["anc_t"]]))
+
     def _residuals(self, rot: np.ndarray, t: np.ndarray) -> dict:
         comp = self.comp
         gps, gps_diff, gps_ranges = fmod.gps_errors(
@@ -179,14 +208,13 @@ class WindowGraph:
         arow = comp["anc_rows"]
         rot_pred, t_pred = fmod.between(rot[:-1], t[:-1], rot[1:], t[1:])
         # Odometry log(pred^-1 Z) and anchor log(x^-1 prior), one batch; its
-        # V^-1 goes on to _assemble.
-        pose, jinv = fmod.relative_errors(
+        # V^-1 and angle terms go on to _assemble.
+        pose, terms = fmod.relative_errors(
             np.concatenate([rot_pred, rot[arow]]), np.concatenate([t_pred, t[arow]]),
-            np.concatenate([comp["odo_rot"], comp["anc_rot"]]),
-            np.concatenate([comp["odo_t"], comp["anc_t"]]))
+            *self._pose_measured)
         n_odo = len(t_pred)
         return {"gps": gps, "gps_diff": gps_diff, "gps_ranges": gps_ranges,
-                "pose": pose, "pose_jinv": jinv, "odometry": pose[:n_odo],
+                "pose": pose, "pose_terms": terms, "odometry": pose[:n_odo],
                 "anchor": pose[n_odo:], "odo_rot_pred": rot_pred, "odo_t_pred": t_pred}
 
     def _objective_of(self, res: dict) -> float:
@@ -228,8 +256,8 @@ class WindowGraph:
             np.add.at(grad, (rows, slice(3, None)), (w * res["gps"])[:, None] * jt)
 
         # One J_l^-1 over the stacked odometry and anchor rows, from the
-        # V^-1 their logs computed.
-        jac = fmod.relative_jacobians(res["pose"], res["pose_jinv"])
+        # V^-1 and angle terms their logs computed.
+        jac = fmod.relative_jacobians(res["pose"], res["pose_terms"])
         if n > 1:
             e = res["odometry"]
             info = self.odometry_information
@@ -261,12 +289,13 @@ class WindowGraph:
         n = len(diag)
         # (band row, node k, column b): entry (a, b) of node k's diagonal
         # block and of node k - 1's upper block both lie in column 6k + b.
-        ab = np.zeros((12, n, 6))
-        ab[11 + _DIAG_A - _DIAG_B, :, _DIAG_B] = diag[:, _DIAG_A, _DIAG_B].T
+        dst, src = _band_index(n)
+        ab = np.zeros(72 * n)
+        ab[dst] = np.concatenate([diag.reshape(-1), upper.reshape(-1)])[src]
+        ab = ab.reshape(12, 6 * n)
         ab[11] += damping
-        ab[5 + _UPPER_A - _UPPER_B, 1:, _UPPER_B] = upper[:, _UPPER_A, _UPPER_B].T
         # One node keeps bandwidth 11 too: LAPACK ignores entries outside H.
-        return scipy.linalg.solveh_banded(ab.reshape(12, 6 * n), rhs, lower=False)
+        return scipy.linalg.solveh_banded(ab, rhs, lower=False)
 
     def optimize(self) -> SolveReport:
         """Damped Gauss-Newton to convergence; replaces the node estimates."""

@@ -139,7 +139,9 @@ class TestExitCodes:
         (["--mode", "odometry-only", "--ramp-rate", "0", "--window-size", "20",
           "--sigma-gps", "nan"], "sigma_gps"),
         (["--mode", "odometry-only", "--ramp-rate", "0,1", "--window-size", "20",
-          "--spoof-start", "nan"], "t_start")])
+          "--spoof-start", "nan"], "t_start"),
+        (["--mode", "naive-fgo", "--ramp-rate", "0", "--window-size", "20",
+          "--sigma-gps", "1e-200"], "1/sigma_gps^2 is finite")])
     def test_sweep_rejects_invalid_cell_before_any_run(self, tmp_path, capsys,
                                                        monkeypatch, flags, message):
         # The configuration error `run` reports (exit 1), before any run.
@@ -165,6 +167,14 @@ class TestExitCodes:
         assert cli("run", "--mode", "sr-fgo", "--duration", "180", *ramp,
                    flag, value) == 1
         assert name in capsys.readouterr().err
+
+    def test_sigma_whose_weight_overflows_is_config_error(self, tmp_path, capsys):
+        # 1e-200 is finite, but 1 / 1e-200^2 is not.
+        assert cli("run", "--mode", "naive-fgo", "--kind", "circuit", "--duration", "180",
+                   "--sigma-gps", "1e-200", "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert "error: sigma_gps must be 0 or large enough" in err
+        assert not (tmp_path / "run").exists()
 
     def test_write_failure_is_runtime_failure(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -311,6 +321,29 @@ class TestSweep:
         assert (cell["runs"], cell["failures"]) == (0, [str(run_dir)])
         top = json.loads((out / "summary.json").read_text())
         assert [c["runs"] for c in top["cells"]] == [0]
+
+    def test_read_back_failure_filed_under_its_cell(self, tmp_path, capsys,
+                                                      monkeypatch):
+        out = tmp_path / "sw"
+        bad = out / "odometry-only-r1-N20" / "run-000"
+        read_run = cli_module.read_run
+
+        def read(run_dir):
+            if Path(run_dir) == bad:
+                raise ValueError("unreadable run")
+            return read_run(run_dir)
+
+        monkeypatch.setattr(cli_module, "read_run", read)
+        assert cli("sweep", "--mode", "odometry-only", "--ramp-rate", "0,1",
+                   "--window-size", "20", "--runs", "2", "--seed", "1",
+                   "--duration", "180", "--out", out) == 2
+        assert f"failed: {bad}: ValueError: unreadable run" in capsys.readouterr().err
+        intact = json.loads((out / "odometry-only-r0-N20" / "summary.json").read_text())
+        cell = json.loads((out / "odometry-only-r1-N20" / "summary.json").read_text())
+        assert (intact["runs"], intact["failures"]) == (2, [])
+        assert (cell["runs"], cell["failures"]) == (1, [str(bad)])
+        kept = read_run(bad.parent / "run-001").summary
+        assert cell["mean_error_m"]["per_run"] == [kept["mean_error_m"]]
 
     def test_config_can_supply_grid(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -349,7 +349,28 @@ class TestCoasting:
         assert spoofed_sr.summary["windows_coasted"] > 0
 
 
+def reference_pose_csv_lines(times_s, translations, quaternions) -> list:
+    """One row at a time, each value written as repr(float(value))."""
+    lines = ["t,x,y,z,qx,qy,qz,qw"]
+    for t, p, q in zip(times_s, translations, quaternions):
+        lines.append(",".join(repr(float(v)) for v in (t, p[0], p[1], p[2],
+                                                        q[0], q[1], q[2], q[3])))
+    return lines
+
+
 class TestSerialization:
+    def test_pose_lines_match_per_value_repr(self, tmp_path, rng):
+        values = rng.normal(size=(400, 8)) * 10.0 ** rng.uniform(-300, 300, (400, 8))
+        values[0] = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     2.2250738585072014e-308, 1e16, 0.1]
+        values[1] = np.nextafter(values[0], 1.0)
+        columns = (values[:, 0], values[:, 1:4], values[:, 4:])
+        lines = harness._pose_csv_lines(*columns)
+        assert lines == reference_pose_csv_lines(*columns)
+        path = tmp_path / "poses.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert harness._read_float_csv(path, 8).tobytes() == values.tobytes()
+
     def test_round_trip_is_lossless(self, tmp_path, spoofed_sr):
         write_run(spoofed_sr, tmp_path / "r")
         loaded = read_run(tmp_path / "r")
@@ -379,7 +400,7 @@ class TestMonteCarlo:
         records = [run(RunConfig(scenario=make_scenario(seed=seed),
                                  mode="odometry-only"))
                    for seed in (50, 51, 52)]
-        shuffled = [records[2], records[0], records[1]]
+        shuffled = [records[2].summary, records[0].summary, records[1].summary]
         summary = summarize_runs(shuffled, mode="odometry-only", base_seed=50)
         assert summary["mean_error_m"]["per_run"] == [
             r.summary["mean_error_m"] for r in records]

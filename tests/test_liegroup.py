@@ -524,11 +524,12 @@ class TestSharedTermKernelsBitForBit:
 
         e = ref_se3_log_arrays(rot, t)
         assert_same_bits(liegroup.se3_log_arrays(rot, t), e)
-        got_e, jinv = liegroup.se3_log_arrays(rot, t, True)
+        got_e, terms = liegroup.se3_log_arrays(rot, t, True)
         assert_same_bits(got_e, e)
-        assert_same_bits(jinv, ref_so3_left_jacobian_inv(e[..., :3]))
-        # The V^-1 the log returns stands in for the one the Jacobian builds.
-        assert_same_bits(liegroup.se3_left_jacobian_inv(e, jinv),
+        assert_same_bits(terms.jinv, ref_so3_left_jacobian_inv(e[..., :3]))
+        # The V^-1 and angle terms the log returns stand in for the ones the
+        # Jacobian builds.
+        assert_same_bits(liegroup.se3_left_jacobian_inv(e, terms),
                          ref_se3_left_jacobian_inv(e))
 
         if nu.ndim == 2 and len(nu):
@@ -551,6 +552,22 @@ class TestSharedTermKernelsBitForBit:
             liegroup.se3_log_arrays(rot, t)
         with pytest.raises(liegroup.NearSingularLogError):
             liegroup.se3_log_arrays(rot, t, True)
+
+    def test_pose_compose_matches_compose_arrays(self, rng):
+        # compose is the per-step path, compose_arrays the batched one.
+        rot = liegroup.so3_exp(rng.normal(size=(300, 3)))
+        rot[::7] *= 1.0 + 1e-9  # beyond ORTHONORMALITY_DRIFT
+        t = rng.normal(size=(300, 3)) * 100.0
+        rot_b, t_b = rot[::-1].copy(), t[::-1].copy()
+        want_rot, want_t = liegroup.compose_arrays(rot, t, rot_b, t_b)
+        reprojected = 0
+        for k in range(len(rot)):
+            got = compose(Pose(rot[k], t[k]), Pose(rot_b[k], t_b[k]))
+            assert_same_bits(got.rotation, want_rot[k])
+            assert_same_bits(got.translation, want_t[k])
+            reprojected += not np.array_equal(got.rotation, rot[k] @ rot_b[k])
+        assert reprojected == np.count_nonzero((np.arange(300) % 7 == 0)
+                                               | (np.arange(300)[::-1] % 7 == 0))
 
     def test_drifted_rotation_reprojected_like_before(self, rng):
         rot = liegroup.so3_exp(rng.normal(size=(5, 3)))

@@ -1,17 +1,59 @@
 """Trajectory generation and I/O, constellation, measurement models."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from srfgo.liegroup import Pose, compose, exp, inverse, ominus
-from srfgo.rngutil import GPS_STREAM, ODOMETRY_STREAM, make_rng, normal
+from srfgo.rngutil import (GPS_STREAM, ODOMETRY_STREAM, TRAJECTORY_STREAM, make_rng,
+                           normal)
 from srfgo.simkit import (CIRCUIT_RADIUS_M, EARTH_RADIUS_M, GPS_ORBIT_ALTITUDE_M,
-                          GPS_ORBIT_RADIUS_M, MeasurementStream, Scenario,
+                          GPS_ORBIT_RADIUS_M, TRAJECTORY_KINDS, Scenario,
                           SpoofProfile, build_measurements, gen_odometry,
                           gen_pseudoranges, gen_trajectory, load_trajectory,
                           sat_positions, save_trajectory, spoof_bias)
+
+
+def _yaw_pose(heading: float, position: np.ndarray) -> Pose:
+    c, s = math.cos(heading), math.sin(heading)
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return Pose(rot, position)
+
+
+def reference_trajectory(kind, duration_s, speed_mps, seed, dt):
+    """Per-step build: one _yaw_pose and one position vector per step."""
+    steps = int(round(duration_s / dt))
+    times = np.arange(steps + 1) * dt
+    if kind == "straight":
+        return [_yaw_pose(0.0, np.array([speed_mps * t, 0.0, 0.0])) for t in times]
+    if kind == "circuit":
+        omega = speed_mps / CIRCUIT_RADIUS_M
+        poses = []
+        for t in times:
+            theta = omega * t
+            pos = CIRCUIT_RADIUS_M * np.array([math.sin(theta), 1.0 - math.cos(theta), 0.0])
+            poses.append(_yaw_pose(theta, pos))
+        return poses
+    rng = make_rng(seed, TRAJECTORY_STREAM)
+    decay = math.exp(-dt / 20.0)
+    kick = 0.05 * math.sqrt(1.0 - decay * decay)
+    yaw_rate = heading = 0.0
+    position = np.zeros(3)
+    poses = [_yaw_pose(heading, position.copy())]
+    for draw in normal(rng, steps).tolist():
+        position = position + speed_mps * dt * np.array(
+            [math.cos(heading), math.sin(heading), 0.0])
+        yaw_rate = decay * yaw_rate + kick * draw
+        heading += yaw_rate * dt
+        poses.append(_yaw_pose(heading, position.copy()))
+    return poses
+
+
+def pose_bytes(poses) -> tuple[bytes, bytes]:
+    return (np.stack([p.rotation for p in poses]).tobytes(),
+            np.stack([p.translation for p in poses]).tobytes())
 
 
 class TestGenTrajectory:
@@ -51,6 +93,14 @@ class TestGenTrajectory:
         c = gen_trajectory("random-smooth-turn", 200.0, 10.0, seed=8)
         assert all(np.array_equal(x.matrix(), y.matrix()) for x, y in zip(a, b))
         assert any(not np.array_equal(x.matrix(), y.matrix()) for x, y in zip(a, c))
+
+    @pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
+    @pytest.mark.parametrize("duration,speed,dt", [(200.0, 10.0, 0.1), (400.0, 3.7, 0.2)])
+    def test_arrays_equal_per_step_reference(self, kind, duration, speed, dt):
+        got = gen_trajectory(kind, duration, speed, seed=5, dt=dt)
+        want = reference_trajectory(kind, duration, speed, seed=5, dt=dt)
+        assert len(got) == len(want)
+        assert pose_bytes(got) == pose_bytes(want)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -155,6 +205,14 @@ class TestConstellation:
     def test_elevations_above_horizon(self):
         sats = sat_positions(123.0)
         assert np.all(sats[:, 2] > 0.0)
+
+    def test_batched_times_equal_per_epoch_calls(self, rng):
+        times = np.concatenate([np.arange(0, 3601) * 1.0, np.arange(0, 977) * 0.3,
+                                rng.uniform(0.0, 1e6, 101)])
+        batched = sat_positions(times)
+        assert batched.shape == (len(times), 8, 3)
+        per_epoch = np.stack([sat_positions(float(t)) for t in times])
+        assert batched.tobytes() == per_epoch.tobytes()
 
 
 def _stacked(poses):
@@ -348,6 +406,22 @@ class TestScenario:
     def test_non_finite_rejected(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             Scenario(truth=self._truth(), **kwargs)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(sigma_gps=1e-200), "sigma_gps"), (dict(sigma_gps=1e-160), "sigma_gps"),
+        (dict(sigma_icp=(1e-200,) * 6), "sigma_icp"),
+        (dict(sigma_icp=(0.01,) * 5 + (1e-170,)), "sigma_icp")])
+    def test_weight_must_be_finite(self, kwargs, name):
+        # 1/sigma^2 overflows although sigma is finite and positive; no
+        # numpy warning may print on the way to the error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"1/{name}\^2 is finite, got"):
+                Scenario(truth=self._truth(), **kwargs)
+
+    def test_zero_and_tiny_sigma_allowed(self):
+        Scenario(truth=self._truth(), sigma_gps=0.0, sigma_icp=(0.0,) * 6)
+        Scenario(truth=self._truth(), sigma_gps=1e-150, sigma_icp=(1e-150,) + (0.0,) * 5)
 
     def test_measurement_stream_shapes(self):
         scn = Scenario(truth=self._truth(), seed=12)

@@ -185,7 +185,7 @@ class TestAssembly:
         n_pose = len(g.comp["odo_rows"]) + len(g.comp["anc_rows"])
         assert rows == [(n_pose,)]
         monkeypatch.undo()
-        expected = g._assemble(g.rot, dict(res, pose_jinv=None))
+        expected = g._assemble(g.rot, dict(res, pose_terms=None))
         for got, want in zip((diag, upper, grad), expected):
             assert np.array_equal(got, want)
 
@@ -240,7 +240,7 @@ def einsum_gradient(g: WindowGraph, rot: np.ndarray, res: dict) -> np.ndarray:
         jt = fmod.gps_jacobians(rot[rows], res["gps_diff"], res["gps_ranges"])
         np.add.at(grad, (rows, slice(3, None)),
                   (g.gps_sigma ** -2 * res["gps"])[:, None] * jt)
-    jac = fmod.relative_jacobians(res["pose"], res["pose_jinv"])
+    jac = fmod.relative_jacobians(res["pose"], res["pose_terms"])
     if n > 1:
         j_i, j_j = fmod.odometry_jacobians(jac[:n - 1], res["odo_rot_pred"],
                                            res["odo_t_pred"])
