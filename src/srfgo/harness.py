@@ -375,38 +375,51 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _float_csv_lines(header: str, *columns) -> list:
+# Rows converted to Python floats at a time while a CSV file is written, so
+# a long run never holds all its values, or all its lines, at once.
+_CSV_CHUNK_ROWS = 256
+
+
+def _float_csv_lines(header: str, *columns):
     """header, then one line per row of the stacked columns (1-D arrays are
     one column, 2-D arrays one per entry), every value as repr(float)."""
-    rows = np.column_stack(columns).tolist()
-    return [header, *(",".join(map(repr, row)) for row in rows)]
+    table = np.column_stack(columns)
+    yield header
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        for row in table[start:start + _CSV_CHUNK_ROWS].tolist():
+            yield ",".join(map(repr, row))
 
 
 def _pose_csv_lines(times_s, translations, quaternions):
     return _float_csv_lines("t,x,y,z,qx,qy,qz,qw", times_s, translations, quaternions)
 
 
+def _write_lines(path: Path, lines) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def write_run(record: RunRecord, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    (out / "trajectory.csv").write_text("\n".join(_pose_csv_lines(
-        record.times_s, record.est_translations, record.est_quaternions)) + "\n")
-    (out / "smoothed.csv").write_text("\n".join(_pose_csv_lines(
+    _write_lines(out / "trajectory.csv", _pose_csv_lines(
+        record.times_s, record.est_translations, record.est_quaternions))
+    _write_lines(out / "smoothed.csv", _pose_csv_lines(
         record.smoothed_times_s, record.smoothed_translations,
-        record.smoothed_quaternions)) + "\n")
-    (out / "errors.csv").write_text("\n".join(_float_csv_lines(
-        "time_s,l2_error_m", record.times_s, record.errors)) + "\n")
+        record.smoothed_quaternions))
+    _write_lines(out / "errors.csv", _float_csv_lines(
+        "time_s,l2_error_m", record.times_s, record.errors))
 
     det_lines = ["time_s,q,tau,n,decision"]
     det_lines += [f"{_fmt(r['time_s'])},{_fmt(r['q'])},{_fmt(r['tau'])},"
                   f"{r['n']},{r['decision']}" for r in record.detections]
-    (out / "detections.csv").write_text("\n".join(det_lines) + "\n")
+    _write_lines(out / "detections.csv", det_lines)
 
     auth_lines = ["time_s,outcome,action"]
     auth_lines += [f"{_fmt(r['time_s'])},{r['outcome']},{r['action']}"
                    for r in record.auth_events]
-    (out / "auth.csv").write_text("\n".join(auth_lines) + "\n")
+    _write_lines(out / "auth.csv", auth_lines)
 
     (out / "summary.json").write_text(
         json.dumps(record.summary, indent=2, sort_keys=True) + "\n")

@@ -365,7 +365,7 @@ class TestSerialization:
                      2.2250738585072014e-308, 1e16, 0.1]
         values[1] = np.nextafter(values[0], 1.0)
         columns = (values[:, 0], values[:, 1:4], values[:, 4:])
-        lines = harness._pose_csv_lines(*columns)
+        lines = list(harness._pose_csv_lines(*columns))
         assert lines == reference_pose_csv_lines(*columns)
         path = tmp_path / "poses.csv"
         path.write_text("\n".join(lines) + "\n")
