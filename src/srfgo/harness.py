@@ -21,8 +21,9 @@ outcome and fills in its action.  Modes:
 
 Run outputs are plain CSV/JSON; every float is written with repr precision
 so records round-trip losslessly and repeated runs are byte-identical.  The
-numeric CSV files are written from whole column stacks and parsed back as
-whole arrays, with Python's own repr and float on every value.
+numeric CSV files are written from column stacks, a chunk of rows at a time,
+and parsed back as whole arrays, with Python's own repr and float on every
+value.
 Wall-clock timing goes to a separate timing.json, which is the only
 non-deterministic output.
 """
