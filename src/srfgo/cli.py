@@ -20,7 +20,7 @@ import numpy as np
 
 from .harness import (MODES, WINDOW_SHIFT_DEFAULT, WINDOW_SIZE_DEFAULT, RunConfig,
                       read_run, run as run_pipeline, summarize_runs, write_run)
-from .liegroup import Pose, rotation_angle
+from .liegroup import Pose, PoseStack, rotation_angle
 from .simkit import (DT_DEFAULT, SIGMA_GPS_DEFAULT, TRAJECTORY_KINDS, Scenario,
                      SpoofProfile, gen_trajectory, load_trajectory,
                      save_trajectory)
@@ -200,7 +200,7 @@ def _parse_list(value, flag: str, kind) -> list:
         raise CliError(f"bad {flag} list {value!r}") from None
 
 
-def _trajectory(s: dict, seed: int) -> list:
+def _trajectory(s: dict, seed: int) -> PoseStack:
     if s.get("trajectory"):
         try:
             return load_trajectory(s["trajectory"], dt=s["dt"])

@@ -9,7 +9,10 @@ the batch count).  Then the spoofing detector takes one trial, and at every
 authentication epoch sr-fgo applies the outcome to the window; then the
 batch estimates are recorded (causal estimates: what the vehicle would have
 reported at that moment).  The estimates are arrays, rotations (n+1, 3, 3)
-and translations (n+1, 3), one row per time step.  Every mode writes the
+and translations (n+1, 3), one row per time step, like the truth and the
+odometry they are read against: the run takes rows straight from those
+stacks and from the GPS epoch arrays, and makes a Pose view only for a
+factor, the anchor or a dead-reckoning step.  Every mode writes the
 same authentication log: one row per epoch step from step 0 on, with the
 outcome the spoofer forces and action "none"; sr-fgo alone acts on each
 outcome and fills in its action.  Modes:
@@ -169,10 +172,14 @@ def _auth_outcome(scenario: Scenario, t: float) -> str:
     return "failed" if active else "authentic"
 
 
-def _gps_factors_at(step: int, stream: MeasurementStream):
-    """GPS factors of the step's epoch; none on a step without one."""
-    sats, ranges = stream.gps_epochs.get(step, ((), ()))
-    return [GpsFactor(step, sat, float(rho)) for sat, rho in zip(sats, ranges)]
+def _gps_factors_at(step: int, stream: MeasurementStream, every: int):
+    """GPS factors of the step's epoch, which lies every `every` steps; none
+    on a step without one."""
+    if step % every:
+        return []
+    j = step // every
+    return [GpsFactor(step, sat, rho)
+            for sat, rho in zip(stream.gps_sats[j], stream.gps_ranges[j].tolist())]
 
 
 def _batches(n_steps: int, shift: int, epoch: int) -> list:
@@ -191,10 +198,11 @@ def run(cfg: RunConfig) -> RunRecord:
     n_steps = scenario.steps
     dt = scenario.dt
     epoch = slow_channel(dt)
+    gps_every = scenario.gps_every_steps
 
     rot = np.empty((n_steps + 1, 3, 3))
     t = np.empty((n_steps + 1, 3))
-    rot[0], t[0] = truth[0].rotation, truth[0].translation  # authenticated initial fix
+    rot[0], t[0] = truth.rotation[0], truth.translation[0]  # authenticated initial fix
     auth_rows = [{"time_s": step * dt, "outcome": _auth_outcome(scenario, step * dt),
                   "action": "none"} for step in range(0, n_steps + 1, epoch)]
     detections: list = []
@@ -217,7 +225,7 @@ def run(cfg: RunConfig) -> RunRecord:
         sigma_gps, *sigma_icp = (s if s > 0.0 else 1.0
                                  for s in (scenario.sigma_gps, *scenario.sigma_icp))
         initial_factors = [AnchorFactor(0, truth[0], fmod.anchor_information()),
-                           *_gps_factors_at(0, stream)]
+                           *_gps_factors_at(0, stream, gps_every)]
         graph = WindowGraph([(0, truth[0])], initial_factors, cfg.window_size,
                             fmod.default_odometry_information(sigma_icp), sigma_gps)
 
@@ -239,7 +247,7 @@ def run(cfg: RunConfig) -> RunRecord:
             for i in batch:
                 new_factors.append(OdometryFactor(i - 1, i, stream.odometry[i - 1]))
                 if not excluded:
-                    new_factors += _gps_factors_at(i, stream)
+                    new_factors += _gps_factors_at(i, stream, gps_every)
 
             overflow = len(graph) + len(batch) - cfg.window_size
             if overflow > 0:
@@ -281,7 +289,7 @@ def run(cfg: RunConfig) -> RunRecord:
         smoothed_rot, smoothed_t = graph.rot, graph.t
 
     times_s = np.arange(n_steps + 1) * dt
-    errors = l2_errors(t, np.array([p.translation for p in truth]))
+    errors = l2_errors(t, truth.translation)
     mean_error, max_error = summarize(errors)
     detected = [row["time_s"] for row in detections if row["decision"] == "spoof-detected"]
     summary = {

@@ -377,6 +377,29 @@ class Pose:
         return (self.rotation @ points[..., None])[..., 0] + self.translation
 
 
+@dataclass(frozen=True, eq=False)
+class PoseStack:
+    """n poses as one rotation stack (n, 3, 3) and one translation stack
+    (n, 3).  stack[k] is a Pose view of row k, a slice a PoseStack of views;
+    treat the rows as immutable."""
+
+    rotation: np.ndarray
+    translation: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.translation)
+        if self.rotation.shape != (n, 3, 3) or self.translation.shape != (n, 3):
+            raise ValueError(f"expected rotations (n, 3, 3) and translations (n, 3), "
+                             f"got {self.rotation.shape} and {self.translation.shape}")
+
+    def __len__(self) -> int:
+        return len(self.translation)
+
+    def __getitem__(self, k):
+        rot, t = self.rotation[k], self.translation[k]
+        return Pose._of(rot, t) if t.ndim == 1 else PoseStack(rot, t)
+
+
 def exp(nu: np.ndarray) -> Pose:
     """Pose from a single [w | r] tangent vector."""
     rot, t = se3_exp_arrays(np.asarray(nu, dtype=float).reshape(6))

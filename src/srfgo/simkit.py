@@ -17,10 +17,15 @@ draw order is the contract that keeps run outputs reproducible:
 One (n, k) draw equals n sequential k-sample draws bit for bit, so the
 stream is the same as drawing step by step.
 
-Trajectories and measurements are built as whole arrays, and their poses
-are views of them.  Each equals its per-step build in tests/test_simkit.py
-bit for bit; so math.sin, math.cos and the random-smooth-turn recursion
-stay per step, where numpy's vectorized sin and cos could round otherwise.
+Trajectories and measurements are built as whole arrays and stay in that
+form: a trajectory (``Scenario.truth``) and the odometry are each a
+PoseStack, one rotation stack (n, 3, 3) and one translation stack (n, 3),
+and the GPS epochs are three arrays, their steps (k,), satellite positions
+(k, m, 3) and pseudoranges (k, m).  Consumers read rows straight from the
+stacks; indexing a PoseStack makes a Pose view of one row.  Each array
+equals its per-step build in tests/test_simkit.py bit for bit; so math.sin,
+math.cos and the random-smooth-turn recursion stay per step, where numpy's
+vectorized sin and cos could round otherwise.
 
 Scenarios are built from command-line settings by ``srfgo.cli``, and seed
 sweeps run through ``srfgo sweep``.
@@ -36,7 +41,7 @@ import numpy as np
 
 from .chimera import SLOW_CHANNEL_PERIOD_S, slow_channel
 # perfbench/tracing.py patches simkit.compose, so the name stays imported.
-from .liegroup import (Pose, compose, compose_arrays,
+from .liegroup import (PoseStack, compose, compose_arrays,
                        quaternion_to_rotation, rotation_to_quaternion,
                        se3_exp_arrays)
 from .rngutil import (GPS_STREAM, ODOMETRY_STREAM, TRAJECTORY_STREAM,
@@ -62,9 +67,9 @@ CIRCUIT_RADIUS_M = 200.0
 TRAJECTORY_HEADER = "t,x,y,z,qx,qy,qz,qw"
 
 
-def _yaw_poses(cos, sin, x, y) -> list[Pose]:
+def _yaw_stack(cos, sin, x, y) -> PoseStack:
     """Planar poses at (x, y, 0), each yawed by the heading whose cosine and
-    sine are given, as views of one rotation and one translation stack."""
+    sine are given."""
     cos, sin = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
     rot = np.zeros((len(cos), 3, 3))
     rot[:, 0, 0], rot[:, 0, 1] = cos, -sin
@@ -72,12 +77,13 @@ def _yaw_poses(cos, sin, x, y) -> list[Pose]:
     rot[:, 2, 2] = 1.0
     t = np.zeros((len(cos), 3))
     t[:, 0], t[:, 1] = x, y
-    return list(map(Pose._of, rot, t))
+    return PoseStack(rot, t)
 
 
 def gen_trajectory(kind: str, duration_s: float, speed_mps: float, seed: int,
-                   dt: float = DT_DEFAULT) -> list[Pose]:
-    """Planar vehicle trajectory sampled at dt, body x-axis along velocity."""
+                   dt: float = DT_DEFAULT) -> PoseStack:
+    """Planar vehicle trajectory sampled at dt, body x-axis along velocity.
+    Only random-smooth-turn draws from the seed, which must then be >= 0."""
     if kind not in TRAJECTORY_KINDS:
         raise ValueError(f"unknown trajectory kind {kind!r}; expected one of {TRAJECTORY_KINDS}")
     for name, value in (("duration", duration_s), ("speed", speed_mps), ("dt", dt)):
@@ -89,16 +95,22 @@ def gen_trajectory(kind: str, duration_s: float, speed_mps: float, seed: int,
     times = np.arange(steps + 1) * dt
 
     if kind == "straight":
-        return _yaw_poses(np.ones(steps + 1), np.zeros(steps + 1), speed_mps * times, 0.0)
+        # A speed too large for the positions yields inf, which Scenario
+        # rejects by step.
+        with np.errstate(over="ignore"):
+            x = speed_mps * times
+        return _yaw_stack(np.ones(steps + 1), np.zeros(steps + 1), x, 0.0)
 
     if kind == "circuit":
         thetas = (speed_mps / CIRCUIT_RADIUS_M * times).tolist()
         cos = np.array([math.cos(theta) for theta in thetas])
         sin = np.array([math.sin(theta) for theta in thetas])
-        return _yaw_poses(cos, sin, CIRCUIT_RADIUS_M * sin,
+        return _yaw_stack(cos, sin, CIRCUIT_RADIUS_M * sin,
                           CIRCUIT_RADIUS_M * (1.0 - cos))
 
     # random-smooth-turn: Ornstein-Uhlenbeck yaw rate, Euler-integrated.
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = make_rng(seed, TRAJECTORY_STREAM)
     correlation_s = 20.0
     stationary_rate = 0.05  # rad/s
@@ -120,7 +132,7 @@ def gen_trajectory(kind: str, duration_s: float, speed_mps: float, seed: int,
         heading += yaw_rate * dt
     cos.append(math.cos(heading))
     sin.append(math.sin(heading))
-    return _yaw_poses(cos, sin, xs, ys)
+    return _yaw_stack(cos, sin, xs, ys)
 
 
 def _snap_unit_quaternion(q: np.ndarray) -> np.ndarray:
@@ -137,18 +149,17 @@ def _snap_unit_quaternion(q: np.ndarray) -> np.ndarray:
     return quantized
 
 
-def save_trajectory(path, poses: list[Pose], dt: float = DT_DEFAULT) -> None:
+def save_trajectory(path, poses: PoseStack, dt: float = DT_DEFAULT) -> None:
     lines = [TRAJECTORY_HEADER]
-    quats = rotation_to_quaternion(np.array([p.rotation for p in poses]).reshape(-1, 3, 3))
-    for k, (pose, q) in enumerate(zip(poses, quats)):
+    quats = rotation_to_quaternion(poses.rotation)
+    for k, (position, q) in enumerate(zip(poses.translation.tolist(), quats)):
         q = _snap_unit_quaternion(q)
-        x, y, z = pose.translation
-        lines.append(",".join(f"{v:.9f}" for v in (k * dt, x, y, z, *q)))
+        lines.append(",".join(f"{v:.9f}" for v in (k * dt, *position, *q)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_trajectory(path, dt: float = DT_DEFAULT) -> list[Pose]:
+def load_trajectory(path, dt: float = DT_DEFAULT) -> PoseStack:
     """Parse a trajectory CSV sampled every dt seconds: row k must lie at
     k * dt (within 1e-6 s).  Quaternions off unit norm by more than 1e-3
     are rejected, smaller deviations are renormalized."""
@@ -158,7 +169,8 @@ def load_trajectory(path, dt: float = DT_DEFAULT) -> list[Pose]:
         raise ValueError(f"expected header {TRAJECTORY_HEADER!r}")
     if len(lines) == 1:
         raise ValueError("trajectory file has no rows")
-    poses = []
+    rot = np.empty((len(lines) - 1, 3, 3))
+    positions = []
     last_t = -math.inf
     for k, line in enumerate(lines[1:]):
         row_num = k + 2
@@ -179,9 +191,9 @@ def load_trajectory(path, dt: float = DT_DEFAULT) -> list[Pose]:
             raise ValueError(f"row {row_num}: t={t:g} s is not at {k} x dt; "
                              f"the file {found}, but dt is {dt:g} s")
         last_t = t
-        rot = quaternion_to_rotation(np.array([qx, qy, qz, qw]))
-        poses.append(Pose(rot, np.array([x, y, z])))
-    return poses
+        rot[k] = quaternion_to_rotation(np.array([qx, qy, qz, qw]))
+        positions.append((x, y, z))
+    return PoseStack(rot, np.array(positions))
 
 
 def sat_positions(t) -> np.ndarray:
@@ -258,7 +270,7 @@ def gen_odometry(rot: np.ndarray, t: np.ndarray, sigma_icp,
 class Scenario:
     """Simulation setup: truth trajectory, sensors, optional spoofer, seed."""
 
-    truth: tuple
+    truth: PoseStack
     dt: float = DT_DEFAULT
     sigma_gps: float = SIGMA_GPS_DEFAULT
     sigma_icp: tuple = SIGMA_ICP_DEFAULT
@@ -266,7 +278,10 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "truth", tuple(self.truth))
+        if not isinstance(self.truth, PoseStack):
+            raise TypeError(f"truth must be a PoseStack, got {type(self.truth).__name__}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         slow_channel(self.dt)  # raises unless dt divides the authentication epoch
@@ -293,6 +308,16 @@ class Scenario:
             if not np.isfinite(weight).all():
                 raise ValueError(f"{name} must be 0 or large enough that "
                                  f"1/{name}^2 is finite, got {value}")
+        # The satellites orbit at GPS_ORBIT_RADIUS_M from the origin.  NaN
+        # fails the test, and a norm that overflows lies past the orbit too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = np.linalg.norm(self.truth.translation, axis=1) < GPS_ORBIT_RADIUS_M
+        if not inside.all():
+            step = int(inside.argmin())
+            raise ValueError(
+                f"truth position at step {step} must be finite and inside the "
+                f"{GPS_ORBIT_RADIUS_M:g} m satellite orbit radius, got "
+                f"{self.truth.translation[step].tolist()}")
 
     @property
     def steps(self) -> int:
@@ -305,19 +330,22 @@ class Scenario:
 
 @dataclass(frozen=True)
 class MeasurementStream:
-    """Per-step measurements: odometry[i] maps node i to i+1; GPS epochs map
-    node step -> (satellite positions, pseudoranges), every range positive."""
+    """Every measurement of a run as arrays: odometry[i] maps node i to
+    i+1; GPS epoch j lies at node step gps_steps[j] = j * gps_every_steps,
+    with satellite positions gps_sats[j] (m, 3) and pseudoranges
+    gps_ranges[j] (m,), every range positive."""
 
-    odometry: tuple
-    gps_epochs: dict
+    odometry: PoseStack
+    gps_steps: np.ndarray
+    gps_sats: np.ndarray
+    gps_ranges: np.ndarray
 
 
 def build_measurements(scenario: Scenario) -> MeasurementStream:
     """Realize every measurement for the run up front (seeded, reproducible)."""
-    rot = np.stack([pose.rotation for pose in scenario.truth])
-    t = np.stack([pose.translation for pose in scenario.truth])
-    odo_rot, odo_t = gen_odometry(rot, t, scenario.sigma_icp,
-                                  make_rng(scenario.seed, ODOMETRY_STREAM))
+    t = scenario.truth.translation
+    odometry = PoseStack(*gen_odometry(scenario.truth.rotation, t, scenario.sigma_icp,
+                                       make_rng(scenario.seed, ODOMETRY_STREAM)))
 
     steps = np.arange(0, scenario.steps + 1, scenario.gps_every_steps)
     times = steps * scenario.dt
@@ -330,7 +358,4 @@ def build_measurements(scenario: Scenario) -> MeasurementStream:
     bad = (ranges <= 0.0).any(axis=1)
     if bad.any():
         raise ValueError(f"non-positive pseudorange at step {steps[bad.argmax()]}")
-
-    odometry = tuple(map(Pose._of, odo_rot, odo_t))
-    gps_epochs = {step: (sats[j], ranges[j]) for j, step in enumerate(steps.tolist())}
-    return MeasurementStream(odometry, gps_epochs)
+    return MeasurementStream(odometry, steps, sats, ranges)

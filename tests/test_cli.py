@@ -176,6 +176,38 @@ class TestExitCodes:
         assert "error: sigma_gps must be 0 or large enough" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("mode,speed", [("odometry-only", "1e307"),
+                                            ("naive-fgo", "1e200")])
+    def test_overflowing_trajectory_is_config_error(self, tmp_path, capsys, mode, speed):
+        # No numpy warning may print: under "error" one would exit 2.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli("run", "--mode", mode, "--kind", "straight", "--duration", "180",
+                       "--speed", speed, "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert "error: truth position at step 1 must be finite and inside" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch):
+        assert cli("run", "--mode", "odometry-only", "--duration", "180", "--seed", "-1",
+                   "--out", tmp_path / "run") == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert cli("simulate", "--kind", "random-smooth-turn", "--seed", "-1",
+                   "--out", tmp_path / "sim") == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "sim").exists()
+
+        # A sweep refuses the grid before any run.
+        def forbidden(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli_module, "run_pipeline", forbidden)
+        assert cli("sweep", "--mode", "odometry-only", "--ramp-rate", "0",
+                   "--window-size", "20", "--duration", "180", "--seed", "-1",
+                   "--runs", "2", "--out", tmp_path / "sweep") == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_write_failure_is_runtime_failure(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import math
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from srfgo.harness import (MODES, RunConfig, RunRecord, detection_stats,
                            epoch_false_alarm_probability, l2_errors, read_run,
                            run, summarize, summarize_runs, write_run)
 from srfgo.factors import default_odometry_information
+from srfgo.liegroup import Pose
 from srfgo.simkit import (SIGMA_GPS_DEFAULT, SIGMA_ICP_DEFAULT, Scenario, SpoofProfile,
                           gen_trajectory)
 from srfgo.solver import WindowGraph
@@ -404,3 +406,31 @@ class TestMonteCarlo:
         summary = summarize_runs(shuffled, mode="odometry-only", base_seed=50)
         assert summary["mean_error_m"]["per_run"] == [
             r.summary["mean_error_m"] for r in records]
+
+
+class TestMemory:
+    def test_live_poses_do_not_grow_with_run_length(self, monkeypatch):
+        # The truth, the odometry and the GPS epochs are held as stacked
+        # arrays; the only Poses alive while a window solves are views made
+        # for one batch's factors and the anchor, however long the run.
+        # (One Pose per step would be 4000 more here.)
+        gc.collect()
+        baseline = sum(isinstance(o, Pose) for o in gc.get_objects())
+        calls, extra = [], []
+        optimize = WindowGraph.optimize
+
+        def counted(graph):
+            calls.append(len(graph))
+            if len(calls) % 25 == 0:  # a scan of the heap per 25 windows
+                extra.append(sum(isinstance(o, Pose) for o in gc.get_objects())
+                             - baseline)
+            return optimize(graph)
+
+        monkeypatch.setattr(WindowGraph, "optimize", counted)
+        truth = gen_trajectory("circuit", 400.0, SPEED, seed=3)
+        cfg = RunConfig(scenario=Scenario(truth=truth, seed=3), mode="naive-fgo",
+                        window_size=20)
+        record = run(cfg)
+        assert len(calls) == record.summary["windows_optimized"] == 400
+        assert len(extra) == 16
+        assert max(extra) <= cfg.window_size

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from srfgo.liegroup import Pose, compose, exp, inverse, ominus
+from srfgo.liegroup import Pose, PoseStack, compose, exp, inverse, ominus
 from srfgo.rngutil import (GPS_STREAM, ODOMETRY_STREAM, TRAJECTORY_STREAM, make_rng,
                            normal)
 from srfgo.simkit import (CIRCUIT_RADIUS_M, EARTH_RADIUS_M, GPS_ORBIT_ALTITUDE_M,
@@ -52,6 +52,9 @@ def reference_trajectory(kind, duration_s, speed_mps, seed, dt):
 
 
 def pose_bytes(poses) -> tuple[bytes, bytes]:
+    """Bytes of a list of Poses stacked, or of a PoseStack's own stacks."""
+    if isinstance(poses, PoseStack):
+        return poses.rotation.tobytes(), poses.translation.tobytes()
     return (np.stack([p.rotation for p in poses]).tobytes(),
             np.stack([p.translation for p in poses]).tobytes())
 
@@ -81,8 +84,7 @@ class TestGenTrajectory:
         assert abs(float(radial @ body_x)) < 1e-6 * CIRCUIT_RADIUS_M
 
     def test_random_smooth_turn_step_length_and_planarity(self):
-        poses = gen_trajectory("random-smooth-turn", 200.0, 10.0, seed=5)
-        pts = np.array([p.translation for p in poses])
+        pts = gen_trajectory("random-smooth-turn", 200.0, 10.0, seed=5).translation
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         assert np.allclose(steps, 1.0, atol=1e-9)  # speed * dt
         assert np.all(pts[:, 2] == 0.0)
@@ -91,15 +93,17 @@ class TestGenTrajectory:
         a = gen_trajectory("random-smooth-turn", 200.0, 10.0, seed=7)
         b = gen_trajectory("random-smooth-turn", 200.0, 10.0, seed=7)
         c = gen_trajectory("random-smooth-turn", 200.0, 10.0, seed=8)
-        assert all(np.array_equal(x.matrix(), y.matrix()) for x, y in zip(a, b))
-        assert any(not np.array_equal(x.matrix(), y.matrix()) for x, y in zip(a, c))
+        assert pose_bytes(a) == pose_bytes(b)
+        assert not np.array_equal(a.rotation, c.rotation)
+        assert not np.array_equal(a.translation, c.translation)
 
     @pytest.mark.parametrize("kind", TRAJECTORY_KINDS)
     @pytest.mark.parametrize("duration,speed,dt", [(200.0, 10.0, 0.1), (400.0, 3.7, 0.2)])
     def test_arrays_equal_per_step_reference(self, kind, duration, speed, dt):
         got = gen_trajectory(kind, duration, speed, seed=5, dt=dt)
         want = reference_trajectory(kind, duration, speed, seed=5, dt=dt)
-        assert len(got) == len(want)
+        assert isinstance(got, PoseStack) and len(got) == len(want)
+        assert got.rotation.shape == (len(want), 3, 3)
         assert pose_bytes(got) == pose_bytes(want)
 
     def test_unknown_kind_rejected(self):
@@ -263,10 +267,11 @@ class TestStreamContract:
         for got, want in zip(stream.odometry, odometry):
             assert np.array_equal(got.rotation, want.rotation)
             assert np.array_equal(got.translation, want.translation)
-        assert list(stream.gps_epochs) == list(gps)
-        for step, (sats, ranges) in gps.items():
-            assert np.array_equal(stream.gps_epochs[step][0], sats)
-            assert np.array_equal(stream.gps_epochs[step][1], ranges)
+        assert stream.gps_steps.tolist() == list(gps)
+        assert len(stream.gps_sats) == len(stream.gps_ranges) == len(gps)
+        for j, (sats, ranges) in enumerate(gps.values()):
+            assert np.array_equal(stream.gps_sats[j], sats)
+            assert np.array_equal(stream.gps_ranges[j], ranges)
 
 
 class TestPseudoranges:
@@ -362,7 +367,8 @@ class TestOdometry:
 
     def test_zero_sigma_composes_to_truth(self):
         poses = gen_trajectory("circuit", 200.0, 10.0, seed=2)[:50]
-        rot, t = gen_odometry(*_stacked(poses), np.zeros(6), make_rng(1, ODOMETRY_STREAM))
+        rot, t = gen_odometry(poses.rotation, poses.translation, np.zeros(6),
+                              make_rng(1, ODOMETRY_STREAM))
         acc = Pose.identity()
         for r, v in zip(rot, t):
             acc = compose(acc, Pose(r, v))
@@ -419,6 +425,51 @@ class TestScenario:
             with pytest.raises(ValueError, match=rf"1/{name}\^2 is finite, got"):
                 Scenario(truth=self._truth(), **kwargs)
 
+    @pytest.mark.parametrize("step,position", [
+        (0, (math.nan, 0.0, 0.0)), (1234, (0.0, math.inf, 0.0)),
+        (2000, (0.0, 0.0, -math.inf)), (7, (GPS_ORBIT_RADIUS_M, 0.0, 0.0)),
+        (99, (0.0, -3.0e7, 0.0)), (500, (1e200, 1e200, 0.0))])
+    def test_truth_outside_orbit_rejected(self, step, position):
+        # Non-finite, at or past the satellites' orbit, or with a norm that
+        # overflows; no numpy warning may print on the way to the error.
+        truth = self._truth()
+        t = truth.translation.copy()
+        t[step] = position
+        t[step + 1:] = position  # the first bad step is named, not a later one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"truth position at step {step} must "
+                               r"be finite and inside the 2\.6571e\+07 m"):
+                Scenario(truth=PoseStack(truth.rotation, t))
+
+    @pytest.mark.parametrize("speed,step", [(1e307, 1), (1e200, 1), (1e7, 27)])
+    def test_overflowing_trajectory_rejected(self, speed, step):
+        # At 1e7 m/s step 27 (2.7e7 m) is the first past the orbit; 1e200 m/s
+        # squares to inf in the norm, and 1e307 m/s overflows the positions.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            truth = gen_trajectory("straight", 180.0, speed, seed=1)
+            with pytest.raises(ValueError, match=f"truth position at step {step} "):
+                Scenario(truth=truth)
+
+    def test_truth_just_inside_orbit_allowed(self):
+        truth = self._truth()
+        t = truth.translation.copy()
+        t[3] = (0.0, 0.0, np.nextafter(GPS_ORBIT_RADIUS_M, 0.0))
+        Scenario(truth=PoseStack(truth.rotation, t))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            Scenario(truth=self._truth(), seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            gen_trajectory("random-smooth-turn", 200.0, 10.0, seed=-3)
+        Scenario(truth=self._truth(), seed=0)
+
+    def test_truth_must_be_pose_stack(self):
+        poses = list(self._truth())
+        with pytest.raises(TypeError, match="truth must be a PoseStack, got list"):
+            Scenario(truth=poses)
+
     def test_zero_and_tiny_sigma_allowed(self):
         Scenario(truth=self._truth(), sigma_gps=0.0, sigma_icp=(0.0,) * 6)
         Scenario(truth=self._truth(), sigma_gps=1e-150, sigma_icp=(1e-150,) + (0.0,) * 5)
@@ -427,22 +478,22 @@ class TestScenario:
         scn = Scenario(truth=self._truth(), seed=12)
         stream = build_measurements(scn)
         assert len(stream.odometry) == scn.steps
-        assert sorted(stream.gps_epochs) == list(range(0, 2001, 10))
-        sats, ranges = stream.gps_epochs[0]
-        assert sats.shape == (8, 3) and ranges.shape == (8,)
-        assert np.all(ranges > 0.0)
+        assert stream.odometry.rotation.shape == (scn.steps, 3, 3)
+        assert stream.gps_steps.tolist() == list(range(0, 2001, 10))
+        assert stream.gps_sats.shape == (201, 8, 3)
+        assert stream.gps_ranges.shape == (201, 8)
+        assert np.all(stream.gps_ranges > 0.0)
 
     def test_spoofed_stream_aligned_before_start(self):
         truth = self._truth()
         nominal = build_measurements(Scenario(truth=truth, seed=5))
         spoofed = build_measurements(Scenario(
             truth=truth, seed=5, spoof=SpoofProfile(t_start=100.0, ramp_rate=2.0)))
-        for step in range(0, 1000, 10):  # strictly before t_start
-            assert np.array_equal(nominal.gps_epochs[step][1],
-                                  spoofed.gps_epochs[step][1])
-        differs = [step for step in range(1010, 2001, 10)
-                   if not np.array_equal(nominal.gps_epochs[step][1],
-                                         spoofed.gps_epochs[step][1])]
+        assert np.array_equal(nominal.gps_steps, spoofed.gps_steps)
+        # Epoch j lies at step 10 j; rows 0..99 are strictly before t_start.
+        assert np.array_equal(nominal.gps_ranges[:100], spoofed.gps_ranges[:100])
+        differs = [j for j in range(101, 201)
+                   if not np.array_equal(nominal.gps_ranges[j], spoofed.gps_ranges[j])]
         assert differs  # bias active after t_start
 
     def test_odometry_unaffected_by_spoof(self):
@@ -450,5 +501,4 @@ class TestScenario:
         nominal = build_measurements(Scenario(truth=truth, seed=5))
         spoofed = build_measurements(Scenario(
             truth=truth, seed=5, spoof=SpoofProfile(t_start=100.0, ramp_rate=2.0)))
-        for a, b in zip(nominal.odometry[::100], spoofed.odometry[::100]):
-            assert np.array_equal(a.matrix(), b.matrix())
+        assert pose_bytes(nominal.odometry) == pose_bytes(spoofed.odometry)
