@@ -26,7 +26,8 @@ Run outputs are plain CSV/JSON; every float is written with repr precision
 so records round-trip losslessly and repeated runs are byte-identical.  The
 numeric CSV files are written from column stacks, a chunk of rows at a time,
 and parsed back as whole arrays, with Python's own repr and float on every
-value.
+value; trajectory.csv and errors.csv are written together, from one repr
+of each time.
 Wall-clock timing goes to a separate timing.json, which is the only
 non-deterministic output.
 """
@@ -387,20 +388,28 @@ def _fmt(value) -> str:
 # Rows converted to Python floats at a time while a CSV file is written, so
 # a long run never holds all its values, or all its lines, at once.
 _CSV_CHUNK_ROWS = 256
+_POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
 
 
-def _float_csv_lines(header: str, *columns):
-    """header, then one line per row of the stacked columns (1-D arrays are
-    one column, 2-D arrays one per entry), every value as repr(float)."""
-    table = np.column_stack(columns)
-    yield header
-    for start in range(0, len(table), _CSV_CHUNK_ROWS):
-        for row in table[start:start + _CSV_CHUNK_ROWS].tolist():
-            yield ",".join(map(repr, row))
+def _timed_csv_chunks(times_s, *tables):
+    """Per chunk of _CSV_CHUNK_ROWS rows, one iterator of lines for each
+    table (a tuple of columns: 1-D arrays are one column, 2-D arrays one per
+    entry): the time, then the table's row, every value as repr(float).
+    Each time is formatted once, for all the tables."""
+    times = np.asarray(times_s, dtype=float)
+    stacks = [np.column_stack(columns) for columns in tables]
+    for start in range(0, len(times), _CSV_CHUNK_ROWS):
+        stop = start + _CSV_CHUNK_ROWS
+        stamps = list(map(repr, times[start:stop].tolist()))
+        yield [(f"{stamp},{','.join(map(repr, row))}"
+                for stamp, row in zip(stamps, stack[start:stop].tolist()))
+               for stack in stacks]
 
 
 def _pose_csv_lines(times_s, translations, quaternions):
-    return _float_csv_lines("t,x,y,z,qx,qy,qz,qw", times_s, translations, quaternions)
+    yield _POSE_CSV_HEADER
+    for lines, in _timed_csv_chunks(times_s, (translations, quaternions)):
+        yield from lines
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -412,13 +421,19 @@ def write_run(record: RunRecord, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    _write_lines(out / "trajectory.csv", _pose_csv_lines(
-        record.times_s, record.est_translations, record.est_quaternions))
+    # trajectory.csv and errors.csv share the time column: both are written
+    # a chunk at a time, from the same formatted times.
+    with open(out / "trajectory.csv", "w") as traj, open(out / "errors.csv", "w") as err:
+        traj.write(_POSE_CSV_HEADER + "\n")
+        err.write("time_s,l2_error_m\n")
+        for traj_lines, err_lines in _timed_csv_chunks(
+                record.times_s, (record.est_translations, record.est_quaternions),
+                (record.errors,)):
+            traj.writelines(line + "\n" for line in traj_lines)
+            err.writelines(line + "\n" for line in err_lines)
     _write_lines(out / "smoothed.csv", _pose_csv_lines(
         record.smoothed_times_s, record.smoothed_translations,
         record.smoothed_quaternions))
-    _write_lines(out / "errors.csv", _float_csv_lines(
-        "time_s,l2_error_m", record.times_s, record.errors))
 
     det_lines = ["time_s,q,tau,n,decision"]
     det_lines += [f"{_fmt(r['time_s'])},{_fmt(r['q'])},{_fmt(r['tau'])},"

@@ -252,18 +252,31 @@ def gen_pseudoranges(positions: np.ndarray, sats: np.ndarray, sigma_gps: float,
     return ranges + sigma_gps * normal(rng, ranges.shape)
 
 
+# Rows of odometry composed at a time: a long run's transforms are built
+# without whole-run temporaries.
+_ODOMETRY_BLOCK_ROWS = 256
+
+
 def gen_odometry(rot: np.ndarray, t: np.ndarray, sigma_icp,
                  rng) -> tuple[np.ndarray, np.ndarray]:
     """Body-frame relative transforms x_i^-1 x_{i+1} of n+1 poses (rotations
     (n+1, 3, 3), translations (n+1, 3)), each corrupted by tangent noise on
-    the right from one (n, 6) draw."""
-    rot_inv = np.swapaxes(rot[:-1], -1, -2)
-    t_inv = -(rot_inv @ t[:-1, :, None])[..., 0]
-    # rot_inv stays a transposed view: liegroup.inverse keeps that layout
-    # too, and BLAS rounds a product differently for the other one.
-    rel_rot, rel_t = compose_arrays(rot_inv, t_inv, rot[1:], t[1:])
-    eps = np.asarray(sigma_icp, dtype=float) * normal(rng, (len(rel_t), 6))
-    return compose_arrays(rel_rot, rel_t, *se3_exp_arrays(eps))
+    the right from one (n, 6) draw.  Each block of rows equals the same rows
+    of the whole-array computation bit for bit."""
+    n = len(t) - 1
+    eps = np.asarray(sigma_icp, dtype=float) * normal(rng, (n, 6))
+    out_rot, out_t = np.empty((n, 3, 3)), np.empty((n, 3))
+    for start in range(0, n, _ODOMETRY_BLOCK_ROWS):
+        rows = slice(start, min(start + _ODOMETRY_BLOCK_ROWS, n))
+        following = slice(rows.start + 1, rows.stop + 1)
+        # rot_inv stays a transposed view: liegroup.inverse keeps that
+        # layout too, and BLAS rounds a product differently for the other one.
+        rot_inv = np.swapaxes(rot[rows], -1, -2)
+        t_inv = -(rot_inv @ t[rows, :, None])[..., 0]
+        rel_rot, rel_t = compose_arrays(rot_inv, t_inv, rot[following], t[following])
+        out_rot[rows], out_t[rows] = compose_arrays(rel_rot, rel_t,
+                                                    *se3_exp_arrays(eps[rows]))
+    return out_rot, out_t
 
 
 @dataclass(frozen=True)
@@ -290,6 +303,11 @@ class Scenario:
             raise ValueError(
                 f"trajectory covers {duration:.1f} s; "
                 f"need >= one {SLOW_CHANNEL_PERIOD_S:.0f} s epoch")
+        # The bias is zero up to t_start, so a later onset spoofs nothing.
+        if self.spoof is not None and self.spoof.t_start >= duration:
+            raise ValueError(
+                f"spoof t_start {self.spoof.t_start:g} s must lie before the end "
+                f"of the {duration:g} s trajectory")
         # One node per odometry step dt; GPS epochs must land on nodes.
         gps_period = 1.0 / (GPS_RATE_HZ * self.dt)
         if abs(gps_period - round(gps_period)) > 1e-9:

@@ -11,7 +11,10 @@ The normal equations H delta = -b are block-tridiagonal in 6x6 blocks; we
 assemble the blocks from those kernels, applied to every factor at once,
 write them straight into LAPACK's upper band storage, ab[11 + i - j, j] =
 H[i, j] for i <= j, through flat indices computed once per window size, and
-solve with a banded Cholesky factorization.
+solve with a banded Cholesky factorization, scipy.linalg.solveh_banded.
+scipy.linalg is imported at a window's first banded solve, not with this
+module, so the commands that solve nothing (simulate, report, odometry-only
+runs) load no scipy module.
 The odometry and anchor residuals are both log(a^-1 b), so one kernel call
 evaluates them on stacked rows against their measured transforms, stacked
 once per window, and one J_l^-1 call linearizes them with the SO(3) V^-1
@@ -47,7 +50,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from srfgo import factors as fmod
 from srfgo import liegroup
@@ -294,6 +296,10 @@ class WindowGraph:
         ab[dst] = np.concatenate([diag.reshape(-1), upper.reshape(-1)])[src]
         ab = ab.reshape(12, 6 * n)
         ab[11] += damping
+        # Loaded at a window's first solve, so that commands which solve
+        # nothing never import scipy; the function is looked up on the module
+        # at every call, so a patch of it there sees every solve.
+        import scipy.linalg
         # One node keeps bandwidth 11 too: LAPACK ignores entries outside H.
         return scipy.linalg.solveh_banded(ab, rhs, lower=False)
 

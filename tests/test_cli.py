@@ -208,6 +208,27 @@ class TestExitCodes:
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("start", ["180", "1e9"])
+    def test_spoof_onset_past_end_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                  start):
+        message = (f"error: spoof t_start {float(start):g} s must lie before the end "
+                   "of the 180 s trajectory")
+        assert cli("run", "--mode", "sr-fgo", "--duration", "180", "--ramp-rate", "1",
+                   "--spoof-start", start, "--out", tmp_path / "run") == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+        # A sweep refuses the grid before any run.
+        def forbidden(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli_module, "run_pipeline", forbidden)
+        assert cli("sweep", "--mode", "sr-fgo", "--ramp-rate", "0,1", "--window-size", "20",
+                   "--duration", "180", "--spoof-start", start, "--seed", "1",
+                   "--runs", "2", "--out", tmp_path / "sweep") == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_write_failure_is_runtime_failure(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -427,8 +448,19 @@ class TestConsoleEntry:
 
 
 class TestRunPathImports:
+    # A fresh interpreter for each case, because other tests import
+    # srfgo.icp and scipy here.
+    @staticmethod
+    def _last_line(script: str, *args) -> str:
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
     def test_run_loads_neither_icp_nor_process_pool(self, tmp_path):
-        # A fresh interpreter, because other tests import srfgo.icp here.
         out = tmp_path / "run"
         script = (
             "import sys\n"
@@ -439,11 +471,33 @@ class TestRunPathImports:
             "print(code, sorted(m for m in ('srfgo.icp', 'scipy.spatial',"
             " 'scipy.special', 'concurrent.futures.process')"
             " if m in sys.modules))\n")
-        src = str(Path(cli_module.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script, str(out)],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert self._last_line(script, out) == "0 []"
         assert (out / "summary.json").exists()
+
+    def test_commands_without_a_solve_load_no_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from srfgo import cli\n"
+            "cli.build_parser()\n"
+            "out = sys.argv[1]\n"
+            "codes = [cli.main(['simulate', '--kind', 'circuit', '--duration', '180',"
+            " '--out', out + '/sim']),\n"
+            "         cli.main(['run', '--mode', 'odometry-only', '--seed', '1',"
+            " '--trajectory', out + '/sim/trajectory.csv', '--out', out + '/runs/odo']),\n"
+            "         cli.main(['report', out + '/runs'])]\n"
+            "print(codes, sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))\n")
+        assert self._last_line(script, tmp_path) == "[0, 0, 0] []"
+        assert (tmp_path / "runs" / "report.json").exists()
+
+    def test_graph_run_loads_scipy_linalg_alone(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from srfgo import cli\n"
+            "cli.build_parser()\n"
+            "before = 'scipy.linalg' in sys.modules\n"
+            "code = cli.main(['run', '--mode', 'naive-fgo', '--duration', '180',"
+            " '--window-size', '20', '--seed', '1', '--out', sys.argv[1]])\n"
+            "print(code, before, [m in sys.modules for m in"
+            " ('scipy.linalg', 'scipy.spatial', 'scipy.special')])\n")
+        assert self._last_line(script, tmp_path / "run") == "0 False [True, False, False]"

@@ -373,6 +373,18 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         assert harness._read_float_csv(path, 8).tobytes() == values.tobytes()
 
+    def test_run_files_match_per_value_repr(self, tmp_path, spoofed_sr):
+        # trajectory.csv and errors.csv share one formatting of the times,
+        # over more than one chunk of rows.
+        assert len(spoofed_sr.times_s) > 2 * harness._CSV_CHUNK_ROWS
+        write_run(spoofed_sr, tmp_path / "r")
+        lines = reference_pose_csv_lines(spoofed_sr.times_s, spoofed_sr.est_translations,
+                                         spoofed_sr.est_quaternions)
+        assert (tmp_path / "r" / "trajectory.csv").read_text() == "\n".join(lines) + "\n"
+        lines = ["time_s,l2_error_m"] + [f"{float(t)!r},{float(e)!r}" for t, e in
+                                         zip(spoofed_sr.times_s, spoofed_sr.errors)]
+        assert (tmp_path / "r" / "errors.csv").read_text() == "\n".join(lines) + "\n"
+
     def test_round_trip_is_lossless(self, tmp_path, spoofed_sr):
         write_run(spoofed_sr, tmp_path / "r")
         loaded = read_run(tmp_path / "r")

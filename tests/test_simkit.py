@@ -1,17 +1,20 @@
 """Trajectory generation and I/O, constellation, measurement models."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from srfgo.liegroup import Pose, PoseStack, compose, exp, inverse, ominus
+from srfgo import simkit
+from srfgo.liegroup import (Pose, PoseStack, compose, compose_arrays, exp, inverse,
+                            ominus, se3_exp_arrays)
 from srfgo.rngutil import (GPS_STREAM, ODOMETRY_STREAM, TRAJECTORY_STREAM, make_rng,
                            normal)
 from srfgo.simkit import (CIRCUIT_RADIUS_M, EARTH_RADIUS_M, GPS_ORBIT_ALTITUDE_M,
-                          GPS_ORBIT_RADIUS_M, TRAJECTORY_KINDS, Scenario,
-                          SpoofProfile, build_measurements, gen_odometry,
+                          GPS_ORBIT_RADIUS_M, SIGMA_ICP_DEFAULT, TRAJECTORY_KINDS,
+                          Scenario, SpoofProfile, build_measurements, gen_odometry,
                           gen_pseudoranges, gen_trajectory, load_trajectory,
                           sat_positions, save_trajectory, spoof_bias)
 
@@ -224,6 +227,15 @@ def _stacked(poses):
             np.stack([p.translation for p in poses]))
 
 
+def whole_array_odometry(rot, t, sigma_icp, rng):
+    """gen_odometry's arithmetic over the whole run at once."""
+    rot_inv = np.swapaxes(rot[:-1], -1, -2)
+    t_inv = -(rot_inv @ t[:-1, :, None])[..., 0]
+    rel_rot, rel_t = compose_arrays(rot_inv, t_inv, rot[1:], t[1:])
+    eps = np.asarray(sigma_icp, dtype=float) * normal(rng, (len(rel_t), 6))
+    return compose_arrays(rel_rot, rel_t, *se3_exp_arrays(eps))
+
+
 def reference_measurements(scenario):
     """Per-step synthesis: one odometry draw per step, one GPS draw per epoch."""
     rng_gps = make_rng(scenario.seed, GPS_STREAM)
@@ -388,6 +400,24 @@ class TestOdometry:
         assert np.all(np.abs(stds - sigma) <= 0.05 * sigma)
 
 
+    @pytest.mark.parametrize("block_rows", [256, 7])
+    @pytest.mark.parametrize("sigma", [SIGMA_ICP_DEFAULT, (1e-4,) * 3 + (0.05,) * 3])
+    def test_blocks_equal_whole_array_reference(self, monkeypatch, block_rows, sigma):
+        # 549 rows: whole blocks, block boundaries and a partial last block.
+        # A rotation sigma of 1e-4 mixes series and closed-form rows within
+        # a block, and the perturbed rotation makes two rows re-project.
+        monkeypatch.setattr(simkit, "_ODOMETRY_BLOCK_ROWS", block_rows)
+        truth = gen_trajectory("random-smooth-turn", 54.9, 10.0, seed=4)
+        rot = truth.rotation.copy()
+        rot[300, 0, 0] += 1e-10
+        got = gen_odometry(rot, truth.translation, sigma, make_rng(9, ODOMETRY_STREAM))
+        want = whole_array_odometry(rot, truth.translation, sigma,
+                                    make_rng(9, ODOMETRY_STREAM))
+        assert got[0].shape == (549, 3, 3) and got[1].shape == (549, 3)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
 class TestScenario:
     def _truth(self, duration=200.0):
         return gen_trajectory("straight", duration, 10.0, seed=1)
@@ -469,6 +499,17 @@ class TestScenario:
         poses = list(self._truth())
         with pytest.raises(TypeError, match="truth must be a PoseStack, got list"):
             Scenario(truth=poses)
+
+    @pytest.mark.parametrize("t_start", [200.0, 1e9])
+    def test_spoof_onset_at_or_after_end_rejected(self, t_start):
+        # The bias is zero up to t_start, so no epoch would be spoofed.
+        with pytest.raises(ValueError, match=re.escape(
+                f"spoof t_start {t_start:g} s must lie before the end of the 200 s "
+                "trajectory")):
+            Scenario(truth=self._truth(), spoof=SpoofProfile(t_start=t_start))
+        # An onset before the end biases the last epoch.
+        scn = Scenario(truth=self._truth(), spoof=SpoofProfile(t_start=199.0, ramp_rate=5.0))
+        assert spoof_bias(scn.steps * scn.dt, scn.spoof)[0] == 5.0
 
     def test_zero_and_tiny_sigma_allowed(self):
         Scenario(truth=self._truth(), sigma_gps=0.0, sigma_icp=(0.0,) * 6)

@@ -488,6 +488,28 @@ class TestOptimize:
         assert report.objective_history == (report.final_objective,)
         assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
 
+    def test_every_solve_looks_up_scipy_linalg(self, rng, monkeypatch):
+        # solveh_banded is looked up on scipy.linalg at each solve, also after
+        # earlier solves, so a patch of it there counts every solve.
+        import scipy.linalg
+        small_window(rng, 0.02).optimize()
+        windows, lapack = [], []
+        original_window, original_lapack = WindowGraph._solve_banded, scipy.linalg.solveh_banded
+
+        def window_solve(*args):
+            windows.append(1)
+            return original_window(*args)
+
+        def lapack_solve(*args, **kwargs):
+            lapack.append(1)
+            return original_lapack(*args, **kwargs)
+
+        monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(window_solve))
+        monkeypatch.setattr(scipy.linalg, "solveh_banded", lapack_solve)
+        report = small_window(rng, 0.02).optimize()
+        assert report.iterations > 0
+        assert len(lapack) == len(windows) > report.iterations
+
     def test_iteration_cap_ends_max_iterations(self, rng, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
         report = small_window(rng, 0.02).optimize()
