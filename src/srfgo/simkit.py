@@ -303,15 +303,19 @@ class Scenario:
             raise ValueError(
                 f"trajectory covers {duration:.1f} s; "
                 f"need >= one {SLOW_CHANNEL_PERIOD_S:.0f} s epoch")
-        # The bias is zero up to t_start, so a later onset spoofs nothing.
-        if self.spoof is not None and self.spoof.t_start >= duration:
-            raise ValueError(
-                f"spoof t_start {self.spoof.t_start:g} s must lie before the end "
-                f"of the {duration:g} s trajectory")
         # One node per odometry step dt; GPS epochs must land on nodes.
         gps_period = 1.0 / (GPS_RATE_HZ * self.dt)
         if abs(gps_period - round(gps_period)) > 1e-9:
             raise ValueError("GPS rate must divide the node rate")
+        # The bias is zero up to t_start, so an onset at or after the last
+        # GPS epoch biases no range.
+        if self.spoof is not None:
+            every = self.gps_every_steps
+            last_epoch = self.steps // every * every * self.dt
+            if self.spoof.t_start >= last_epoch:
+                raise ValueError(
+                    f"spoof t_start {self.spoof.t_start:g} s must lie before the last "
+                    f"GPS epoch, at {last_epoch:g} s of the {duration:g} s trajectory")
         if not (math.isfinite(self.sigma_gps) and self.sigma_gps >= 0.0):
             raise ValueError(f"sigma_gps must be finite and >= 0, got {self.sigma_gps}")
         sig = np.asarray(self.sigma_icp, dtype=float)

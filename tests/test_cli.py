@@ -211,8 +211,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("start", ["180", "1e9"])
     def test_spoof_onset_past_end_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                   start):
-        message = (f"error: spoof t_start {float(start):g} s must lie before the end "
-                   "of the 180 s trajectory")
+        message = (f"error: spoof t_start {float(start):g} s must lie before the last "
+                   "GPS epoch, at 180 s of the 180 s trajectory")
         assert cli("run", "--mode", "sr-fgo", "--duration", "180", "--ramp-rate", "1",
                    "--spoof-start", start, "--out", tmp_path / "run") == 1
         assert message in capsys.readouterr().err

@@ -500,16 +500,24 @@ class TestScenario:
         with pytest.raises(TypeError, match="truth must be a PoseStack, got list"):
             Scenario(truth=poses)
 
-    @pytest.mark.parametrize("t_start", [200.0, 1e9])
-    def test_spoof_onset_at_or_after_end_rejected(self, t_start):
-        # The bias is zero up to t_start, so no epoch would be spoofed.
+    @pytest.mark.parametrize("duration,t_start,last", [
+        (200.0, 200.0, 200.0), (200.0, 1e9, 200.0), (200.5, 200.2, 200.0),
+        (200.5, 200.0, 200.0)])
+    def test_spoof_onset_at_or_after_last_epoch_rejected(self, duration, t_start, last):
+        # The bias is zero up to t_start, so no range would be spoofed; the
+        # GPS epochs lie on whole seconds.
         with pytest.raises(ValueError, match=re.escape(
-                f"spoof t_start {t_start:g} s must lie before the end of the 200 s "
-                "trajectory")):
-            Scenario(truth=self._truth(), spoof=SpoofProfile(t_start=t_start))
-        # An onset before the end biases the last epoch.
-        scn = Scenario(truth=self._truth(), spoof=SpoofProfile(t_start=199.0, ramp_rate=5.0))
-        assert spoof_bias(scn.steps * scn.dt, scn.spoof)[0] == 5.0
+                f"spoof t_start {t_start:g} s must lie before the last GPS epoch, "
+                f"at {last:g} s of the {duration:g} s trajectory")):
+            Scenario(truth=self._truth(duration), spoof=SpoofProfile(t_start=t_start))
+
+    def test_spoof_onset_before_last_epoch_biases_it(self):
+        scn = Scenario(truth=self._truth(200.5), spoof=SpoofProfile(t_start=199.5,
+                                                                    ramp_rate=4.0))
+        stream = build_measurements(scn)
+        assert stream.gps_steps[-1] * scn.dt == 200.0
+        bias = spoof_bias(stream.gps_steps * scn.dt, scn.spoof)
+        assert np.count_nonzero(bias) == 1 and bias[-1, 0] == 2.0
 
     def test_zero_and_tiny_sigma_allowed(self):
         Scenario(truth=self._truth(), sigma_gps=0.0, sigma_icp=(0.0,) * 6)
