@@ -15,10 +15,11 @@ window optimizer evaluates both pose kinds in one call on stacked rows.
 ``relative_errors`` also returns the SO(3) V^-1 and angle terms its log
 computed, and ``relative_jacobians`` takes them, so neither is evaluated
 twice per row.
-``odometry_errors``/``odometry_jacobians`` and ``anchor_errors`` apply them
-to one kind.  ``linearize`` runs the kernels on one factor, so the test
-suite's finite-difference checks of ``linearize`` (against independent
-per-pose references kept in the tests) cover the optimizer's Jacobians.
+``odometry_jacobians`` turns the odometry rows' J_l^-1 into the Jacobians of
+both linked nodes.  ``linearize`` runs the same kernels on one factor, so
+the test suite's finite-difference checks of ``linearize`` (against
+independent per-pose references kept in the tests) cover the optimizer's
+Jacobians.
 
 GPS and odometry factors carry no noise: each stream has one, held by the
 window (srfgo.solver).  The anchor carries its own information.
@@ -182,13 +183,6 @@ def relative_jacobians(e: np.ndarray,
     return -liegroup.se3_left_jacobian_inv(e, terms)
 
 
-def odometry_errors(rot_i, t_i, rot_j, t_j, z_rot, z_t) -> tuple:
-    """(residuals, pred rotations, pred translations), pred = x_i^-1 x_j;
-    odometry_jacobians reuses pred."""
-    rot_pred, t_pred = between(rot_i, t_i, rot_j, t_j)
-    return relative_errors(rot_pred, t_pred, z_rot, z_t)[0], rot_pred, t_pred
-
-
 def odometry_jacobians(j_j, rot_pred, t_pred) -> tuple[np.ndarray, np.ndarray]:
     """(J_i, J_j) about predictions pred, from J_j = relative_jacobians(e)."""
     # e(d_i, d_j) = log(exp(-d_j) pred^-1 exp(d_i) z): the j slot enters on
@@ -197,11 +191,6 @@ def odometry_jacobians(j_j, rot_pred, t_pred) -> tuple[np.ndarray, np.ndarray]:
     rot_pi = np.swapaxes(rot_pred, -1, -2)
     t_pi = -(rot_pi @ t_pred[..., None])[..., 0]
     return -j_j @ liegroup.adjoint_arrays(rot_pi, t_pi), j_j
-
-
-def anchor_errors(rot, t, prior_rot, prior_t) -> np.ndarray:
-    """log(x^-1 prior); its Jacobian is relative_jacobians(e)."""
-    return relative_errors(rot, t, prior_rot, prior_t)[0]
 
 
 def _stacked(pose: Pose) -> tuple[np.ndarray, np.ndarray]:
@@ -218,14 +207,13 @@ def linearize(factor, current_states: Mapping[int, Pose]) -> Linearization:
         jac[:, 3:] = gps_jacobians(rot, diff, ranges)
         return Linearization(e, (factor.node_index,), (jac,))
     if isinstance(factor, OdometryFactor):
-        e, rot_pred, t_pred = odometry_errors(
-            *_stacked(current_states[factor.from_index]),
-            *_stacked(current_states[factor.to_index]),
-            *_stacked(factor.measured_transform))
+        rot_pred, t_pred = between(*_stacked(current_states[factor.from_index]),
+                                   *_stacked(current_states[factor.to_index]))
+        e, _ = relative_errors(rot_pred, t_pred, *_stacked(factor.measured_transform))
         j_i, j_j = odometry_jacobians(relative_jacobians(e), rot_pred, t_pred)
         return Linearization(e[0], (factor.from_index, factor.to_index), (j_i[0], j_j[0]))
     if isinstance(factor, AnchorFactor):
-        e = anchor_errors(*_stacked(current_states[factor.node_index]),
-                          *_stacked(factor.prior_pose))
+        e, _ = relative_errors(*_stacked(current_states[factor.node_index]),
+                               *_stacked(factor.prior_pose))
         return Linearization(e[0], (factor.node_index,), (relative_jacobians(e)[0],))
     raise TypeError(f"unknown factor type {type(factor).__name__}")

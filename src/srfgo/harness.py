@@ -125,11 +125,6 @@ def summarize(series) -> tuple[float, float]:
     return float(arr.mean()), float(arr.max())
 
 
-def epoch_false_alarm_probability(alpha: float, trials: int) -> float:
-    """Probability of at least one false alarm over independent trials."""
-    return 1.0 - (1.0 - alpha) ** trials
-
-
 class DetectionStats(NamedTuple):
     per_trial_fa_rate: float
     per_run_fa_rate: float
@@ -252,9 +247,9 @@ def run(cfg: RunConfig) -> RunRecord:
 
             overflow = len(graph) + len(batch) - cfg.window_size
             if overflow > 0:
-                graph = graph.slide(batch, new_factors, overflow)
+                graph = graph.slide(new_factors, overflow)
             else:
-                graph = graph.append(batch, new_factors)
+                graph = graph.append(new_factors)
 
             # A window taken while GPS is excluded holds only the odometry
             # chain and its anchor, which dead reckoning already satisfies:

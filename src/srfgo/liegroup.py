@@ -189,11 +189,6 @@ def _jl_inv(theta, small, t, k) -> np.ndarray:
     return _EYE3 - 0.5 * k + b[..., None, None] * (k @ k)
 
 
-def so3_left_jacobian_inv(omega: np.ndarray) -> np.ndarray:
-    """V(w)^-1, the inverse of the SO(3) left Jacobian V(w)."""
-    return _jl_inv(*_angle(np.asarray(omega, dtype=float)))
-
-
 def se3_exp_arrays(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp of nu = [w | r]: rotation exp([w]_x), translation V(w) r with
     V(w) = I + (1-cos t)/t^2 [w]_x + (t-sin t)/t^3 [w]_x^2."""
@@ -280,11 +275,6 @@ def se3_left_jacobian_inv(nu: np.ndarray, terms: LogTerms | None = None) -> np.n
     return out
 
 
-def se3_right_jacobian_inv(nu: np.ndarray) -> np.ndarray:
-    """d log(exp(nu) exp(eps))/d eps at eps = 0; equals J_l^-1(-nu)."""
-    return se3_left_jacobian_inv(-np.asarray(nu, dtype=float))
-
-
 def adjoint_arrays(rot: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Ad_(R,t) with exp(Ad_x nu) = x exp(nu) x^-1: [[R, 0], [[t]_x R, R]]."""
     rot = np.asarray(rot, dtype=float)
@@ -360,11 +350,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return cls(m[:3, :3], m[:3, 3])
-
     def matrix(self) -> np.ndarray:
         out = np.eye(4)
         out[:3, :3] = self.rotation
@@ -430,10 +415,6 @@ def inverse(pose: Pose) -> Pose:
 def ominus(y: Pose, x: Pose) -> np.ndarray:
     """log(x^-1 y): the right-tangent displacement from x to y."""
     return log(compose(inverse(x), y))
-
-
-def adjoint(pose: Pose) -> np.ndarray:
-    return adjoint_arrays(pose.rotation, pose.translation)
 
 
 def rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:

@@ -18,9 +18,12 @@ runs) load no scipy module.
 The odometry and anchor residuals are both log(a^-1 b), so one kernel call
 evaluates them on stacked rows against their measured transforms, stacked
 once per window, and one J_l^-1 call linearizes them with the SO(3) V^-1
-and angle terms those logs already computed.  Odometry is compiled in chain
-order, row k linking nodes k and k + 1, so its blocks add by slices; the
-window's one anchor adds to its node's blocks directly.
+and angle terms those logs already computed.  Odometry is held as the chain
+it is, checked consecutive as it enters, row k linking nodes k and k + 1, so
+its blocks add by slices; the window's one anchor adds to its node's blocks
+directly.  The window grows by odometry alone: ``append`` and ``slide`` take
+new factors only, and each new odometry row adds one node, dead-reckoned by
+liegroup.compose from the node before.
 Levenberg-Marquardt damping wraps the Gauss-Newton step: lambda starts at
 DAMPING_INIT, divides by 10 on an accepted step and multiplies by 10 on a
 rejected one, so accepted objectives never increase.  Each iteration first
@@ -43,6 +46,7 @@ Estimates update by right perturbation x <- x * exp(delta).
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import time
@@ -106,15 +110,21 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[:, :, None])[:, :, 0]
 
 
-def _compile(factors: Sequence, base: int) -> dict:
+def _compile(factors: Sequence, base: int, first_link: int) -> dict:
     """Factor objects as the stacked arrays the batched kernels take, keyed
-    gps_*/odo_*/anc_*, odometry in chain order and the rest in input order;
-    node references become rows relative to the window's first step `base`."""
+    gps_*/odo_*/anc_*; node references become rows relative to the window's
+    first step `base`.  Odometry is held as the chain it is: sorted, its
+    links must run consecutively from step `first_link`, so odometry row k
+    links the nodes first_link - base + k and the one after."""
     gps, odo, anc = ([f for f in factors if isinstance(f, kind)]
                      for kind in (GpsFactor, OdometryFactor, AnchorFactor))
     if len(gps) + len(odo) + len(anc) != len(factors):
         raise TypeError("factors must be GpsFactor, OdometryFactor or AnchorFactor")
     odo.sort(key=lambda f: f.from_index)
+    links = [f.from_index for f in odo]
+    if links != list(range(first_link, first_link + len(odo))):
+        raise ValueError(f"odometry must link each consecutive node pair exactly once "
+                         f"from step {first_link}, got links from {links}")
 
     def arr(values, shape, dtype=float):
         return np.array(values, dtype=dtype).reshape(shape)
@@ -123,7 +133,6 @@ def _compile(factors: Sequence, base: int) -> dict:
         "gps_rows": arr([f.node_index - base for f in gps], -1, int),
         "gps_sat": arr([f.sat_position for f in gps], (-1, 3)),
         "gps_meas": arr([f.measured_range for f in gps], -1),
-        "odo_rows": arr([f.from_index - base for f in odo], -1, int),
         "odo_rot": arr([f.measured_transform.rotation for f in odo], (-1, 3, 3)),
         "odo_t": arr([f.measured_transform.translation for f in odo], (-1, 3)),
         "anc_rows": arr([f.node_index - base for f in anc], -1, int),
@@ -157,7 +166,7 @@ class WindowGraph:
         self.base = idx[0] if idx else 0
         self.rot = np.array([p.rotation for _, p in nodes]).reshape(-1, 3, 3)
         self.t = np.array([p.translation for _, p in nodes]).reshape(-1, 3)
-        self.comp = _compile(factors, self.base)
+        self.comp = _compile(factors, self.base, self.base)
         self._validate()
 
     # -- structure ---------------------------------------------------------
@@ -174,9 +183,9 @@ class WindowGraph:
                 raise ValueError(f"{kind} factor references a node outside the window")
         if len(self.comp["anc_rows"]) > 1:
             raise ValueError("a window holds at most one anchor factor")
-        # Odometry is compiled in chain order, so one comparison rejects
-        # duplicate, missing and dangling odometry; row k links k and k + 1.
-        if not np.array_equal(self.comp["odo_rows"], np.arange(n - 1)):
+        # _compile held odometry to a chain from the first node, so its
+        # length rejects a missing or dangling link.
+        if len(self.comp["odo_t"]) != n - 1:
             raise ValueError("odometry must link each consecutive node pair exactly once")
 
     def __len__(self) -> int:
@@ -363,58 +372,50 @@ class WindowGraph:
     # -- window maintenance ------------------------------------------------
 
     def _extend(self, base: int, rot: np.ndarray, t: np.ndarray, comp: dict,
-                new_nodes: Sequence[int], new_factors: Sequence) -> "WindowGraph":
-        """New graph over (rot, t, comp) plus new_factors and new_nodes, each
-        dead-reckoned from the previous node by its incoming odometry."""
-        incoming = {f.to_index: f.measured_transform for f in new_factors
-                    if isinstance(f, OdometryFactor)}
+                new_factors: Sequence) -> "WindowGraph":
+        """New graph over (rot, t, comp) plus new_factors, whose odometry
+        must continue the chain from the newest node: each odometry row adds
+        one node, dead-reckoned from the one before by that row's transform."""
+        new = _compile(new_factors, base, base + len(t) - 1)
         pose, rots, ts = Pose(rot[-1], t[-1]), [rot], [t]
-        for step, idx in enumerate(new_nodes, start=base + len(t)):
-            if int(idx) != step:
-                raise ValueError(f"new node {idx} does not continue the window at {step}")
-            if step not in incoming:
-                raise ValueError(f"no incoming odometry factor for new node {step}")
-            pose = liegroup.compose(pose, incoming[step])
+        for rot_k, t_k in zip(new["odo_rot"], new["odo_t"]):
+            pose = liegroup.compose(pose, Pose._of(rot_k, t_k))
             rots.append(pose.rotation[None])
             ts.append(pose.translation[None])
-        new = _compile(new_factors, base)
-        graph = WindowGraph.__new__(WindowGraph)
-        graph.window_capacity, graph.base = self.window_capacity, base
-        graph.odometry_information, graph.gps_sigma = self.odometry_information, self.gps_sigma
-        graph.rot, graph.t = np.concatenate(rots), np.concatenate(ts)
+        graph = copy.copy(self)
+        # The factors change, so the measured transforms cached on self do not carry over.
+        graph.__dict__.pop("_pose_measured", None)
+        graph.base, graph.rot, graph.t = base, np.concatenate(rots), np.concatenate(ts)
         graph.comp = {key: np.concatenate([value, new[key]]) for key, value in comp.items()}
         graph._validate()
         return graph
 
-    def append(self, new_nodes: Sequence[int], new_factors: Sequence) -> "WindowGraph":
-        """Grow the window (no eviction); used while the window fills."""
-        return self._extend(self.base, self.rot, self.t, self.comp,
-                            new_nodes, new_factors)
+    def append(self, new_factors: Sequence) -> "WindowGraph":
+        """Grow the window (no eviction) by one node per new odometry
+        factor; used while the window fills."""
+        return self._extend(self.base, self.rot, self.t, self.comp, new_factors)
 
-    def slide(self, new_nodes: Sequence[int], new_factors: Sequence,
-              shift: int) -> "WindowGraph":
-        """Evict the oldest `shift` nodes, append new ones, re-anchor."""
+    def slide(self, new_factors: Sequence, shift: int) -> "WindowGraph":
+        """Evict the oldest `shift` nodes, append one node per new odometry
+        factor, re-anchor."""
         if shift < 1:
             raise ValueError("shift must be >= 1")
         if shift >= len(self):
             raise ValueError(
                 f"shift {shift} would underflow a {len(self)}-node window")
-        # GPS and odometry rows on evicted nodes go, the rest move down by
+        # Odometry rows and GPS on evicted nodes go, GPS rows move down by
         # `shift`; the one anchor pins the new oldest node at its estimate.
-        keep = {"gps": self.comp["gps_rows"] >= shift,
-                "odo": self.comp["odo_rows"] >= shift}
-        comp = {key: value[keep[key[:3]]] for key, value in self.comp.items()
-                if key[:3] in keep}
+        keep = self.comp["gps_rows"] >= shift
+        comp = {key: value[keep] for key, value in self.comp.items() if key.startswith("gps")}
         comp["gps_rows"] -= shift
-        comp["odo_rows"] -= shift
-        comp.update(anc_rows=np.zeros(1, dtype=int), anc_rot=self.rot[shift:shift + 1],
-                    anc_t=self.t[shift:shift + 1],
-                    anc_info=fmod.anchor_information()[None])
+        comp.update(odo_rot=self.comp["odo_rot"][shift:], odo_t=self.comp["odo_t"][shift:],
+                    anc_rows=np.zeros(1, dtype=int), anc_rot=self.rot[shift:shift + 1],
+                    anc_t=self.t[shift:shift + 1], anc_info=fmod.anchor_information()[None])
         return self._extend(self.base + shift, self.rot[shift:], self.t[shift:], comp,
-                            new_nodes, new_factors)
+                            new_factors)
 
     def strip_gps(self) -> "WindowGraph":
         """Same window with every GPS factor removed."""
         comp = {key: value[:0] if key.startswith("gps") else value
                 for key, value in self.comp.items()}
-        return self._extend(self.base, self.rot, self.t, comp, (), ())
+        return self._extend(self.base, self.rot, self.t, comp, ())

@@ -235,13 +235,13 @@ class TestLinearize:
             f = OdometryFactor(0, 1, meas)
             lin = linearize(f, {0: x_i, 1: x_j})
             e = lin.residual
-            alt = (liegroup.se3_right_jacobian_inv(e)
-                   @ liegroup.adjoint(liegroup.inverse(meas)))
+            meas_inv = liegroup.inverse(meas)
+            alt = (liegroup.se3_left_jacobian_inv(-e)
+                   @ liegroup.adjoint_arrays(meas_inv.rotation, meas_inv.translation))
             assert np.allclose(lin.jacobians[0], alt, atol=1e-11)
-            pred = odom_predict(x_i, x_j)
-            assert np.allclose(lin.jacobians[0],
-                               -lin.jacobians[1] @ liegroup.adjoint(liegroup.inverse(pred)),
-                               atol=1e-12)
+            pred_inv = liegroup.inverse(odom_predict(x_i, x_j))
+            ad = liegroup.adjoint_arrays(pred_inv.rotation, pred_inv.translation)
+            assert np.allclose(lin.jacobians[0], -lin.jacobians[1] @ ad, atol=1e-12)
 
     def test_jacobians_match_fd_100_random(self, rng):
         """Max relative deviation from central differences over 100 factors."""

@@ -12,9 +12,8 @@ import pytest
 
 from srfgo import harness
 from srfgo.detector import test_statistic as window_statistic
-from srfgo.harness import (MODES, RunConfig, RunRecord, detection_stats,
-                           epoch_false_alarm_probability, l2_errors, read_run,
-                           run, summarize, summarize_runs, write_run)
+from srfgo.harness import (MODES, RunConfig, RunRecord, detection_stats, l2_errors,
+                           read_run, run, summarize, summarize_runs, write_run)
 from srfgo.factors import default_odometry_information
 from srfgo.liegroup import Pose
 from srfgo.simkit import (SIGMA_GPS_DEFAULT, SIGMA_ICP_DEFAULT, Scenario, SpoofProfile,
@@ -145,11 +144,6 @@ class TestDetectionStats:
                  "decision": "spoof-detected"}]
         stats = detection_stats([self.fake(True, rows)])
         assert stats.mean_time_to_detect == 0.0
-
-    def test_epoch_false_alarm_probability(self):
-        p = epoch_false_alarm_probability(0.001, 180)
-        assert p == pytest.approx(1.0 - 0.999 ** 180, rel=0.0, abs=0.0)
-        assert p == pytest.approx(0.165, abs=1e-3)
 
 
 class TestOdometryOnly:

@@ -172,7 +172,7 @@ class TestJacobianHelpers:
                 eps[k] = step
                 fd[:, k] = (log(compose(base, exp(eps)))
                             - log(compose(base, exp(-eps)))) / (2.0 * step)
-            closed = liegroup.se3_right_jacobian_inv(nu)
+            closed = liegroup.se3_left_jacobian_inv(-nu)  # J_r^-1(nu)
             assert np.allclose(closed, fd, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("theta", [1e-3, 3e-3])
@@ -201,7 +201,7 @@ class TestJacobianHelpers:
         x = random_pose(rng, max_angle=2.0)
         nu = 1e-4 * random_tangent(rng, max_angle=1.0, max_trans=1.0)
         lhs = compose(compose(x, exp(nu)), inverse(x))
-        rhs = exp(liegroup.adjoint(x) @ nu)
+        rhs = exp(liegroup.adjoint_arrays(x.rotation, x.translation) @ nu)
         assert np.allclose(lhs.matrix(), rhs.matrix(), atol=1e-10)
 
 
@@ -314,12 +314,6 @@ class TestQuaternions:
 
 
 class TestPose:
-    def test_matrix_roundtrip(self, rng):
-        t = random_pose(rng)
-        back = Pose.from_matrix(t.matrix())
-        assert np.allclose(back.rotation, t.rotation)
-        assert np.allclose(back.translation, t.translation)
-
     def test_apply(self):
         rot = exp(np.array([0.0, 0.0, np.pi / 2, 0.0, 0.0, 0.0])).rotation
         p = Pose(rot, np.array([1.0, 0.0, 0.0]))
@@ -510,8 +504,6 @@ class TestSharedTermKernelsBitForBit:
         nu = tangent_batch(layout, n, seed)
         omega = nu[..., :3]
         assert_same_bits(liegroup.so3_exp(omega), ref_so3_exp(omega))
-        assert_same_bits(liegroup.so3_left_jacobian_inv(omega),
-                         ref_so3_left_jacobian_inv(omega))
         rot, t = ref_se3_exp_arrays(nu)
         got_rot, got_t = liegroup.se3_exp_arrays(nu)
         assert_same_bits(got_rot, rot)

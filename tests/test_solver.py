@@ -166,7 +166,7 @@ class TestAssembly:
 
         for order in (lambda facs: facs[::-1], shuffled):
             g = check_blocks_match_dense(rng, order)
-            assert np.array_equal(g.comp["odo_rows"], np.arange(len(g) - 1))
+            assert len(g.comp["odo_t"]) == len(g) - 1
 
     def test_one_inverse_jacobian_per_pose_row(self, rng, monkeypatch):
         """A residual-plus-assembly cycle evaluates the SO(3) V^-1 once per
@@ -182,7 +182,7 @@ class TestAssembly:
         monkeypatch.setattr(liegroup, "_jl_inv", counted)
         res = g._residuals(g.rot, g.t)
         diag, upper, grad = g._assemble(g.rot, res)
-        n_pose = len(g.comp["odo_rows"]) + len(g.comp["anc_rows"])
+        n_pose = len(g.comp["odo_t"]) + len(g.comp["anc_rows"])
         assert rows == [(n_pose,)]
         monkeypatch.undo()
         expected = g._assemble(g.rot, dict(res, pose_terms=None))
@@ -192,11 +192,12 @@ class TestAssembly:
     def test_odometry_and_anchor_share_one_kernel_call(self, rng, monkeypatch):
         g = small_window(rng, 0.02)
         comp, rot, t = g.comp, g.rot, g.t
-        orow, arow = comp["odo_rows"], comp["anc_rows"]
-        assert orow.size and arow.size and comp["gps_rows"].size
-        odometry, _, _ = fmod.odometry_errors(rot[orow], t[orow], rot[orow + 1],
-                                              t[orow + 1], comp["odo_rot"], comp["odo_t"])
-        anchor = fmod.anchor_errors(rot[arow], t[arow], comp["anc_rot"], comp["anc_t"])
+        arow = comp["anc_rows"]
+        assert len(comp["odo_t"]) and arow.size and comp["gps_rows"].size
+        # Odometry row k links nodes k and k + 1.
+        odometry, _ = fmod.relative_errors(*fmod.between(rot[:-1], t[:-1], rot[1:], t[1:]),
+                                           comp["odo_rot"], comp["odo_t"])
+        anchor, _ = fmod.relative_errors(rot[arow], t[arow], comp["anc_rot"], comp["anc_t"])
 
         calls = {"se3_log_arrays": 0, "se3_left_jacobian_inv": 0}
         for name in calls:
@@ -466,7 +467,7 @@ def stationary_window(rng) -> WindowGraph:
                 for f in odometry_factors(truth)]
     g = WindowGraph([(0, truth[0])], [AnchorFactor(0, truth[0], fmod.anchor_information())],
                     30, *NOISE)
-    g = g.append(range(1, 30), odometry + gps_factors(truth[::10], range(0, 30, 10)))
+    g = g.append(odometry + gps_factors(truth[::10], range(0, 30, 10)))
     return g.strip_gps()
 
 
@@ -647,41 +648,40 @@ class TestSlide:
         return g, truth
 
     def _continuation(self, rng, truth, count):
+        """Odometry factors for `count` steps past the end of truth."""
         base = len(truth)
         new_truth = list(truth)
-        new_nodes, new_facs = [], []
+        new_facs = []
         for k in range(count):
             idx = base + k
             motion = exp(np.concatenate([rng.uniform(-0.05, 0.05, 3),
                                          rng.uniform(-0.3, 0.3, 3)]))
             new_truth.append(compose(motion, new_truth[-1]))
             meas = compose(inverse(new_truth[-2]), new_truth[-1])
-            new_nodes.append(idx)
             new_facs.append(OdometryFactor(idx - 1, idx, meas))
-        return new_nodes, new_facs
+        return new_facs
 
     def test_full_window_count_constant(self, rng):
         g, truth = self._window(rng)
-        new_nodes, new_facs = self._continuation(rng, truth, 10)
-        g2 = g.slide(new_nodes, new_facs, shift=10)
+        new_facs = self._continuation(rng, truth, 10)
+        g2 = g.slide(new_facs, shift=10)
         assert len(g2) == 100
         assert (g2.base, g2.base + len(g2) - 1) == (10, 109)
 
     def test_slide_without_gps_still_connected(self, rng):
         g, truth = self._window(rng, n=20, capacity=20)
-        new_nodes, new_facs = self._continuation(rng, truth, 5)
-        g2 = g.slide(new_nodes, new_facs, shift=5)  # no GPS among new factors
+        new_facs = self._continuation(rng, truth, 5)
+        g2 = g.slide(new_facs, shift=5)  # no GPS among new factors
         # construction validates connectivity; spot-check the odometry chain
         assert len(g2) == 20
-        assert np.array_equal(g2.comp["odo_rows"], np.arange(19))
+        assert len(g2.comp["odo_t"]) == 19
         g2.objective()
 
     def test_two_fives_equal_one_ten(self, rng):
         g, truth = self._window(rng)
-        new_nodes, new_facs = self._continuation(rng, truth, 10)
-        once = g.slide(new_nodes, new_facs, shift=10)
-        twice = g.slide(new_nodes[:5], new_facs[:5], shift=5).slide(
-            new_nodes[5:], new_facs[5:], shift=5)
+        new_facs = self._continuation(rng, truth, 10)
+        once = g.slide(new_facs, shift=10)
+        twice = g.slide(new_facs[:5], shift=5).slide(new_facs[5:], shift=5)
         assert (once.base, len(once)) == (twice.base, len(twice))
         for k in range(once.base, once.base + len(once)):
             assert np.allclose(once.estimate_of(k).matrix(),
@@ -689,37 +689,75 @@ class TestSlide:
 
     def test_anchor_moved_to_new_oldest(self, rng):
         g, truth = self._window(rng)
-        new_nodes, new_facs = self._continuation(rng, truth, 10)
-        g2 = g.slide(new_nodes, new_facs, shift=10)
+        new_facs = self._continuation(rng, truth, 10)
+        g2 = g.slide(new_facs, shift=10)
         assert g2.comp["anc_rows"].tolist() == [0]
         assert g2.base == 10
         prior = Pose(g2.comp["anc_rot"][0], g2.comp["anc_t"][0])
         assert np.allclose(prior.matrix(), g2.estimate_of(10).matrix())
 
     def test_dead_reckoned_initialization(self, rng):
+        """Each node that append or slide adds is the node before it
+        composed with its odometry's measured transform, bit for bit."""
         g, truth = self._window(rng, n=10, capacity=20)
-        new_nodes, new_facs = self._continuation(rng, truth, 3)
-        g2 = g.append(new_nodes, new_facs)
-        est = g2.estimate_of(10)
-        expected = compose(g.estimate_of(9), new_facs[0].measured_transform)
-        assert np.allclose(est.matrix(), expected.matrix(), atol=1e-12)
+        new_facs = self._continuation(rng, truth, 13)
+        grown = g.append(new_facs[:3])
+        slid = grown.slide(new_facs[3:], shift=3)
+        assert (slid.base, len(slid)) == (3, 20)
+        for parent, child, facs in ((g, grown, new_facs[:3]), (grown, slid, new_facs[3:])):
+            expected = parent.estimate_of(facs[0].from_index)
+            for f in facs:
+                expected = compose(expected, f.measured_transform)
+                est = child.estimate_of(f.to_index)
+                assert est.rotation.tobytes() == expected.rotation.tobytes()
+                assert est.translation.tobytes() == expected.translation.tobytes()
 
     def test_underflow_rejected(self, rng):
         g, truth = self._window(rng, n=5, capacity=10)
-        new_nodes, new_facs = self._continuation(rng, truth, 5)
+        new_facs = self._continuation(rng, truth, 5)
         with pytest.raises(ValueError):
-            g.slide(new_nodes, new_facs, shift=5)
+            g.slide(new_facs, shift=5)
         with pytest.raises(ValueError):
-            g.slide(new_nodes, new_facs, shift=0)
+            g.slide(new_facs, shift=0)
 
-    def test_append_needs_incoming_odometry(self, rng):
+    def test_append_must_continue_the_odometry_chain(self, rng):
         g, truth = self._window(rng, n=10, capacity=20)
-        new_nodes, new_facs = self._continuation(rng, truth, 3)
-        with pytest.raises(ValueError, match="incoming odometry"):
-            g.append(new_nodes, new_facs[:2])
-        with pytest.raises(ValueError, match="continue"):
-            g.append(new_nodes[1:], new_facs)
-        assert (g.base, len(g)) == (0, 10)  # failed appends leave g as it was
+        new_facs = self._continuation(rng, truth, 3)  # links 9-10, 10-11, 11-12
+
+        def state():
+            return (g.base, g.rot.tobytes(), g.t.tobytes(),
+                    {key: value.tobytes() for key, value in g.comp.items()})
+
+        before = state()
+        early = OdometryFactor(8, 9, new_facs[0].measured_transform)
+        for bad in ([early] + new_facs,  # starts before the newest node
+                    new_facs[1:],  # starts after it
+                    [new_facs[0], new_facs[2]]):  # skips a link
+            with pytest.raises(ValueError, match="exactly once from step 9"):
+                g.append(bad)
+        assert state() == before  # failed appends leave g as it was
+
+    def test_derived_windows_drop_the_parent_cache(self, rng):
+        """A window derived after its parent's residuals were evaluated
+        evaluates the same residuals as one built fresh from its nodes and
+        factors, not with the parent's cached measured transforms."""
+        g, truth = self._window(rng, n=20, capacity=20)
+        new_facs = self._continuation(rng, truth, 5)
+        g._residuals(g.rot, g.t)
+        assert "_pose_measured" in vars(g)
+        slid_facs = (odometry_factors(truth)[5:] + new_facs + gps_factors(truth[10:11], [10])
+                     + [AnchorFactor(5, g.estimate_of(5), fmod.anchor_information())])
+        stripped_facs = (odometry_factors(truth)
+                         + [AnchorFactor(0, truth[0], fmod.anchor_information())])
+        for derived, facs in ((g.slide(new_facs, shift=5), slid_facs),
+                              (g.strip_gps(), stripped_facs)):
+            steps = range(derived.base, derived.base + len(derived))
+            fresh = WindowGraph([(k, derived.estimate_of(k)) for k in steps], facs, 20,
+                                *NOISE)
+            got = derived._residuals(derived.rot, derived.t)
+            want = fresh._residuals(fresh.rot, fresh.t)
+            for key in ("gps", "odometry", "anchor"):
+                assert got[key].tobytes() == want[key].tobytes()
 
 
 class TestStripGps:
@@ -736,8 +774,8 @@ class TestStripGps:
         assert g.gps_count() == 12
         stripped = g.strip_gps()
         assert stripped.gps_count() == 0
-        for kind in ("odo", "anc"):
-            assert np.array_equal(stripped.comp[f"{kind}_rows"], g.comp[f"{kind}_rows"])
+        for key in ("odo_rot", "odo_t", "anc_rows"):
+            assert np.array_equal(stripped.comp[key], g.comp[key])
         assert g.gps_count() == 12  # the input graph is unchanged
 
     def test_idempotent(self, rng):
@@ -770,9 +808,8 @@ class TestNoiseModel:
                         odometry_factors(truth[:8]) + gps_factors(truth[:1], [0])
                         + [AnchorFactor(0, truth[0], fmod.anchor_information())],
                         12, a @ a.T + np.eye(6), 3.0)
-        grown = g.strip_gps().append([8], odometry_factors(truth)[7:8])
-        slid = g.slide(range(8, 12), odometry_factors(truth)[7:]
-                       + gps_factors(truth[8:9], [8]), shift=4)
+        grown = g.strip_gps().append(odometry_factors(truth)[7:8])
+        slid = g.slide(odometry_factors(truth)[7:] + gps_factors(truth[8:9], [8]), shift=4)
         for derived in (grown, slid, slid.strip_gps()):
             assert derived.odometry_information is g.odometry_information
             assert derived.gps_sigma == 3.0
