@@ -157,6 +157,10 @@ def _settings(args, defaults: dict) -> dict:
     for key, default in defaults.items():
         flag = getattr(args, key, None)
         merged[key] = flag if flag is not None else config.get(key, default)
+    given = [key for key in ("kind", "duration", "speed")
+             if getattr(args, key, None) is not None or config.get(key) is not None]
+    if merged.get("trajectory") and given:
+        raise CliError(f"a trajectory file fixes the trajectory; drop {', '.join(given)}")
     return merged
 
 

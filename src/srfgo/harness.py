@@ -24,10 +24,10 @@ outcome and fills in its action.  Modes:
 
 Run outputs are plain CSV/JSON; every float is written with repr precision
 so records round-trip losslessly and repeated runs are byte-identical.  The
-numeric CSV files are written from column stacks, a chunk of rows at a time,
-and parsed back as whole arrays, with Python's own repr and float on every
-value; trajectory.csv and errors.csv are written together, from one repr
-of each time.
+numeric CSV files (trajectory.csv, errors.csv, smoothed.csv) are written by
+one table writer from column stacks, a chunk of rows at a time with one
+%-format per chunk, and parsed back as whole arrays, with Python's own repr
+and float on every value.
 Wall-clock timing goes to a separate timing.json, which is the only
 non-deterministic output.
 """
@@ -386,25 +386,17 @@ _CSV_CHUNK_ROWS = 256
 _POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
 
 
-def _timed_csv_chunks(times_s, *tables):
-    """Per chunk of _CSV_CHUNK_ROWS rows, one iterator of lines for each
-    table (a tuple of columns: 1-D arrays are one column, 2-D arrays one per
-    entry): the time, then the table's row, every value as repr(float).
-    Each time is formatted once, for all the tables."""
-    times = np.asarray(times_s, dtype=float)
-    stacks = [np.column_stack(columns) for columns in tables]
-    for start in range(0, len(times), _CSV_CHUNK_ROWS):
-        stop = start + _CSV_CHUNK_ROWS
-        stamps = list(map(repr, times[start:stop].tolist()))
-        yield [(f"{stamp},{','.join(map(repr, row))}"
-                for stamp, row in zip(stamps, stack[start:stop].tolist()))
-               for stack in stacks]
-
-
-def _pose_csv_lines(times_s, translations, quaternions):
-    yield _POSE_CSV_HEADER
-    for lines, in _timed_csv_chunks(times_s, (translations, quaternions)):
-        yield from lines
+def _write_table(path: Path, header: str, *columns) -> None:
+    """A CSV of floats: the header, then one row per entry of the columns
+    (1-D arrays are one column, 2-D arrays one per entry), every value as
+    %r, which is repr(float), _CSV_CHUNK_ROWS rows at a time."""
+    stack = np.column_stack(columns)
+    line = ",".join(["%r"] * stack.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(stack), _CSV_CHUNK_ROWS):
+            chunk = stack[start:start + _CSV_CHUNK_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -416,19 +408,11 @@ def write_run(record: RunRecord, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # trajectory.csv and errors.csv share the time column: both are written
-    # a chunk at a time, from the same formatted times.
-    with open(out / "trajectory.csv", "w") as traj, open(out / "errors.csv", "w") as err:
-        traj.write(_POSE_CSV_HEADER + "\n")
-        err.write("time_s,l2_error_m\n")
-        for traj_lines, err_lines in _timed_csv_chunks(
-                record.times_s, (record.est_translations, record.est_quaternions),
-                (record.errors,)):
-            traj.writelines(line + "\n" for line in traj_lines)
-            err.writelines(line + "\n" for line in err_lines)
-    _write_lines(out / "smoothed.csv", _pose_csv_lines(
-        record.smoothed_times_s, record.smoothed_translations,
-        record.smoothed_quaternions))
+    _write_table(out / "trajectory.csv", _POSE_CSV_HEADER, record.times_s,
+                 record.est_translations, record.est_quaternions)
+    _write_table(out / "errors.csv", "time_s,l2_error_m", record.times_s, record.errors)
+    _write_table(out / "smoothed.csv", _POSE_CSV_HEADER, record.smoothed_times_s,
+                 record.smoothed_translations, record.smoothed_quaternions)
 
     det_lines = ["time_s,q,tau,n,decision"]
     det_lines += [f"{_fmt(r['time_s'])},{_fmt(r['q'])},{_fmt(r['tau'])},"

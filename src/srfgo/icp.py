@@ -237,21 +237,3 @@ def save_cloud(path, cloud: PointCloud) -> None:
             for p, n in zip(cloud.points, cloud.normals):
                 fh.write(f"{p[0]:.9f},{p[1]:.9f},{p[2]:.9f},"
                          f"{n[0]:.9f},{n[1]:.9f},{n[2]:.9f}\n")
-
-
-def load_cloud(path) -> PointCloud:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] not in ("x,y,z", "x,y,z,nx,ny,nz"):
-        raise ValueError("expected header x,y,z or x,y,z,nx,ny,nz")
-    width = len(lines[0].split(","))
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ValueError(f"expected {width} fields, got {len(parts)}")
-        rows.append([float(p) for p in parts])
-    data = np.array(rows, dtype=float)
-    if width == 3:
-        return PointCloud(data)
-    return PointCloud(data[:, :3], data[:, 3:])

@@ -7,7 +7,6 @@ Conventions used everywhere in this package:
 - Tangent vectors are ordered rotation-first: nu = [w1 w2 w3 | r1 r2 r3],
   so exp(nu) has rotation exp([w]_x) and translation V(w) r.
 - Perturbations are applied on the right: x <- x * exp(delta).
-- ominus(y, x) = log(x^-1 * y), the tangent that carries x onto y.
 
 All kernels accept stacked inputs (leading batch dimensions) so the window
 optimizer can linearize whole factor sets without Python loops.  Quaternions
@@ -61,6 +60,9 @@ NEAR_PI_MARGIN = 1e-6
 
 # Orthonormality drift tolerated before compose() re-projects a rotation.
 ORTHONORMALITY_DRIFT = 1e-12
+
+# A quaternion whose norm lies further than this from one is rejected.
+QUATERNION_NORM_TOL = 1e-3
 
 
 class NearSingularLogError(ValueError):
@@ -133,13 +135,6 @@ def _exp_closed(t):
     sin = np.sin(t)
     half = np.sin(t / 2.0)
     return [sin / t, 2.0 * half * half / (t * t), (t - sin) / (t * t * t)]
-
-
-def so3_exp(omega: np.ndarray) -> np.ndarray:
-    """Rodrigues: R = I + sin(t)/t [w]_x + (1-cos t)/t^2 [w]_x^2, t = |w|."""
-    theta, small, t, k = _angle(np.asarray(omega, dtype=float))
-    a1, a2, _ = _per_row(theta, small, t, _exp_series, _exp_closed)
-    return _EYE3 + a1[..., None, None] * k + a2[..., None, None] * (k @ k)
 
 
 def _log_angle(rot: np.ndarray) -> tuple:
@@ -350,17 +345,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    def matrix(self) -> np.ndarray:
-        out = np.eye(4)
-        out[:3, :3] = self.rotation
-        out[:3, 3] = self.translation
-        return out
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """R p + t for a point or stack of points."""
-        points = np.asarray(points, dtype=float)
-        return (self.rotation @ points[..., None])[..., 0] + self.translation
-
 
 @dataclass(frozen=True, eq=False)
 class PoseStack:
@@ -412,11 +396,6 @@ def inverse(pose: Pose) -> Pose:
     return Pose(rot, -(rot @ pose.translation))
 
 
-def ominus(y: Pose, x: Pose) -> np.ndarray:
-    """log(x^-1 y): the right-tangent displacement from x to y."""
-    return log(compose(inverse(x), y))
-
-
 def rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:
     """Unit quaternions [qx, qy, qz, qw] (Hamilton, scalar-last), qw >= 0, of
     rotations (..., 3, 3).
@@ -445,13 +424,13 @@ def rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:
     return q.reshape(rot.shape[:-2] + (4,))
 
 
-def quaternion_to_rotation(q: np.ndarray, norm_tol: float = 1e-3) -> np.ndarray:
+def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
     """Rotation matrix from [qx, qy, qz, qw]; renormalizes when the norm is
-    within norm_tol of one, rejects otherwise."""
+    within QUATERNION_NORM_TOL of one, rejects otherwise."""
     q = np.asarray(q, dtype=float).reshape(4)
     n = np.linalg.norm(q)
-    if abs(n - 1.0) > norm_tol:
-        raise ValueError(f"quaternion norm {n:.6f} outside 1 +/- {norm_tol:g}")
+    if abs(n - 1.0) > QUATERNION_NORM_TOL:
+        raise ValueError(f"quaternion norm {n:.6f} outside 1 +/- {QUATERNION_NORM_TOL:g}")
     x, y, z, w = q / n
     return np.array([
         [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],

@@ -27,6 +27,11 @@ def random_tangent(rng: np.random.Generator, max_angle: float = 3.0,
     return np.concatenate([omega, rho])
 
 
+def ominus(y: liegroup.Pose, x: liegroup.Pose) -> np.ndarray:
+    """log(x^-1 y): the right-tangent displacement from x to y."""
+    return liegroup.log(liegroup.compose(liegroup.inverse(x), y))
+
+
 def random_pose(rng: np.random.Generator, max_angle: float = 3.0,
                 max_trans: float = 5.0) -> liegroup.Pose:
     return liegroup.exp(random_tangent(rng, max_angle, max_trans))

@@ -266,6 +266,25 @@ class TestSimulate:
         assert not (tmp_path / "bad").exists()
         assert cli(*args, "--dt", "0.2", "--out", tmp_path / "good") == 0
 
+    def test_trajectory_file_refuses_shape_settings(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert cli("simulate", "--duration", "180", "--out", sim) == 0
+        path = str(sim / "trajectory.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"speed": 5}))
+        sweep_cfg = tmp_path / "sweep.json"
+        sweep_cfg.write_text(json.dumps({"trajectory": path, "duration": 500}))
+        for args, named in (
+                (("run", "--trajectory", path, "--duration", "500", "--kind",
+                  "straight"), "kind, duration"),
+                (("run", "--trajectory", path, "--config", cfg), "speed"),
+                (("sweep", "--config", sweep_cfg, "--ramp-rate", "0",
+                  "--window-size", "20", "--seed", "1", "--runs", "1"), "duration")):
+            out = tmp_path / "out"
+            assert cli(*args, "--mode", "odometry-only", "--out", out) == 1
+            assert f"drop {named}" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestRun:
     def test_writes_run_directory(self, tmp_path):

@@ -354,29 +354,43 @@ def reference_pose_csv_lines(times_s, translations, quaternions) -> list:
     return lines
 
 
+def reference_error_csv_lines(times_s, errors) -> list:
+    return ["time_s,l2_error_m"] + [f"{float(t)!r},{float(e)!r}"
+                                    for t, e in zip(times_s, errors)]
+
+
 class TestSerialization:
     def test_pose_lines_match_per_value_repr(self, tmp_path, rng):
-        values = rng.normal(size=(400, 8)) * 10.0 ** rng.uniform(-300, 300, (400, 8))
+        values = rng.normal(size=(513, 8)) * 10.0 ** rng.uniform(-300, 300, (513, 8))
         values[0] = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                      2.2250738585072014e-308, 1e16, 0.1]
         values[1] = np.nextafter(values[0], 1.0)
-        columns = (values[:, 0], values[:, 1:4], values[:, 4:])
-        lines = list(harness._pose_csv_lines(*columns))
-        assert lines == reference_pose_csv_lines(*columns)
-        path = tmp_path / "poses.csv"
-        path.write_text("\n".join(lines) + "\n")
-        assert harness._read_float_csv(path, 8).tobytes() == values.tobytes()
+        values[2, :3] = [np.inf, -np.inf, np.nan]
+        values[3, :3] = [np.nan, np.inf, -np.inf]
+        path = tmp_path / "table.csv"
+        # Row counts on both sides of the 256-row chunk, in the pose shape
+        # and in errors.csv's two columns.
+        for rows in (1, 255, 256, 257, 513):
+            v = values[:rows]
+            for header, columns, reference in (
+                    ("t,x,y,z,qx,qy,qz,qw", (v[:, 0], v[:, 1:4], v[:, 4:]),
+                     reference_pose_csv_lines),
+                    ("time_s,l2_error_m", (v[:, 0], v[:, 1]), reference_error_csv_lines)):
+                harness._write_table(path, header, *columns)
+                assert path.read_text() == "\n".join(reference(*columns)) + "\n"
+                table = np.column_stack(columns)
+                assert (harness._read_float_csv(path, table.shape[1]).tobytes()
+                        == table.tobytes())
 
     def test_run_files_match_per_value_repr(self, tmp_path, spoofed_sr):
-        # trajectory.csv and errors.csv share one formatting of the times,
-        # over more than one chunk of rows.
+        # trajectory.csv and errors.csv each write the time column, over
+        # more than one chunk of rows.
         assert len(spoofed_sr.times_s) > 2 * harness._CSV_CHUNK_ROWS
         write_run(spoofed_sr, tmp_path / "r")
         lines = reference_pose_csv_lines(spoofed_sr.times_s, spoofed_sr.est_translations,
                                          spoofed_sr.est_quaternions)
         assert (tmp_path / "r" / "trajectory.csv").read_text() == "\n".join(lines) + "\n"
-        lines = ["time_s,l2_error_m"] + [f"{float(t)!r},{float(e)!r}" for t, e in
-                                         zip(spoofed_sr.times_s, spoofed_sr.errors)]
+        lines = reference_error_csv_lines(spoofed_sr.times_s, spoofed_sr.errors)
         assert (tmp_path / "r" / "errors.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_round_trip_is_lossless(self, tmp_path, spoofed_sr):

@@ -9,7 +9,7 @@ import pytest
 
 from srfgo import simkit
 from srfgo.liegroup import (Pose, PoseStack, compose, compose_arrays, exp, inverse,
-                            ominus, se3_exp_arrays)
+                            se3_exp_arrays)
 from srfgo.rngutil import (GPS_STREAM, ODOMETRY_STREAM, TRAJECTORY_STREAM, make_rng,
                            normal)
 from srfgo.simkit import (CIRCUIT_RADIUS_M, EARTH_RADIUS_M, GPS_ORBIT_ALTITUDE_M,
@@ -17,6 +17,7 @@ from srfgo.simkit import (CIRCUIT_RADIUS_M, EARTH_RADIUS_M, GPS_ORBIT_ALTITUDE_M
                           Scenario, SpoofProfile, build_measurements, gen_odometry,
                           gen_pseudoranges, gen_trajectory, load_trajectory,
                           sat_positions, save_trajectory, spoof_bias)
+from conftest import ominus
 
 
 def _yaw_pose(heading: float, position: np.ndarray) -> Pose:
@@ -374,8 +375,9 @@ class TestOdometry:
         a, b = random_pose(rng), random_pose(rng)
         rot, t = gen_odometry(*_stacked([a, b]), np.zeros(6), make_rng(1, ODOMETRY_STREAM))
         assert rot.shape == (1, 3, 3) and t.shape == (1, 3)
-        assert np.allclose(Pose(rot[0], t[0]).matrix(), compose(inverse(a), b).matrix(),
-                           atol=1e-12)
+        expected = compose(inverse(a), b)
+        assert np.allclose(rot[0], expected.rotation, atol=1e-12)
+        assert np.allclose(t[0], expected.translation, atol=1e-12)
 
     def test_zero_sigma_composes_to_truth(self):
         poses = gen_trajectory("circuit", 200.0, 10.0, seed=2)[:50]
@@ -385,7 +387,8 @@ class TestOdometry:
         for r, v in zip(rot, t):
             acc = compose(acc, Pose(r, v))
         expected = compose(inverse(poses[0]), poses[49])
-        assert np.allclose(acc.matrix(), expected.matrix(), atol=1e-9)
+        assert np.allclose(acc.rotation, expected.rotation, atol=1e-9)
+        assert np.allclose(acc.translation, expected.translation, atol=1e-9)
 
     def test_noise_statistics(self):
         # Unit steps along x: every true relative transform is (I, [1, 0, 0]).
