@@ -5,7 +5,9 @@ window is optimized, except while sr-fgo coasts on odometry with GPS
 excluded: such a window holds only the dead-reckoned odometry chain and its
 anchor, already at their optimum, so it keeps its estimates unsolved
 (summary.json counts windows_optimized and windows_coasted, which add up to
-the batch count).  Then the spoofing detector takes one trial, and at every
+the batch count, and windows_not_converged, the optimized windows whose
+solve ended short of convergence: stalled, cholesky-failure or
+max-iterations).  Then the spoofing detector takes one trial, and at every
 authentication epoch sr-fgo applies the outcome to the window; then the
 batch estimates are recorded (causal estimates: what the vehicle would have
 reported at that moment).  The estimates are arrays, rotations (n+1, 3, 3)
@@ -206,6 +208,7 @@ def run(cfg: RunConfig) -> RunRecord:
     iteration_counts: list = []
     iteration_seconds: list = []
     windows_coasted = 0
+    windows_not_converged = 0
 
     if cfg.mode == "odometry-only":
         pose = truth[0]
@@ -262,6 +265,7 @@ def run(cfg: RunConfig) -> RunRecord:
                 opt_seconds.append(time.perf_counter() - started)
                 iteration_counts.append(report.iterations)
                 iteration_seconds.append(report.iteration_seconds)
+                windows_not_converged += not report.converged
 
             # The monitor runs in both graph modes so naive runs still log
             # an unmitigated trial sequence; only sr mode acts on a latch.
@@ -307,6 +311,7 @@ def run(cfg: RunConfig) -> RunRecord:
         "failsafe": any(row["action"] == "gps-excluded" for row in auth_rows),
         "windows_optimized": len(opt_seconds),
         "windows_coasted": windows_coasted,
+        "windows_not_converged": windows_not_converged,
         # Mean over the solved windows; a coasted window takes no iteration.
         "mean_solver_iterations": (float(np.mean(iteration_counts))
                                    if iteration_counts else 0.0),
@@ -454,7 +459,12 @@ def read_run(run_dir) -> RunRecord:
     times, trans, quats = traj[:, 0], traj[:, 1:4], traj[:, 4:8]
     smooth = _read_float_csv(run_dir / "smoothed.csv", 8)
     s_times, s_trans, s_quats = smooth[:, 0], smooth[:, 1:4], smooth[:, 4:8]
-    errors = _read_float_csv(run_dir / "errors.csv", 2)[:, 1]
+    error_table = _read_float_csv(run_dir / "errors.csv", 2)
+    if not np.array_equal(error_table[:, 0], times):
+        raise ValueError(f"{run_dir / 'errors.csv'}: expected one row per trajectory.csv "
+                         f"row at the same times, got {len(error_table)} rows "
+                         f"against {len(times)}")
+    errors = error_table[:, 1]
 
     _, det_rows = _read_csv(run_dir / "detections.csv")
     detections = [{"time_s": float(r[0]), "q": float(r[1]), "tau": float(r[2]),

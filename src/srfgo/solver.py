@@ -27,18 +27,22 @@ liegroup.compose from the node before.
 Levenberg-Marquardt damping wraps the Gauss-Newton step: lambda starts at
 DAMPING_INIT, divides by 10 on an accepted step and multiplies by 10 on a
 rejected one, so accepted objectives never increase.  Each iteration first
-solves at the current lambda; if that step's norm is below STEP_NORM_TOL,
-the solve ends "step-norm" without taking it, before any exp or residual
-work (Madsen, Nielsen & Tingleff 2004, Alg. 3.16), so a window already at
-its optimum costs one solve.  A step that is short only because rejections
-in the same iteration raised lambda is not convergence: it is evaluated
-like any other trial.  A trial is rejected when H + lambda I cannot be
-factored, when its residuals are undefined (a near-pi SE(3) log, a receiver
-on a satellite) or when its objective rises; past DAMPING_MAX the solve
-ends "cholesky-failure" if the last trial could not be factored and
-"stalled" otherwise.  An accepted step whose objective decrease is below
-RELATIVE_DECREASE_TOL of the objective ends the solve "relative-decrease";
-a solve that takes MAX_ITERATIONS steps ends "max-iterations".
+solves (H + lambda I) delta = -g at the current lambda, g = J^T W e.  The
+solve ends without taking that step, before any exp or residual work, if
+its norm is below STEP_NORM_TOL ("step-norm"), or if the decrease the
+linearized objective predicts for it, lambda delta.delta - g.delta, is at
+most RELATIVE_DECREASE_TOL of the objective ("relative-decrease"; Madsen,
+Nielsen & Tingleff 2004, sec. 3.2).  So a window already at its optimum
+costs one solve, and no iteration is spent confirming convergence.  The
+step-norm test covers a window whose objective is zero to roundoff, where
+any prediction is large against it.  A step that is short only because
+rejections in the same iteration raised lambda is not convergence: it is
+evaluated like any other trial.  A trial is rejected when H + lambda I
+cannot be factored, when its residuals are undefined (a near-pi SE(3) log,
+a receiver on a satellite) or when its objective rises; past DAMPING_MAX
+the solve ends "cholesky-failure" if the last trial could not be factored
+and "stalled" otherwise.  A solve that takes MAX_ITERATIONS steps ends
+"max-iterations".
 ``iterations`` counts accepted steps.
 
 Estimates update by right perturbation x <- x * exp(delta).
@@ -61,7 +65,7 @@ from srfgo.factors import AnchorFactor, GpsFactor, OdometryFactor
 from srfgo.liegroup import Pose
 
 MAX_ITERATIONS = 50
-RELATIVE_DECREASE_TOL = 1e-6
+RELATIVE_DECREASE_TOL = 1e-4
 STEP_NORM_TOL = 1e-8
 DAMPING_INIT = 1e-6
 # Damping escalated past this is hopeless; report failure instead of looping.
@@ -326,15 +330,23 @@ class WindowGraph:
         while iterations < MAX_ITERATIONS:
             iter_started = time.perf_counter()
             diag, upper, grad = self._assemble(rot, res)
+            rhs = -grad.reshape(-1)
             accepted = False
             for trial in itertools.count():
                 failure = "stalled"
                 try:
-                    delta = self._solve_banded(diag, upper, -grad.reshape(-1), damping)
-                    # A short first step ends the solve, untaken; one that
-                    # escalated damping shortened is an ordinary trial.
-                    if trial == 0 and np.sqrt(delta.dot(delta)) < STEP_NORM_TOL:
+                    delta = self._solve_banded(diag, upper, rhs, damping)
+                    # A first step that is short, or whose predicted decrease
+                    # damping |delta|^2 - grad . delta is negligible, ends the
+                    # solve untaken; one that escalated damping shortened is
+                    # an ordinary trial.
+                    step_sq = delta.dot(delta)
+                    if trial == 0 and np.sqrt(step_sq) < STEP_NORM_TOL:
                         status = "step-norm"
+                        break
+                    if trial == 0 and (damping * step_sq + rhs.dot(delta)
+                                       <= RELATIVE_DECREASE_TOL * max(obj, 1e-300)):
+                        status = "relative-decrease"
                         break
                     rot_s, t_s = liegroup.se3_exp_arrays(delta.reshape(-1, 6))
                     rot_new, t_new = liegroup.compose_arrays(rot, t, rot_s, t_s)
@@ -356,12 +368,8 @@ class WindowGraph:
             iter_seconds += time.perf_counter() - iter_started
             iterations += 1
             damping = max(damping / 10.0, 1e-12)
-            decrease = obj - obj_new
             rot, t, res, obj = rot_new, t_new, res_new, obj_new
             history.append(obj)
-            if decrease <= RELATIVE_DECREASE_TOL * max(obj, 1e-300):
-                status = "relative-decrease"
-                break
 
         self.rot, self.t = rot, t
         return SolveReport(final_objective=obj, iterations=iterations,

@@ -345,6 +345,39 @@ class TestCoasting:
         assert spoofed_sr.summary["windows_coasted"] > 0
 
 
+class TestNonConvergence:
+    def test_every_window_solve_converges_on_the_fixtures(self, nominal_naive,
+                                                          spoofed_sr):
+        for record in (nominal_naive, spoofed_sr):
+            assert record.summary["windows_not_converged"] == 0
+
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_forced_stalls_are_counted(self, monkeypatch, every):
+        # Every `every`-th window solve cannot factor H + lambda I at any
+        # damping, so it ends "cholesky-failure" without a step.
+        solves, statuses = [], []
+        original_optimize = WindowGraph.optimize
+        original_solve = WindowGraph._solve_banded
+
+        def optimize(graph):
+            solves.append(1)
+            report = original_optimize(graph)
+            statuses.append(report.status)
+            return report
+
+        def solve(diag, upper, rhs, damping):
+            if len(solves) % every == 0:
+                raise np.linalg.LinAlgError("not positive definite")
+            return original_solve(diag, upper, rhs, damping)
+
+        monkeypatch.setattr(WindowGraph, "optimize", optimize)
+        monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(solve))
+        record = run(RunConfig(scenario=make_scenario(), mode="naive-fgo"))
+        forced = record.summary["windows_optimized"] // every
+        assert statuses.count("cholesky-failure") == forced > 0
+        assert record.summary["windows_not_converged"] == forced
+
+
 def reference_pose_csv_lines(times_s, translations, quaternions) -> list:
     """One row at a time, each value written as repr(float(value))."""
     lines = ["t,x,y,z,qx,qy,qz,qw"]
@@ -404,6 +437,19 @@ class TestSerialization:
         loaded = read_run(tmp_path / "r")
         assert loaded == nominal_sr
         assert loaded.timing == nominal_sr.timing
+
+    @pytest.mark.parametrize("damage", ["cut to 99 rows", "one time moved"])
+    def test_errors_must_match_trajectory(self, tmp_path, nominal_sr, damage):
+        out = write_run(nominal_sr, tmp_path / "r")
+        path = out / "errors.csv"
+        header, *rows = path.read_text().splitlines()
+        if damage == "cut to 99 rows":
+            rows = rows[:99]
+        else:
+            rows[50] = "5.05," + rows[50].split(",")[1]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match="errors.csv: expected one row per"):
+            read_run(out)
 
     def test_repeat_runs_identical(self, tmp_path, nominal_sr):
         again = run(RunConfig(scenario=make_scenario(), mode="sr-fgo"))

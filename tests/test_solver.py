@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -636,6 +637,107 @@ class TestOptimize:
         base = solve(Pose.identity())
         moved = solve(random_pose(rng, max_angle=1.0, max_trans=50.0))
         assert abs(base - moved) <= 1e-9 * max(1.0, base)
+
+
+def noisy_window(rng, n: int) -> WindowGraph:
+    """n nodes, GPS from 8 satellites on every 10th, noisy odometry and
+    ranges, started off the truth: its optimum has a nonzero objective."""
+    truth = truth_chain(rng, n)
+    gps_nodes = list(range(0, n, 10))
+    odometry = [OdometryFactor(f.from_index, f.to_index,
+                               compose(f.measured_transform,
+                                       exp(0.01 * random_tangent(rng, 1.0, 1.0))))
+                for f in odometry_factors(truth)]
+    gps = [GpsFactor(f.node_index, f.sat_position,
+                     f.measured_range + rng.normal() * SIGMA_GPS)
+           for f in gps_factors([truth[k] for k in gps_nodes], gps_nodes)]
+    start = [compose(p, exp(0.01 * random_tangent(rng, 1.0, 1.0))) for p in truth]
+    start[0] = truth[0]
+    return WindowGraph(list(enumerate(start)),
+                       odometry + gps + [AnchorFactor(0, truth[0], fmod.anchor_information())],
+                       n, *NOISE)
+
+
+class TestPredictedDecrease:
+    """The solve ends on the decrease that the Gauss-Newton model predicts
+    for the next step, damping |delta|^2 - grad . delta, before taking it."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("damping", [1e-6, 1e-2, 1.0])
+    def test_prediction_is_the_drop_of_the_taken_step(self, seed, damping, monkeypatch):
+        g = small_window(np.random.default_rng(seed), 1e-3)
+        res = g._residuals(g.rot, g.t)
+        obj = g._objective_of(res)
+        diag, upper, grad = g._assemble(g.rot, res)
+        delta = WindowGraph._solve_banded(diag, upper, -grad.reshape(-1), damping)
+        predicted = damping * delta.dot(delta) - grad.reshape(-1).dot(delta)
+        rot_s, t_s = liegroup.se3_exp_arrays(delta.reshape(-1, 6))
+        rot_new, t_new = liegroup.compose_arrays(g.rot, g.t, rot_s, t_s)
+        drop = obj - g._objective_of(g._residuals(rot_new, t_new))
+        assert drop > 0.0
+        assert predicted == pytest.approx(drop, rel=1e-5)
+
+        # optimize applies the same prediction: a tolerance just above it
+        # ends the solve untaken, one just below it takes the step.
+        monkeypatch.setattr(solver, "DAMPING_INIT", damping)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        for scale, expected in ((1.0 + 1e-9, 0), (1.0 - 1e-9, 1)):
+            monkeypatch.setattr(solver, "RELATIVE_DECREASE_TOL", scale * predicted / obj)
+            trial = copy.deepcopy(g)
+            report = trial.optimize()
+            assert report.iterations == expected
+            assert report.status == ("relative-decrease" if expected == 0
+                                     else "max-iterations")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_last_iteration_takes_no_step(self, seed, monkeypatch):
+        solved = noisy_window(np.random.default_rng(seed), 20)
+        capped = copy.deepcopy(solved)
+        calls, solves = [], []
+        original_residuals = WindowGraph._residuals
+        original_solve = WindowGraph._solve_banded
+
+        def residuals(self, rot, t):
+            calls.append(1)
+            return original_residuals(self, rot, t)
+
+        def solve(diag, upper, rhs, damping):
+            solves.append(damping)
+            return original_solve(diag, upper, rhs, damping)
+
+        monkeypatch.setattr(WindowGraph, "_residuals", residuals)
+        monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(solve))
+        report = solved.optimize()
+        assert (report.status, report.converged) == ("relative-decrease", True)
+        assert report.iterations >= 1
+        assert len(report.objective_history) == report.iterations + 1
+        # One solve per step taken and one for the step that ended the
+        # solve; one residual pass at the start and one per step taken,
+        # none for that last step.
+        assert len(solves) == len(calls) == report.iterations + 1
+        # Those are the estimates of the last accepted step.
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", report.iterations)
+        last = capped.optimize()
+        assert last.status == "max-iterations"
+        assert last.objective_history == report.objective_history
+        assert np.array_equal(solved.rot, capped.rot)
+        assert np.array_equal(solved.t, capped.t)
+
+    def test_converged_window_ends_within_one_iteration(self, rng, monkeypatch):
+        g = noisy_window(rng, 100)
+        g.optimize()
+        solves = []
+        original = WindowGraph._solve_banded
+
+        def solve(diag, upper, rhs, damping):
+            solves.append(damping)
+            return original(diag, upper, rhs, damping)
+
+        monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(solve))
+        report = g.optimize()
+        assert report.final_objective > 1.0
+        assert report.converged and report.iterations <= 1
+        assert len(solves) == report.iterations + 1
 
 
 class TestSlide:
