@@ -658,6 +658,19 @@ def noisy_window(rng, n: int) -> WindowGraph:
                        n, *NOISE)
 
 
+def count_solves(monkeypatch) -> list:
+    """The damping of every banded solve from now on, in order."""
+    solves = []
+    original = WindowGraph._solve_banded
+
+    def solve(diag, upper, rhs, damping):
+        solves.append(damping)
+        return original(diag, upper, rhs, damping)
+
+    monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(solve))
+    return solves
+
+
 class TestPredictedDecrease:
     """The solve ends on the decrease that the Gauss-Newton model predicts
     for the next step, damping |delta|^2 - grad . delta, before taking it."""
@@ -693,20 +706,15 @@ class TestPredictedDecrease:
     def test_last_iteration_takes_no_step(self, seed, monkeypatch):
         solved = noisy_window(np.random.default_rng(seed), 20)
         capped = copy.deepcopy(solved)
-        calls, solves = [], []
-        original_residuals = WindowGraph._residuals
-        original_solve = WindowGraph._solve_banded
+        calls = []
+        original = WindowGraph._residuals
 
         def residuals(self, rot, t):
             calls.append(1)
-            return original_residuals(self, rot, t)
-
-        def solve(diag, upper, rhs, damping):
-            solves.append(damping)
-            return original_solve(diag, upper, rhs, damping)
+            return original(self, rot, t)
 
         monkeypatch.setattr(WindowGraph, "_residuals", residuals)
-        monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(solve))
+        solves = count_solves(monkeypatch)
         report = solved.optimize()
         assert (report.status, report.converged) == ("relative-decrease", True)
         assert report.iterations >= 1
@@ -726,14 +734,7 @@ class TestPredictedDecrease:
     def test_converged_window_ends_within_one_iteration(self, rng, monkeypatch):
         g = noisy_window(rng, 100)
         g.optimize()
-        solves = []
-        original = WindowGraph._solve_banded
-
-        def solve(diag, upper, rhs, damping):
-            solves.append(damping)
-            return original(diag, upper, rhs, damping)
-
-        monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(solve))
+        solves = count_solves(monkeypatch)
         report = g.optimize()
         assert report.final_objective > 1.0
         assert report.converged and report.iterations <= 1
