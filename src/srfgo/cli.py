@@ -272,6 +272,11 @@ def _sweep_task(payload: dict) -> dict:
     return read_run(out_dir).summary
 
 
+def _rate_name(rate: float) -> str:
+    short = f"{rate:g}"
+    return short if float(short) == rate else repr(rate)
+
+
 def cmd_sweep(args) -> int:
     s = _settings(args, SWEEP_DEFAULTS)
     for key in ("mode", "ramp_rate", "window_size", "seed", "runs"):
@@ -292,8 +297,8 @@ def cmd_sweep(args) -> int:
         raise CliError("--runs and --workers must be >= 1")
     base_seed = int(s["seed"])
     # Cells named alike (rates 1 and 1.0, a mode or size listed twice) would
-    # share run directories.
-    grid = [(f"{mode}-r{rate:g}-N{size}", mode, rate, size)
+    # share run directories.  A rate is named by :g unless that loses digits.
+    grid = [(f"{mode}-r{_rate_name(rate)}-N{size}", mode, rate, size)
             for mode in modes for rate in rates for size in sizes]
     names = [name for name, *_ in grid]
     for name in names:

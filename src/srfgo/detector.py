@@ -3,16 +3,15 @@
 The test statistic is the sum of squared sigma-normalized GPS residuals at
 the window optimum.  Under nominal noise it is (approximately) centrally
 chi-squared with one degree of freedom per pseudorange, so the detection
-threshold is the (1 - alpha) quantile for the number of residuals actually
-present in the window.  The quantile function is implemented from scratch
-on top of the regularized lower incomplete gamma so it can be checked
-against an independent oracle.
+threshold is the (1 - ALPHA) quantile for the number of residuals actually
+present in the window; the false-alarm probability ALPHA is one constant.
+The quantile function is implemented from scratch on top of the regularized
+lower incomplete gamma so it can be checked against an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple, TYPE_CHECKING
 
@@ -21,22 +20,12 @@ import numpy as np
 if TYPE_CHECKING:
     from .solver import WindowGraph
 
-DEFAULT_ALPHA = 0.001
+# False-alarm probability of one detection trial.
+ALPHA = 1e-3
 
 # Absolute tolerance on the CDF value when inverting (not on the quantile).
 _CDF_TOLERANCE = 1e-10
 _MAX_ITERATIONS = 200
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """False-alarm rate for the per-window test."""
-
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
 
 def test_statistic(graph: "WindowGraph") -> Optional[Tuple[float, int]]:
@@ -146,15 +135,11 @@ def chi2_inverse_cdf(p: float, n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _threshold_cached(alpha: float, n: int) -> float:
-    return chi2_inverse_cdf(1.0 - alpha, n)
-
-
-def threshold(cfg: DetectorConfig, n: int) -> float:
-    """Detection threshold: the (1 - alpha) chi-squared quantile for n dof."""
+def threshold(n: int) -> float:
+    """Detection threshold: the (1 - ALPHA) chi-squared quantile for n dof."""
     if n < 1:
         raise ValueError(f"need at least one residual, got n={n}")
-    return _threshold_cached(cfg.alpha, int(n))
+    return chi2_inverse_cdf(1.0 - ALPHA, n)
 
 
 def decide(q: float, tau: float, latched: bool, monitoring: bool = True) -> str:

@@ -31,14 +31,15 @@ one table writer from column stacks, a chunk of rows at a time with one
 %-format per chunk, and parsed back as whole arrays, with Python's own repr
 and float on every value.
 Wall-clock timing goes to a separate timing.json, which is the only
-non-deterministic output.
+non-deterministic output and holds nothing else: the mean and the total
+wall time of the window solves (mean_window_optimize_s, total_optimize_s).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import factors as fmod
 from .chimera import AuthEvent, on_authentication, slow_channel
-from .detector import DetectorConfig, decide, mitigate, threshold
+from .detector import ALPHA, decide, mitigate, threshold
 from .detector import test_statistic as window_statistic
 from .factors import AnchorFactor, GpsFactor, OdometryFactor
 from .liegroup import compose, rotation_to_quaternion
@@ -65,7 +66,6 @@ class RunConfig:
     mode: str
     window_size: int = WINDOW_SIZE_DEFAULT
     window_shift: int = WINDOW_SHIFT_DEFAULT
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -80,11 +80,10 @@ class RunConfig:
 
 @dataclass
 class RunRecord:
-    """Everything a run produced, in serialization-ready arrays."""
+    """Everything a run produced, in serialization-ready arrays: the
+    estimates and errors have one row per times_s entry, the smoothed
+    estimates one per smoothed_times_s entry."""
 
-    mode: str
-    seed: int
-    dt: float
     times_s: np.ndarray
     est_translations: np.ndarray
     est_quaternions: np.ndarray
@@ -97,18 +96,26 @@ class RunRecord:
     summary: dict
     timing: dict
 
+    def __post_init__(self):
+        for times, names in (("times_s", ("est_translations", "est_quaternions", "errors")),
+                             ("smoothed_times_s", ("smoothed_translations",
+                                                   "smoothed_quaternions"))):
+            rows = len(getattr(self, times))
+            for name in names:
+                if len(getattr(self, name)) != rows:
+                    raise ValueError(f"{name} has {len(getattr(self, name))} rows, "
+                                     f"expected one per {times} entry ({rows})")
+
     def __eq__(self, other) -> bool:
         # Equality covers the deterministic data products; the wall-clock
         # timing dict is excluded so repeated runs compare equal.
         if not isinstance(other, RunRecord):
             return NotImplemented
-        scalar = (self.mode == other.mode and self.seed == other.seed
-                  and self.dt == other.dt)
         arrays = all(np.array_equal(getattr(self, name), getattr(other, name))
                      for name in ("times_s", "est_translations", "est_quaternions",
                                   "errors", "smoothed_times_s",
                                   "smoothed_translations", "smoothed_quaternions"))
-        return (scalar and arrays and self.detections == other.detections
+        return (arrays and self.detections == other.detections
                 and self.auth_events == other.auth_events
                 and self.summary == other.summary)
 
@@ -128,39 +135,23 @@ def summarize(series) -> tuple[float, float]:
 
 
 class DetectionStats(NamedTuple):
-    per_trial_fa_rate: float
-    per_run_fa_rate: float
     mean_time_to_detect: Optional[float]
 
 
 def detection_stats(records) -> DetectionStats:
-    """False-alarm rates over nominal records, detection delay over spoofed.
-
-    False alarms count raw threshold crossings (q > tau) so the rate keeps
-    its per-trial meaning; the latched decision column additionally marks
-    everything after the first crossing as spoof-detected.
+    """Mean detection delay over the spoofed records: from the onset to the
+    first raw threshold crossing (q > tau) at or after it.  summarize_runs
+    counts the trials and crossings of any records, false alarms included.
     """
-    nominal_trials = 0
-    nominal_crossings = 0
-    nominal_runs = 0
-    runs_with_crossing = 0
     delays = []
     for record in records:
-        crossings = [row for row in record.detections if row["q"] > row["tau"]]
         if record.summary["spoofed"]:
             t_start = record.summary["spoof_t_start_s"]
-            post = [row["time_s"] for row in crossings if row["time_s"] >= t_start]
+            post = [row["time_s"] for row in record.detections
+                    if row["q"] > row["tau"] and row["time_s"] >= t_start]
             if post:
                 delays.append(post[0] - t_start)
-        else:
-            nominal_runs += 1
-            nominal_trials += len(record.detections)
-            nominal_crossings += len(crossings)
-            runs_with_crossing += bool(crossings)
-    per_trial = nominal_crossings / nominal_trials if nominal_trials else 0.0
-    per_run = runs_with_crossing / nominal_runs if nominal_runs else 0.0
-    ttd = float(np.mean(delays)) if delays else None
-    return DetectionStats(per_trial, per_run, ttd)
+    return DetectionStats(float(np.mean(delays)) if delays else None)
 
 
 def _auth_outcome(scenario: Scenario, t: float) -> str:
@@ -206,7 +197,6 @@ def run(cfg: RunConfig) -> RunRecord:
     detections: list = []
     opt_seconds: list = []
     iteration_counts: list = []
-    iteration_seconds: list = []
     windows_coasted = 0
     windows_not_converged = 0
 
@@ -264,7 +254,6 @@ def run(cfg: RunConfig) -> RunRecord:
                 report = graph.optimize()
                 opt_seconds.append(time.perf_counter() - started)
                 iteration_counts.append(report.iterations)
-                iteration_seconds.append(report.iteration_seconds)
                 windows_not_converged += not report.converged
 
             # The monitor runs in both graph modes so naive runs still log
@@ -272,7 +261,7 @@ def run(cfg: RunConfig) -> RunRecord:
             stat = window_statistic(graph)
             if stat is not None:
                 q, n = stat
-                tau = threshold(cfg.detector, n)
+                tau = threshold(n)
                 decision = decide(q, tau, latched, monitoring=k_end > trust_until)
                 detections.append({"time_s": k_end * dt, "q": q, "tau": tau,
                                    "n": n, "decision": decision})
@@ -299,7 +288,7 @@ def run(cfg: RunConfig) -> RunRecord:
         "steps": n_steps,
         "window_size": cfg.window_size,
         "window_shift": cfg.window_shift,
-        "alpha": cfg.detector.alpha,
+        "alpha": ALPHA,
         "spoofed": scenario.spoof is not None and scenario.spoof.ramp_rate > 0.0,
         "spoof_t_start_s": scenario.spoof.t_start if scenario.spoof else None,
         "spoof_ramp_rate_mps": scenario.spoof.ramp_rate if scenario.spoof else None,
@@ -316,22 +305,14 @@ def run(cfg: RunConfig) -> RunRecord:
         "mean_solver_iterations": (float(np.mean(iteration_counts))
                                    if iteration_counts else 0.0),
     }
-    total_iterations = int(np.sum(iteration_counts))
+    # Wall clock only; the window counts are in the summary.
     timing = {
-        "windows_optimized": len(opt_seconds),
         "mean_window_optimize_s": (float(np.mean(opt_seconds))
                                    if opt_seconds else 0.0),
         "total_optimize_s": float(np.sum(opt_seconds)),
-        # Mean time per accepted solver iteration, measured inside the
-        # iteration loop so per-call setup does not pollute the scaling.
-        "mean_iteration_s": (float(np.sum(iteration_seconds)) / total_iterations
-                             if total_iterations else 0.0),
     }
 
     return RunRecord(
-        mode=cfg.mode,
-        seed=scenario.seed,
-        dt=dt,
         times_s=times_s,
         est_translations=t,
         est_quaternions=rotation_to_quaternion(rot),
@@ -475,7 +456,6 @@ def read_run(run_dir) -> RunRecord:
                    for r in auth_csv_rows]
 
     return RunRecord(
-        mode=summary["mode"], seed=summary["seed"], dt=summary["dt"],
         times_s=times, est_translations=trans, est_quaternions=quats,
         errors=errors, detections=detections, auth_events=auth_events,
         smoothed_times_s=s_times, smoothed_translations=s_trans,

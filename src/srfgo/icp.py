@@ -10,7 +10,6 @@ construction (step halving, up to a stall).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,8 +63,6 @@ class IcpReport:
     success: bool
     reason: str
     iterations: int
-    num_correspondences: int
-    inlier_rms: float
     objective_history: list = field(default_factory=list)
 
 
@@ -128,8 +125,7 @@ def register(source: PointCloud, target: PointCloud,
     pose = init
     obj, src_rows, tgt_rows = _objective(tree, valid_normal, target, source.points, pose)
     if obj is None:
-        return pose, IcpReport(False, "insufficient-correspondences", 0,
-                               len(src_rows), math.inf)
+        return pose, IcpReport(False, "insufficient-correspondences", 0)
     history = [obj]
     reason = "max-iterations"
     iterations = 0
@@ -173,9 +169,7 @@ def register(source: PointCloud, target: PointCloud,
             reason = "converged"
             break
 
-    rms = math.sqrt(obj)
-    return pose, IcpReport(reason == "converged", reason, iterations,
-                           len(src_rows), rms, history)
+    return pose, IcpReport(reason == "converged", reason, iterations, history)
 
 
 @dataclass(frozen=True)

@@ -353,12 +353,11 @@ class Scenario:
 @dataclass(frozen=True)
 class MeasurementStream:
     """Every measurement of a run as arrays: odometry[i] maps node i to
-    i+1; GPS epoch j lies at node step gps_steps[j] = j * gps_every_steps,
-    with satellite positions gps_sats[j] (m, 3) and pseudoranges
-    gps_ranges[j] (m,), every range positive."""
+    i+1; GPS epoch j lies at node step j * gps_every_steps, with satellite
+    positions gps_sats[j] (m, 3) and pseudoranges gps_ranges[j] (m,), every
+    range positive."""
 
     odometry: PoseStack
-    gps_steps: np.ndarray
     gps_sats: np.ndarray
     gps_ranges: np.ndarray
 
@@ -380,4 +379,4 @@ def build_measurements(scenario: Scenario) -> MeasurementStream:
     bad = (ranges <= 0.0).any(axis=1)
     if bad.any():
         raise ValueError(f"non-positive pseudorange at step {steps[bad.argmax()]}")
-    return MeasurementStream(odometry, steps, sats, ranges)
+    return MeasurementStream(odometry, sats, ranges)

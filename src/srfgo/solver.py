@@ -43,7 +43,9 @@ a receiver on a satellite) or when its objective rises; past DAMPING_MAX
 the solve ends "cholesky-failure" if the last trial could not be factored
 and "stalled" otherwise.  A solve that takes MAX_ITERATIONS steps ends
 "max-iterations".
-``iterations`` counts accepted steps.
+A solve reports only its status, its ``iterations`` (accepted steps) and its
+objective history, the objective before the solve and after each accepted
+step; it is ``converged`` when it ended "step-norm" or "relative-decrease".
 
 Estimates update by right perturbation x <- x * exp(delta).
 """
@@ -53,7 +55,6 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,16 +97,14 @@ def _band_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class SolveReport:
-    final_objective: float
     iterations: int
-    converged: bool
     status: str
+    # The objective before the solve, then after each accepted step.
     objective_history: tuple
-    damping_final: float
-    # Wall time spent inside the bodies (linearize, solve, retry loop) of the
-    # iterations that took a step, excluding the per-call setup around the
-    # loop and the final iteration that took none.
-    iteration_seconds: float = 0.0
+
+    @property
+    def converged(self) -> bool:
+        return self.status in ("step-norm", "relative-decrease")
 
 
 def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -325,10 +324,8 @@ class WindowGraph:
         damping = DAMPING_INIT
         status = "max-iterations"
         iterations = 0
-        iter_seconds = 0.0
 
         while iterations < MAX_ITERATIONS:
-            iter_started = time.perf_counter()
             diag, upper, grad = self._assemble(rot, res)
             rhs = -grad.reshape(-1)
             accepted = False
@@ -365,17 +362,13 @@ class WindowGraph:
                     break
             if not accepted:
                 break
-            iter_seconds += time.perf_counter() - iter_started
             iterations += 1
             damping = max(damping / 10.0, 1e-12)
             rot, t, res, obj = rot_new, t_new, res_new, obj_new
             history.append(obj)
 
         self.rot, self.t = rot, t
-        return SolveReport(final_objective=obj, iterations=iterations,
-                           converged=status in ("step-norm", "relative-decrease"),
-                           status=status, objective_history=tuple(history),
-                           damping_final=damping, iteration_seconds=iter_seconds)
+        return SolveReport(iterations, status, tuple(history))
 
     # -- window maintenance ------------------------------------------------
 

@@ -308,6 +308,15 @@ class TestRun:
         assert summary["seed"] == 9                 # flag wins
         assert summary["spoof_ramp_rate_mps"] == 1.0
 
+    def test_timing_holds_only_wall_clock(self, tmp_path):
+        # The deterministic counts live in summary.json alone.
+        out = tmp_path / "run"
+        assert cli("run", "--mode", "odometry-only", "--seed", "7", "--out", out) == 0
+        timing = json.loads((out / "timing.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        assert not set(timing) & set(summary)
+        assert sorted(timing) == ["mean_window_optimize_s", "total_optimize_s"]
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         args = ("run", "--mode", "odometry-only", "--seed", "11")
         assert cli(*args, "--out", tmp_path / "a") == 0
@@ -333,11 +342,21 @@ class TestSweep:
         assert top["base_seed"] == 30
         assert [c["ramp_rate"] for c in top["cells"]] == [0.0, 1.0]
 
+    def test_rates_alike_to_six_digits_get_their_own_cells(self, tmp_path):
+        # :g would name both rates r0.123457; each keeps its full repr.
+        out = tmp_path / "sw"
+        assert cli("sweep", "--mode", "odometry-only", "--ramp-rate", "0.1234567,0.1234568",
+                   "--window-size", "20", "--runs", "1", "--seed", "1",
+                   "--duration", "180", "--out", out) == 0
+        for rate in (0.1234567, 0.1234568):
+            summary = read_run(out / f"odometry-only-r{rate!r}-N20" / "run-000").summary
+            assert summary["spoof_ramp_rate_mps"] == rate
+
     def test_seeds_follow_base_seed(self, tmp_path):
         out = tmp_path / "sw"
         cli("sweep", "--mode", "odometry-only", "--ramp-rate", "0",
             "--window-size", "100", "--seed", "50", "--runs", "3", "--out", out)
-        seeds = [read_run(out / "odometry-only-r0-N100" / f"run-{i:03d}").seed
+        seeds = [read_run(out / "odometry-only-r0-N100" / f"run-{i:03d}").summary["seed"]
                  for i in range(3)]
         assert seeds == [50, 51, 52]
 

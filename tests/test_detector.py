@@ -9,8 +9,7 @@ import pytest
 from scipy.special import gammainc
 
 from srfgo import factors as fmod
-from srfgo.detector import (DEFAULT_ALPHA, DetectorConfig, chi2_inverse_cdf,
-                            decide, mitigate, threshold)
+from srfgo.detector import ALPHA, chi2_inverse_cdf, decide, mitigate, threshold
 from srfgo.detector import test_statistic as window_statistic
 from srfgo.factors import AnchorFactor, GpsFactor, OdometryFactor
 from srfgo.liegroup import Pose, compose, inverse
@@ -76,25 +75,25 @@ class TestChi2InverseCdf:
 
 class TestThreshold:
     def test_default_window_threshold(self):
-        cfg = DetectorConfig(alpha=0.001)
-        assert threshold(cfg, 80) == pytest.approx(TAU_999_80, rel=1e-10)
+        assert ALPHA == 0.001
+        assert threshold(80) == pytest.approx(TAU_999_80, rel=1e-10)
 
+    # The threshold at another alpha is the same quantile at 1 - alpha.
     def test_half_alpha_two_dof(self):
-        assert threshold(DetectorConfig(alpha=0.5), 2) == pytest.approx(
+        assert chi2_inverse_cdf(1.0 - 0.5, 2) == pytest.approx(
             2.0 * math.log(2.0), abs=1e-9)
 
     def test_smaller_alpha_raises_threshold(self):
-        t1 = threshold(DetectorConfig(alpha=0.0001), 80)
-        t2 = threshold(DetectorConfig(alpha=0.01), 80)
+        t1 = chi2_inverse_cdf(1.0 - 0.0001, 80)
+        t2 = chi2_inverse_cdf(1.0 - 0.01, 80)
         assert t1 > t2
 
     def test_config_validation(self):
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                chi2_inverse_cdf(1.0 - alpha, 80)
         with pytest.raises(ValueError):
-            DetectorConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            DetectorConfig(alpha=1.0)
-        with pytest.raises(ValueError):
-            threshold(DetectorConfig(), 0)
+            threshold(0)
 
 
 def _single_node_graph(offsets):
@@ -160,12 +159,11 @@ class TestTestStatistic:
         rng = make_rng(97, GPS_STREAM)
         n = 8
         trials = 10_000
-        tau = threshold(DetectorConfig(), n)
+        tau = threshold(n)
         noise = SIGMA_GPS * normal(rng, (trials, n))
         q = np.sum((noise / SIGMA_GPS) ** 2, axis=1)
         rate = float(np.mean(q > tau))
-        bound = DEFAULT_ALPHA + 3.0 * math.sqrt(
-            DEFAULT_ALPHA * (1.0 - DEFAULT_ALPHA) / trials)
+        bound = ALPHA + 3.0 * math.sqrt(ALPHA * (1.0 - ALPHA) / trials)
         assert rate <= bound
 
 

@@ -115,18 +115,26 @@ class TestSummarize:
 
 
 class TestDetectionStats:
+    """Detection delay from detection_stats; false alarms from the trial
+    and crossing counts that summarize_runs totals."""
+
     @staticmethod
-    def fake(spoofed: bool, rows, t_start=100.0):
+    def fake(spoofed: bool, rows, t_start=100.0, seed=0):
         summary = {"spoofed": spoofed,
-                   "spoof_t_start_s": t_start if spoofed else None}
+                   "spoof_t_start_s": t_start if spoofed else None,
+                   "seed": seed, "mean_error_m": 1.0, "max_error_m": 2.0,
+                   "detector_trials": len(rows),
+                   "detector_crossings": sum(row["q"] > row["tau"] for row in rows),
+                   "failsafe": False, "first_detection_time_s": None}
         return SimpleNamespace(detections=rows, summary=summary)
 
     def test_clean_nominal_records_give_zero_rates(self):
         rows = [{"time_s": 1.0, "q": 10.0, "tau": 30.0, "decision": "nominal"}]
-        stats = detection_stats([self.fake(False, rows), self.fake(False, rows)])
-        assert stats.per_trial_fa_rate == 0.0
-        assert stats.per_run_fa_rate == 0.0
-        assert stats.mean_time_to_detect is None
+        records = [self.fake(False, rows, seed=1), self.fake(False, rows, seed=2)]
+        totals = summarize_runs([r.summary for r in records])
+        assert (totals["detector_trials"], totals["detector_crossings"],
+                totals["runs_with_crossing"]) == (2, 0, 0)
+        assert detection_stats(records).mean_time_to_detect is None
 
     def test_crossings_counted_per_trial_and_per_run(self):
         quiet = [{"time_s": float(k), "q": 5.0, "tau": 30.0,
@@ -134,16 +142,36 @@ class TestDetectionStats:
         noisy = list(quiet)
         noisy[2] = {"time_s": 2.0, "q": 35.0, "tau": 30.0,
                     "decision": "spoof-detected"}
-        stats = detection_stats([self.fake(False, quiet),
-                                 self.fake(False, noisy)])
-        assert stats.per_trial_fa_rate == pytest.approx(1.0 / 8.0)
-        assert stats.per_run_fa_rate == pytest.approx(0.5)
+        totals = summarize_runs([self.fake(False, quiet, seed=1).summary,
+                                 self.fake(False, noisy, seed=2).summary])
+        # Per trial 1 of 8, per run 1 of 2.
+        assert (totals["detector_trials"], totals["detector_crossings"],
+                totals["runs_with_crossing"], totals["runs"]) == (8, 1, 1, 2)
 
     def test_detection_exactly_at_attack_start(self):
         rows = [{"time_s": 100.0, "q": 99.0, "tau": 30.0,
                  "decision": "spoof-detected"}]
         stats = detection_stats([self.fake(True, rows)])
         assert stats.mean_time_to_detect == 0.0
+
+
+class TestRunRecord:
+    @staticmethod
+    def arrays(times=5, translations=5, errors=5, smoothed_times=3, smoothed=3):
+        return dict(times_s=np.zeros(times), est_translations=np.zeros((translations, 3)),
+                    est_quaternions=np.zeros((times, 4)), errors=np.zeros(errors),
+                    smoothed_times_s=np.zeros(smoothed_times),
+                    smoothed_translations=np.zeros((smoothed, 3)),
+                    smoothed_quaternions=np.zeros((smoothed_times, 4)),
+                    detections=[], auth_events=[], summary={}, timing={})
+
+    def test_rows_must_match_their_times(self):
+        RunRecord(**self.arrays())
+        for bad, name in ((dict(translations=3, errors=2), "est_translations"),
+                          (dict(errors=4), "errors"),
+                          (dict(smoothed=2), "smoothed_translations")):
+            with pytest.raises(ValueError, match=f"{name} has"):
+                RunRecord(**self.arrays(**bad))
 
 
 class TestOdometryOnly:

@@ -366,7 +366,10 @@ class TestForcedFailures:
     """Every failed trial is one rejected step; the run's estimates stay."""
 
     def test_factorization_always_fails(self, rng, monkeypatch):
+        dampings = []
+
         def fail(diag, upper, rhs, damping):
+            dampings.append(damping)
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(fail))
@@ -375,7 +378,8 @@ class TestForcedFailures:
         report = g.optimize()
         assert report.status == "cholesky-failure"
         assert (report.iterations, report.converged) == (0, False)
-        assert report.damping_final > DAMPING_MAX
+        # Damping escalated tenfold per trial up to DAMPING_MAX, then gave up.
+        assert dampings[-1] <= DAMPING_MAX < 10.0 * dampings[-1]
         assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
 
     def test_objective_always_rises(self, rng, monkeypatch):
@@ -387,7 +391,7 @@ class TestForcedFailures:
         report = g.optimize()
         assert report.status == "stalled"
         assert (report.iterations, report.converged) == (0, False)
-        assert report.objective_history == (report.final_objective,)
+        assert len(report.objective_history) == 1
         assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
 
     def test_steps_shortened_by_damping_stay_stalled(self, rng, monkeypatch):
@@ -450,7 +454,7 @@ class TestForcedFailures:
         monkeypatch.setattr(WindowGraph, "_solve_banded", staticmethod(solve))
         report = g.optimize()
         assert report.converged
-        assert report.final_objective < start
+        assert report.objective_history[-1] < start
         # The rejected trial raised the damping tenfold for the retry.
         assert solves[1] == pytest.approx(10.0 * solves[0])
 
@@ -488,7 +492,7 @@ class TestOptimize:
         report = g.optimize()
         assert len(solves) == 1
         assert (report.status, report.converged, report.iterations) == ("step-norm", True, 0)
-        assert report.objective_history == (report.final_objective,)
+        assert len(report.objective_history) == 1
         assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
 
     def test_every_solve_looks_up_scipy_linalg(self, rng, monkeypatch):
@@ -519,13 +523,6 @@ class TestOptimize:
         assert (report.status, report.converged, report.iterations) == (
             "max-iterations", False, 1)
         assert len(report.objective_history) == 2
-
-    def test_iteration_time_counts_only_steps_taken(self, rng):
-        # The untaken step that ends a stationary window is no iteration.
-        report = stationary_window(rng).optimize()
-        assert (report.iterations, report.iteration_seconds) == (0, 0.0)
-        report = small_window(rng, 0.02).optimize()
-        assert report.iterations > 0 and report.iteration_seconds > 0.0
 
     def test_anchor_only_fixed_point(self, rng):
         prior = random_pose(rng, max_angle=0.5)
@@ -609,7 +606,6 @@ class TestOptimize:
 
         g1, g2 = build(), build()
         r1, r2 = g1.optimize(), g2.optimize()
-        assert r1.final_objective == r2.final_objective
         assert r1.objective_history == r2.objective_history
         assert r1.iterations == r2.iterations
         for k in range(15):
@@ -632,7 +628,7 @@ class TestOptimize:
             nodes = [(k, compose(transform, p)) for k, p in enumerate(start)]
             anchor = AnchorFactor(0, compose(transform, start[0]), fmod.anchor_information())
             g = WindowGraph(nodes, noisy + [anchor], 10, *NOISE)
-            return g.optimize().final_objective
+            return g.optimize().objective_history[-1]
 
         base = solve(Pose.identity())
         moved = solve(random_pose(rng, max_angle=1.0, max_trans=50.0))
@@ -736,7 +732,7 @@ class TestPredictedDecrease:
         g.optimize()
         solves = count_solves(monkeypatch)
         report = g.optimize()
-        assert report.final_objective > 1.0
+        assert report.objective_history[-1] > 1.0
         assert report.converged and report.iterations <= 1
         assert len(solves) == report.iterations + 1
 
