@@ -36,6 +36,13 @@ RUN_DEFAULTS = {
 # size, base seed, and run count must arrive via flag or config.
 SWEEP_DEFAULTS = {**RUN_DEFAULTS, "window_size": None, "seed": None,
                   "runs": None, "workers": 1}
+# The type of each numeric flag; a config entry must hold a value of it.
+# Sweep window sizes are a comma list, checked as they are parsed.
+RUN_TYPES = {"duration": float, "speed": float, "dt": float, "seed": int,
+             "sigma_gps": float, "window_size": int, "window_shift": int,
+             "spoof_start": float}
+SWEEP_TYPES = {**{k: v for k, v in RUN_TYPES.items() if k != "window_size"},
+               "runs": int, "workers": int}
 
 
 class CliError(Exception):
@@ -75,7 +82,7 @@ def _run_flags(sub, sweep: bool) -> None:
                           + (" (comma list for sweeps)" if sweep else ""))
     sub.add_argument("--sigma-gps", type=float, default=None,
                      help="pseudorange noise std in meters (default 7)")
-    sub.add_argument("--window-size", default=None,
+    sub.add_argument("--window-size", default=None, type=None if sweep else int,
                      help="sliding window capacity N (comma list for sweeps)"
                      if sweep else "sliding window capacity N")
     sub.add_argument("--window-shift", type=int, default=None,
@@ -147,7 +154,20 @@ def _load_config(path: Path | None) -> dict:
     return {str(k).replace("-", "_"): v for k, v in raw.items()}
 
 
-def _settings(args, defaults: dict) -> dict:
+def _config_value(key: str, value, kind):
+    """A config entry read as its flag's text would be: a number or numeric
+    text, of the flag's type; an integer flag takes an integral number."""
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool) and not fractional:
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    noun = "an integer" if kind is int else "a real number"
+    raise CliError(f"config entry {key!r} must be {noun}, got {value!r}")
+
+
+def _settings(args, defaults: dict, types: dict) -> dict:
     """Merge precedence: explicit flag > config entry > default."""
     config = _load_config(getattr(args, "config", None))
     unknown = set(config) - set(defaults)
@@ -156,7 +176,12 @@ def _settings(args, defaults: dict) -> dict:
     merged = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else config.get(key, default)
+        if flag is not None:
+            merged[key] = flag
+        elif key in config and key in types:
+            merged[key] = _config_value(key, config[key], types[key])
+        else:
+            merged[key] = config.get(key, default)
     given = [key for key in ("kind", "duration", "speed")
              if getattr(args, key, None) is not None or config.get(key) is not None]
     if merged.get("trajectory") and given:
@@ -224,8 +249,7 @@ def _run_config(s: dict, seed: int, truth) -> RunConfig:
     scenario = Scenario(truth=truth, dt=s["dt"], sigma_gps=s["sigma_gps"],
                         spoof=spoof, seed=seed)
     return RunConfig(scenario=scenario, mode=s["mode"],
-                     window_size=int(s["window_size"]),
-                     window_shift=int(s["window_shift"]))
+                     window_size=s["window_size"], window_shift=s["window_shift"])
 
 
 def _execute_run(s: dict, seed: int, out_dir: Path):
@@ -236,7 +260,7 @@ def _execute_run(s: dict, seed: int, out_dir: Path):
 
 def cmd_simulate(args) -> int:
     s = _settings(args, {k: RUN_DEFAULTS[k]
-                         for k in ("kind", "duration", "speed", "dt", "seed")})
+                         for k in ("kind", "duration", "speed", "dt", "seed")}, {})
     poses = gen_trajectory(s["kind"], s["duration"], s["speed"], seed=s["seed"],
                            dt=s["dt"])
     out = Path(args.out)
@@ -250,10 +274,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    s = _settings(args, RUN_DEFAULTS)
+    s = _settings(args, RUN_DEFAULTS, RUN_TYPES)
     if s["mode"] not in MODES:
         raise CliError(f"--mode must be one of {MODES}, got {s['mode']!r}")
-    seed = int(s["seed"])
+    seed = s["seed"]
     out = Path(s["out"]) if s["out"] else Path(f"run-{s['mode']}-seed{seed}")
     record = _execute_run(s, seed, out)
     summary = record.summary
@@ -278,7 +302,7 @@ def _rate_name(rate: float) -> str:
 
 
 def cmd_sweep(args) -> int:
-    s = _settings(args, SWEEP_DEFAULTS)
+    s = _settings(args, SWEEP_DEFAULTS, SWEEP_TYPES)
     for key in ("mode", "ramp_rate", "window_size", "seed", "runs"):
         if s[key] is None:
             flag = "--" + key.replace("_", "-")
@@ -291,11 +315,10 @@ def cmd_sweep(args) -> int:
             raise CliError(f"--mode must list values from {MODES}, got {mode!r}")
     rates = _parse_list(s["ramp_rate"], "--ramp-rate", float)
     sizes = _parse_list(s["window_size"], "--window-size", int)
-    runs = int(s["runs"])
-    workers = int(s["workers"])
+    runs, workers = s["runs"], s["workers"]
     if runs < 1 or workers < 1:
         raise CliError("--runs and --workers must be >= 1")
-    base_seed = int(s["seed"])
+    base_seed = s["seed"]
     # Cells named alike (rates 1 and 1.0, a mode or size listed twice) would
     # share run directories.  A rate is named by :g unless that loses digits.
     grid = [(f"{mode}-r{_rate_name(rate)}-N{size}", mode, rate, size)
@@ -400,12 +423,12 @@ def cmd_icp_demo(args) -> int:
         save_cloud(out / "source.csv", source)
         save_cloud(out / "target.csv", target)
         (out / "result.json").write_text(json.dumps(
-            {"success": report.success, "iterations": report.iterations,
+            {"success": report.reason == "converged", "iterations": report.iterations,
              "translation": [float(x) for x in pose.translation],
              "translation_error_m": err_t, "rotation_error_deg": err_r,
              "objective_history": [float(x) for x in report.objective_history]},
             indent=2, sort_keys=True) + "\n")
-    if not report.success:
+    if report.reason != "converged":
         print(f"registration failed: {report.reason}", file=sys.stderr)
         return 2
     return 0

@@ -60,7 +60,6 @@ class PointCloud:
 
 @dataclass
 class IcpReport:
-    success: bool
     reason: str
     iterations: int
     objective_history: list = field(default_factory=list)
@@ -125,7 +124,7 @@ def register(source: PointCloud, target: PointCloud,
     pose = init
     obj, src_rows, tgt_rows = _objective(tree, valid_normal, target, source.points, pose)
     if obj is None:
-        return pose, IcpReport(False, "insufficient-correspondences", 0)
+        return pose, IcpReport("insufficient-correspondences", 0)
     history = [obj]
     reason = "max-iterations"
     iterations = 0
@@ -169,7 +168,7 @@ def register(source: PointCloud, target: PointCloud,
             reason = "converged"
             break
 
-    return pose, IcpReport(reason == "converged", reason, iterations, history)
+    return pose, IcpReport(reason, iterations, history)
 
 
 @dataclass(frozen=True)

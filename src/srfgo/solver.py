@@ -2,11 +2,11 @@
 
 The window holds the most recent nodes at odometry cadence, one odometry
 factor per consecutive pair, GPS pseudorange factors on the nodes that carry
-a GPS epoch, and a single anchor prior on the oldest node, all as arrays:
-stacked node states, and each factor compiled once, on entering the window,
-into the stacked arrays that the batched kernels of srfgo.factors take.
-Each sensor stream has one noise model: the window holds one odometry
-information and one GPS sigma; its anchor keeps its own information.
+a GPS epoch, and exactly one anchor, a prior on the oldest node that fixes
+the gauge, all as arrays: stacked node states, and each factor compiled once,
+on entering the window, into the stacked arrays that the batched kernels of
+srfgo.factors take.  Each sensor stream has one noise model: the window holds
+one odometry information and one GPS sigma; its anchor keeps its own.
 The normal equations H delta = -b are block-tridiagonal in 6x6 blocks; we
 assemble the blocks from those kernels, applied to every factor at once,
 write them straight into LAPACK's upper band storage, ab[11 + i - j, j] =
@@ -15,15 +15,15 @@ solve with a banded Cholesky factorization, scipy.linalg.solveh_banded.
 scipy.linalg is imported at a window's first banded solve, not with this
 module, so the commands that solve nothing (simulate, report, odometry-only
 runs) load no scipy module.
-The odometry and anchor residuals are both log(a^-1 b), so one kernel call
-evaluates them on stacked rows against their measured transforms, stacked
-once per window, and one J_l^-1 call linearizes them with the SO(3) V^-1
-and angle terms those logs already computed.  Odometry is held as the chain
-it is, checked consecutive as it enters, row k linking nodes k and k + 1, so
-its blocks add by slices; the window's one anchor adds to its node's blocks
-directly.  The window grows by odometry alone: ``append`` and ``slide`` take
-new factors only, and each new odometry row adds one node, dead-reckoned by
-liegroup.compose from the node before.
+The odometry and anchor residuals are both log(a^-1 b), so they share one
+pose stack ``pose_rot``/``pose_t``: row 0 is the anchor's prior on node 0,
+with information ``prior_info``, and row k + 1 is odometry link k, checked
+as it enters to join nodes k and k + 1.  One kernel call evaluates [x_0,
+pred_0, pred_1, ...] against the stack as stored, and one J_l^-1 call
+linearizes it with the SO(3) V^-1 and angle terms its logs computed.  The
+window grows by odometry alone: ``append`` and ``slide`` take no anchor,
+each new odometry row adds one node, dead-reckoned by liegroup.compose from
+the one before, and ``slide`` writes the new oldest node's prior into row 0.
 Levenberg-Marquardt damping wraps the Gauss-Newton step: lambda starts at
 DAMPING_INIT, divides by 10 on an accepted step and multiplies by 10 on a
 rejected one, so accepted objectives never increase.  Each iteration first
@@ -114,11 +114,11 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _compile(factors: Sequence, base: int, first_link: int) -> dict:
-    """Factor objects as the stacked arrays the batched kernels take, keyed
-    gps_*/odo_*/anc_*; node references become rows relative to the window's
-    first step `base`.  Odometry is held as the chain it is: sorted, its
-    links must run consecutively from step `first_link`, so odometry row k
-    links the nodes first_link - base + k and the one after."""
+    """Factor objects as the stacked arrays the batched kernels take: gps_*,
+    with rows relative to the window's first step `base`, and the pose stack
+    pose_rot/pose_t of the anchors' priors, on `base` only, then the
+    odometry, whose sorted links must run consecutively from `first_link`,
+    with the anchors' prior_info."""
     gps, odo, anc = ([f for f in factors if isinstance(f, kind)]
                      for kind in (GpsFactor, OdometryFactor, AnchorFactor))
     if len(gps) + len(odo) + len(anc) != len(factors):
@@ -128,6 +128,9 @@ def _compile(factors: Sequence, base: int, first_link: int) -> dict:
     if links != list(range(first_link, first_link + len(odo))):
         raise ValueError(f"odometry must link each consecutive node pair exactly once "
                          f"from step {first_link}, got links from {links}")
+    if any(f.node_index != base for f in anc):
+        raise ValueError(f"an anchor must be on the window's oldest node, step {base}")
+    poses = [f.prior_pose for f in anc] + [f.measured_transform for f in odo]
 
     def arr(values, shape, dtype=float):
         return np.array(values, dtype=dtype).reshape(shape)
@@ -136,12 +139,9 @@ def _compile(factors: Sequence, base: int, first_link: int) -> dict:
         "gps_rows": arr([f.node_index - base for f in gps], -1, int),
         "gps_sat": arr([f.sat_position for f in gps], (-1, 3)),
         "gps_meas": arr([f.measured_range for f in gps], -1),
-        "odo_rot": arr([f.measured_transform.rotation for f in odo], (-1, 3, 3)),
-        "odo_t": arr([f.measured_transform.translation for f in odo], (-1, 3)),
-        "anc_rows": arr([f.node_index - base for f in anc], -1, int),
-        "anc_rot": arr([f.prior_pose.rotation for f in anc], (-1, 3, 3)),
-        "anc_t": arr([f.prior_pose.translation for f in anc], (-1, 3)),
-        "anc_info": arr([f.information for f in anc], (-1, 6, 6)),
+        "pose_rot": arr([p.rotation for p in poses], (-1, 3, 3)),
+        "pose_t": arr([p.translation for p in poses], (-1, 3)),
+        "prior_info": arr([f.information for f in anc], (-1, 6, 6)),
     }
 
 
@@ -180,16 +180,14 @@ class WindowGraph:
             raise ValueError("window must hold at least one node")
         if n > self.window_capacity:  # also rejects a capacity below 1
             raise ValueError(f"{n} nodes exceed capacity {self.window_capacity}")
-        for kind in ("gps", "anc"):
-            rows = self.comp[f"{kind}_rows"]
-            if ((rows < 0) | (rows >= n)).any():
-                raise ValueError(f"{kind} factor references a node outside the window")
-        if len(self.comp["anc_rows"]) > 1:
-            raise ValueError("a window holds at most one anchor factor")
-        # _compile held odometry to a chain from the first node, so its
-        # length rejects a missing or dangling link.
-        if len(self.comp["odo_t"]) != n - 1:
-            raise ValueError("odometry must link each consecutive node pair exactly once")
+        rows = self.comp["gps_rows"]
+        if ((rows < 0) | (rows >= n)).any():
+            raise ValueError("gps factor references a node outside the window")
+        # _compile held odometry to a chain from the first node and anchors
+        # to that node, so one row count rejects a missing or dangling link.
+        if len(self.comp["prior_info"]) != 1 or len(self.comp["pose_t"]) != n:
+            raise ValueError("a window holds exactly one anchor, on its oldest node, and "
+                             "odometry linking each consecutive node pair exactly once")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -206,36 +204,26 @@ class WindowGraph:
 
     # -- residual evaluation ----------------------------------------------
 
-    @functools.cached_property
-    def _pose_measured(self) -> tuple[np.ndarray, np.ndarray]:
-        """Measured transforms of the odometry rows, then the anchor's, as
-        _residuals stacks its pose rows; the factors are fixed for a
-        window's life."""
-        comp = self.comp
-        return (np.concatenate([comp["odo_rot"], comp["anc_rot"]]),
-                np.concatenate([comp["odo_t"], comp["anc_t"]]))
-
     def _residuals(self, rot: np.ndarray, t: np.ndarray) -> dict:
         comp = self.comp
         gps, gps_diff, gps_ranges = fmod.gps_errors(
             t[comp["gps_rows"]], comp["gps_sat"], comp["gps_meas"])
-        arow = comp["anc_rows"]
         rot_pred, t_pred = fmod.between(rot[:-1], t[:-1], rot[1:], t[1:])
-        # Odometry log(pred^-1 Z) and anchor log(x^-1 prior), one batch; its
-        # V^-1 and angle terms go on to _assemble.
+        # Anchor log(x_0^-1 prior) and odometry log(pred^-1 Z), one batch
+        # against the pose stack; its V^-1 and angle terms go on to _assemble.
         pose, terms = fmod.relative_errors(
-            np.concatenate([rot_pred, rot[arow]]), np.concatenate([t_pred, t[arow]]),
-            *self._pose_measured)
-        n_odo = len(t_pred)
+            np.concatenate([rot[:1], rot_pred]), np.concatenate([t[:1], t_pred]),
+            comp["pose_rot"], comp["pose_t"])
         return {"gps": gps, "gps_diff": gps_diff, "gps_ranges": gps_ranges,
-                "pose": pose, "pose_terms": terms, "odometry": pose[:n_odo],
-                "anchor": pose[n_odo:], "odo_rot_pred": rot_pred, "odo_t_pred": t_pred}
+                "pose": pose, "pose_terms": terms, "odo_rot_pred": rot_pred,
+                "odo_t_pred": t_pred}
 
     def _objective_of(self, res: dict) -> float:
         total = float(np.dot(res["gps"], res["gps"])) / self.gps_sigma ** 2
-        for kind, info in (("odometry", self.odometry_information),
-                           ("anchor", self.comp["anc_info"])):
-            total += float(np.vdot(res[kind], _matvec(info, res[kind])))
+        pose = res["pose"]
+        for e, info in ((pose[1:], self.odometry_information),
+                        (pose[:1], self.comp["prior_info"])):
+            total += float(np.vdot(e, _matvec(info, e)))
         return total
 
     def objective(self) -> float:
@@ -269,13 +257,13 @@ class WindowGraph:
             np.add.at(diag, (rows, slice(3, None), slice(3, None)), blocks)
             np.add.at(grad, (rows, slice(3, None)), (w * res["gps"])[:, None] * jt)
 
-        # One J_l^-1 over the stacked odometry and anchor rows, from the
-        # V^-1 and angle terms their logs computed.
+        # One J_l^-1 over the pose stack, from the V^-1 and angle terms its
+        # logs computed.
         jac = fmod.relative_jacobians(res["pose"], res["pose_terms"])
         if n > 1:
-            e = res["odometry"]
+            e = res["pose"][1:]
             info = self.odometry_information
-            j_i, j_j = fmod.odometry_jacobians(jac[:n - 1], res["odo_rot_pred"],
+            j_i, j_j = fmod.odometry_jacobians(jac[1:], res["odo_rot_pred"],
                                                res["odo_t_pred"])
             j_it = np.swapaxes(j_i, -1, -2)
             j_jt = np.swapaxes(j_j, -1, -2)
@@ -288,13 +276,10 @@ class WindowGraph:
             grad[:-1] += _matvec(j_it, info_e)
             grad[1:] += _matvec(j_jt, info_e)
 
-        arow = comp["anc_rows"]
-        if arow.size:  # the window's one anchor
-            e = res["anchor"]
-            jac_a = jac[n - 1:]
-            jac_t = np.swapaxes(jac_a, -1, -2)
-            diag[arow] += jac_t @ comp["anc_info"] @ jac_a
-            grad[arow] += _matvec(jac_t, _matvec(comp["anc_info"], e))
+        # The window's one anchor, on node 0.
+        jac_t = np.swapaxes(jac[:1], -1, -2)
+        diag[:1] += jac_t @ comp["prior_info"] @ jac[:1]
+        grad[:1] += _matvec(jac_t, _matvec(comp["prior_info"], res["pose"][:1]))
         return diag, upper, grad
 
     @staticmethod
@@ -376,16 +361,17 @@ class WindowGraph:
                 new_factors: Sequence) -> "WindowGraph":
         """New graph over (rot, t, comp) plus new_factors, whose odometry
         must continue the chain from the newest node: each odometry row adds
-        one node, dead-reckoned from the one before by that row's transform."""
+        one node, dead-reckoned from the one before by that row's transform.
+        The window keeps its one anchor; new_factors may hold none."""
         new = _compile(new_factors, base, base + len(t) - 1)
+        if len(new["prior_info"]):
+            raise ValueError("append and slide take no anchor")
         pose, rots, ts = Pose(rot[-1], t[-1]), [rot], [t]
-        for rot_k, t_k in zip(new["odo_rot"], new["odo_t"]):
+        for rot_k, t_k in zip(new["pose_rot"], new["pose_t"]):
             pose = liegroup.compose(pose, Pose._of(rot_k, t_k))
             rots.append(pose.rotation[None])
             ts.append(pose.translation[None])
         graph = copy.copy(self)
-        # The factors change, so the measured transforms cached on self do not carry over.
-        graph.__dict__.pop("_pose_measured", None)
         graph.base, graph.rot, graph.t = base, np.concatenate(rots), np.concatenate(ts)
         graph.comp = {key: np.concatenate([value, new[key]]) for key, value in comp.items()}
         graph._validate()
@@ -405,13 +391,15 @@ class WindowGraph:
             raise ValueError(
                 f"shift {shift} would underflow a {len(self)}-node window")
         # Odometry rows and GPS on evicted nodes go, GPS rows move down by
-        # `shift`; the one anchor pins the new oldest node at its estimate.
+        # `shift`; pose row 0 becomes the prior pinning the new oldest node
+        # at its estimate.
         keep = self.comp["gps_rows"] >= shift
         comp = {key: value[keep] for key, value in self.comp.items() if key.startswith("gps")}
         comp["gps_rows"] -= shift
-        comp.update(odo_rot=self.comp["odo_rot"][shift:], odo_t=self.comp["odo_t"][shift:],
-                    anc_rows=np.zeros(1, dtype=int), anc_rot=self.rot[shift:shift + 1],
-                    anc_t=self.t[shift:shift + 1], anc_info=fmod.anchor_information()[None])
+        comp.update(pose_rot=self.comp["pose_rot"][shift:].copy(),
+                    pose_t=self.comp["pose_t"][shift:].copy(),
+                    prior_info=fmod.anchor_information()[None])
+        comp["pose_rot"][0], comp["pose_t"][0] = self.rot[shift], self.t[shift]
         return self._extend(self.base + shift, self.rot[shift:], self.t[shift:], comp,
                             new_factors)
 

@@ -236,6 +236,53 @@ class TestExitCodes:
                    "--out", blocker / "sub") == 2
 
 
+class TestConfigTypes:
+    """A config entry is read as its flag's text would be."""
+
+    COMMANDS = {"run": ("run", "--mode", "odometry-only"),
+                "sweep": ("sweep", "--mode", "odometry-only", "--ramp-rate", "0",
+                          "--window-size", "20", "--seed", "1")}
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("run", "seed", 3.9), ("run", "window_size", 20.7), ("run", "window_shift", 10.5),
+        ("run", "dt", None), ("run", "duration", "abc"), ("run", "seed", True),
+        ("run", "speed", [10.0]), ("run", "sigma_gps", False), ("run", "spoof_start", "1,2"),
+        ("run", "window_size", "20.0"), ("sweep", "runs", 1.9), ("sweep", "workers", "two"),
+        ("sweep", "window_shift", 2.5), ("sweep", "duration", None)])
+    def test_bad_entry_is_config_error_naming_its_key(self, tmp_path, capsys, monkeypatch,
+                                                      command, key, value):
+        def forbidden(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli_module, "run_pipeline", forbidden)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**({"runs": 1} if command == "sweep" else {}), key: value}))
+        out = tmp_path / "out"
+        assert cli(*self.COMMANDS[command], "--config", cfg, "--out", out) == 1
+        assert f"error: config entry {key!r} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numeric_text_and_integral_numbers_read_as_flags(self, tmp_path):
+        flags = ("--duration", "180", "--speed", "12", "--dt", "0.1", "--seed", "3",
+                 "--sigma-gps", "7", "--window-size", "20", "--window-shift", "10")
+        assert cli("run", "--mode", "odometry-only", *flags, "--out", tmp_path / "flags") == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"duration": "180", "speed": 12, "dt": "0.1", "seed": 3.0,
+                                   "sigma_gps": "7", "window_size": "20",
+                                   "window_shift": 10.0}))
+        assert cli("run", "--mode", "odometry-only", "--config", cfg,
+                   "--out", tmp_path / "config") == 0
+        assert tree_bytes(tmp_path / "config") == tree_bytes(tmp_path / "flags")
+
+    def test_sweep_counts_from_text(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"runs": "2", "workers": 1.0, "duration": 180}))
+        out = tmp_path / "sweep"
+        assert cli(*self.COMMANDS["sweep"], "--config", cfg, "--out", out) == 0
+        assert sorted(p.name for p in (out / "odometry-only-r0-N20").glob("run-*")) == [
+            "run-000", "run-001"]
+
+
 class TestSimulate:
     def test_writes_trajectory_and_scenario(self, tmp_path):
         out = tmp_path / "sim"

@@ -108,6 +108,7 @@ def _single_node_graph(offsets):
         sat = sats[k % len(sats)]
         rng_true = float(np.linalg.norm(sat))
         factors.append(GpsFactor(0, sat, rng_true + off))
+    factors.append(AnchorFactor(0, pose, fmod.anchor_information()))
     return WindowGraph([(0, pose)], factors, 2, *NOISE)
 
 
@@ -123,7 +124,8 @@ class TestTestStatistic:
     def test_no_gps_is_no_test(self):
         pose = Pose(np.eye(3), np.zeros(3))
         g = WindowGraph([(0, pose), (1, pose)],
-                        [OdometryFactor(0, 1, Pose.identity())], 4, *NOISE)
+                        [OdometryFactor(0, 1, Pose.identity()),
+                         AnchorFactor(0, pose, fmod.anchor_information())], 4, *NOISE)
         assert window_statistic(g) is None
 
     def test_permutation_invariance(self):

@@ -263,7 +263,9 @@ class TestLinearize:
 def one_node_window(odometry_information=ODOMETRY_INFORMATION,
                     gps_sigma=SIGMA_GPS) -> WindowGraph:
     """A window built with the given noise model, which it validates."""
-    return WindowGraph([(0, Pose.identity())], [], 1, odometry_information, gps_sigma)
+    return WindowGraph([(0, Pose.identity())],
+                       [AnchorFactor(0, Pose.identity(), factors.anchor_information())], 1,
+                       odometry_information, gps_sigma)
 
 
 class TestValidation:

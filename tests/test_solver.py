@@ -54,6 +54,12 @@ def odometry_factors(truth: list[Pose], start_index: int = 0) -> list[OdometryFa
     return out
 
 
+def anchor_at(pose: Pose, step: int = 0) -> AnchorFactor:
+    """The window's anchor, pinning its oldest node, step `step`, at pose;
+    its residual there is exactly zero."""
+    return AnchorFactor(step, pose, fmod.anchor_information())
+
+
 def gps_factors(truth: list[Pose], node_indices, num_sats: int = 8) -> list[GpsFactor]:
     sats = sat_positions(num_sats)
     out = []
@@ -76,7 +82,7 @@ class TestObjective:
         pose = Pose(np.eye(3), np.zeros(3))
         sat = np.array([0.0, 0.0, 2.0e7])
         f = GpsFactor(0, sat, 2.0e7 + SIGMA_GPS)
-        g = WindowGraph([(0, pose)], [f], 2, *NOISE)
+        g = WindowGraph([(0, pose)], [f, anchor_at(pose)], 2, *NOISE)
         assert g.objective() == pytest.approx(1.0, rel=1e-12)
 
     def test_additivity(self):
@@ -85,9 +91,9 @@ class TestObjective:
         sat_b = np.array([2.0e7, 0.0, 0.0])
         fa = GpsFactor(0, sat_a, 2.0e7 + 3.0)
         fb = GpsFactor(0, sat_b, 2.0e7 - 4.0)
-        ga = WindowGraph([(0, pose)], [fa], 2, *NOISE).objective()
-        gb = WindowGraph([(0, pose)], [fb], 2, *NOISE).objective()
-        gab = WindowGraph([(0, pose)], [fa, fb], 2, *NOISE).objective()
+        ga = WindowGraph([(0, pose)], [fa, anchor_at(pose)], 2, *NOISE).objective()
+        gb = WindowGraph([(0, pose)], [fb, anchor_at(pose)], 2, *NOISE).objective()
+        gab = WindowGraph([(0, pose)], [fa, fb, anchor_at(pose)], 2, *NOISE).objective()
         assert gab == pytest.approx(ga + gb, rel=1e-12)
 
     def test_gps_sigma_scaling_exact(self):
@@ -96,8 +102,8 @@ class TestObjective:
         pose = Pose(np.eye(3), np.zeros(3))
         sat = np.array([0.0, 0.0, 2.0e7])
         f = GpsFactor(0, sat, 2.0e7 + 3.0)
-        o1 = WindowGraph([(0, pose)], [f], 2, *NOISE).objective()
-        o2 = WindowGraph([(0, pose)], [f], 2, ODOMETRY_INFORMATION,
+        o1 = WindowGraph([(0, pose)], [f, anchor_at(pose)], 2, *NOISE).objective()
+        o2 = WindowGraph([(0, pose)], [f, anchor_at(pose)], 2, ODOMETRY_INFORMATION,
                          2.0 * SIGMA_GPS).objective()
         assert o2 == o1 / 4.0
 
@@ -168,7 +174,7 @@ class TestAssembly:
 
         for order in (lambda facs: facs[::-1], shuffled):
             g = check_blocks_match_dense(rng, order)
-            assert len(g.comp["odo_t"]) == len(g) - 1
+            assert len(g.comp["pose_t"]) == len(g)
 
     def test_one_inverse_jacobian_per_pose_row(self, rng, monkeypatch):
         """A residual-plus-assembly cycle evaluates the SO(3) V^-1 once per
@@ -184,8 +190,7 @@ class TestAssembly:
         monkeypatch.setattr(liegroup, "_jl_inv", counted)
         res = g._residuals(g.rot, g.t)
         diag, upper, grad = g._assemble(g.rot, res)
-        n_pose = len(g.comp["odo_t"]) + len(g.comp["anc_rows"])
-        assert rows == [(n_pose,)]
+        assert rows == [(len(g.comp["pose_t"]),)]
         monkeypatch.undo()
         expected = g._assemble(g.rot, dict(res, pose_terms=None))
         for got, want in zip((diag, upper, grad), expected):
@@ -194,12 +199,13 @@ class TestAssembly:
     def test_odometry_and_anchor_share_one_kernel_call(self, rng, monkeypatch):
         g = small_window(rng, 0.02)
         comp, rot, t = g.comp, g.rot, g.t
-        arow = comp["anc_rows"]
-        assert len(comp["odo_t"]) and arow.size and comp["gps_rows"].size
-        # Odometry row k links nodes k and k + 1.
+        assert len(comp["pose_t"]) > 1 and comp["gps_rows"].size
+        # Pose row 0 is the anchor's prior on node 0; row k + 1 is odometry
+        # link k, joining nodes k and k + 1.
+        anchor, _ = fmod.relative_errors(rot[:1], t[:1], comp["pose_rot"][:1],
+                                         comp["pose_t"][:1])
         odometry, _ = fmod.relative_errors(*fmod.between(rot[:-1], t[:-1], rot[1:], t[1:]),
-                                           comp["odo_rot"], comp["odo_t"])
-        anchor, _ = fmod.relative_errors(rot[arow], t[arow], comp["anc_rot"], comp["anc_t"])
+                                           comp["pose_rot"][1:], comp["pose_t"][1:])
 
         calls = {"se3_log_arrays": 0, "se3_left_jacobian_inv": 0}
         for name in calls:
@@ -211,8 +217,7 @@ class TestAssembly:
         assert calls == {"se3_log_arrays": 1, "se3_left_jacobian_inv": 0}
         g._assemble(rot, res)
         assert calls == {"se3_log_arrays": 1, "se3_left_jacobian_inv": 1}
-        assert np.array_equal(res["odometry"], odometry)
-        assert np.array_equal(res["anchor"], anchor)
+        assert np.array_equal(res["pose"], np.concatenate([anchor, odometry]))
 
 
 def stacked_information(g: WindowGraph) -> np.ndarray:
@@ -223,12 +228,10 @@ def stacked_information(g: WindowGraph) -> np.ndarray:
 def einsum_objective(g: WindowGraph, res: dict) -> float:
     """Oracle: the objective with its quadratic forms as three-operand
     einsums."""
-    comp = g.comp
+    odometry, anchor = res["pose"][1:], res["pose"][:1]
     total = float(np.dot(np.full(len(res["gps"]), g.gps_sigma ** -2), res["gps"] ** 2))
-    total += float(np.einsum("ni,nij,nj->", res["odometry"], stacked_information(g),
-                             res["odometry"]))
-    total += float(np.einsum("ni,nij,nj->", res["anchor"], comp["anc_info"],
-                             res["anchor"]))
+    total += float(np.einsum("ni,nij,nj->", odometry, stacked_information(g), odometry))
+    total += float(np.einsum("ni,nij,nj->", anchor, g.comp["prior_info"], anchor))
     return total
 
 
@@ -245,25 +248,23 @@ def einsum_gradient(g: WindowGraph, rot: np.ndarray, res: dict) -> np.ndarray:
                   (g.gps_sigma ** -2 * res["gps"])[:, None] * jt)
     jac = fmod.relative_jacobians(res["pose"], res["pose_terms"])
     if n > 1:
-        j_i, j_j = fmod.odometry_jacobians(jac[:n - 1], res["odo_rot_pred"],
+        j_i, j_j = fmod.odometry_jacobians(jac[1:], res["odo_rot_pred"],
                                            res["odo_t_pred"])
         for rows_of, j in ((slice(None, -1), j_i), (slice(1, None), j_j)):
             grad[rows_of] += np.einsum("nij,njk,nk->ni", np.swapaxes(j, -1, -2),
-                                       stacked_information(g), res["odometry"])
-    if comp["anc_rows"].size:
-        grad[comp["anc_rows"]] += np.einsum(
-            "nij,njk,nk->ni", np.swapaxes(jac[n - 1:], -1, -2), comp["anc_info"],
-            res["anchor"])
+                                       stacked_information(g), res["pose"][1:])
+    grad[:1] += np.einsum("nij,njk,nk->ni", np.swapaxes(jac[:1], -1, -2),
+                          comp["prior_info"], res["pose"][:1])
     return grad
 
 
 class TestContractions:
     @settings(max_examples=60, deadline=None)
-    @example(n=1, seed=0, with_gps=False, with_anchor=False)
-    @example(n=1, seed=0, with_gps=True, with_anchor=True)
+    @example(n=1, seed=0, with_gps=False)
+    @example(n=1, seed=0, with_gps=True)
     @given(n=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
-           with_gps=st.booleans(), with_anchor=st.booleans())
-    def test_matmuls_match_einsum_oracle(self, n, seed, with_gps, with_anchor):
+           with_gps=st.booleans())
+    def test_matmuls_match_einsum_oracle(self, n, seed, with_gps):
         rng = np.random.default_rng(seed)
         truth = truth_chain(rng, n)
         facs = []
@@ -276,10 +277,8 @@ class TestContractions:
                 direction = rng.normal(size=3)
                 sat = truth[k].translation + direction / np.linalg.norm(direction) * 1e3
                 facs.append(GpsFactor(int(k), sat, 1e3 + rng.normal() * 5.0))
-        if with_anchor:
-            prior = compose(truth[0], exp(random_tangent(rng, max_angle=0.1,
-                                                         max_trans=0.5)))
-            facs.append(AnchorFactor(0, prior, fmod.anchor_information()))
+        prior = compose(truth[0], exp(random_tangent(rng, max_angle=0.1, max_trans=0.5)))
+        facs.append(AnchorFactor(0, prior, fmod.anchor_information()))
         start = [compose(p, exp(random_tangent(rng, max_angle=0.2, max_trans=1.0)))
                  for p in truth]
         a = rng.normal(size=(6, 6))
@@ -549,7 +548,8 @@ class TestOptimize:
 
     def test_two_node_gps_odometry_noiseless(self, rng):
         truth = truth_chain(rng, 2)
-        facs = odometry_factors(truth) + gps_factors(truth, [0, 1], num_sats=6)
+        facs = (odometry_factors(truth) + gps_factors(truth, [0, 1], num_sats=6)
+                + [anchor_at(truth[0])])
         start = [compose(p, exp(np.array([0.001, -0.002, 0.001, 0.5, -0.3, 0.4])))
                  for p in truth]
         g = WindowGraph(list(enumerate(start)), facs, 5, *NOISE)
@@ -774,7 +774,7 @@ class TestSlide:
         g2 = g.slide(new_facs, shift=5)  # no GPS among new factors
         # construction validates connectivity; spot-check the odometry chain
         assert len(g2) == 20
-        assert len(g2.comp["odo_t"]) == 19
+        assert len(g2.comp["pose_t"]) == 20
         g2.objective()
 
     def test_two_fives_equal_one_ten(self, rng):
@@ -792,12 +792,15 @@ class TestSlide:
         g, truth = self._window(rng)
         new_facs = self._continuation(rng, truth, 10)
         g2 = g.slide(new_facs, shift=10)
-        assert g2.comp["anc_rows"].tolist() == [0]
+        assert len(g2.comp["prior_info"]) == 1
         assert g2.base == 10
-        prior = Pose(g2.comp["anc_rot"][0], g2.comp["anc_t"][0])
+        prior = Pose(g2.comp["pose_rot"][0], g2.comp["pose_t"][0])
         oldest = g2.estimate_of(10)
         assert np.allclose(prior.rotation, oldest.rotation)
         assert np.allclose(prior.translation, oldest.translation)
+        # Rows 1 on are the odometry kept, links 10 to 98, then the new links.
+        for key in ("pose_rot", "pose_t"):
+            assert np.array_equal(g2.comp[key][1:90], g.comp[key][11:])
 
     def test_dead_reckoned_initialization(self, rng):
         """Each node that append or slide adds is the node before it
@@ -840,14 +843,11 @@ class TestSlide:
                 g.append(bad)
         assert state() == before  # failed appends leave g as it was
 
-    def test_derived_windows_drop_the_parent_cache(self, rng):
-        """A window derived after its parent's residuals were evaluated
-        evaluates the same residuals as one built fresh from its nodes and
-        factors, not with the parent's cached measured transforms."""
+    def test_derived_windows_match_fresh_ones(self, rng):
+        """A slid or stripped window evaluates the same residuals, bit for
+        bit, as one built fresh from its nodes and factors."""
         g, truth = self._window(rng, n=20, capacity=20)
         new_facs = self._continuation(rng, truth, 5)
-        g._residuals(g.rot, g.t)
-        assert "_pose_measured" in vars(g)
         slid_facs = (odometry_factors(truth)[5:] + new_facs + gps_factors(truth[10:11], [10])
                      + [AnchorFactor(5, g.estimate_of(5), fmod.anchor_information())])
         stripped_facs = (odometry_factors(truth)
@@ -859,8 +859,16 @@ class TestSlide:
                                 *NOISE)
             got = derived._residuals(derived.rot, derived.t)
             want = fresh._residuals(fresh.rot, fresh.t)
-            for key in ("gps", "odometry", "anchor"):
+            for key in ("gps", "pose"):
                 assert got[key].tobytes() == want[key].tobytes()
+
+    def test_append_and_slide_take_no_anchor(self, rng):
+        g, truth = self._window(rng, n=10, capacity=20)
+        new_facs = self._continuation(rng, truth, 3)
+        for derive, base in ((g.append, 0), (lambda facs: g.slide(facs, shift=1), 1)):
+            for step in (base, 9, 12):  # the new oldest node, the newest, an added one
+                with pytest.raises(ValueError, match="anchor"):
+                    derive(new_facs + [anchor_at(truth[0], step)])
 
 
 class TestStripGps:
@@ -877,7 +885,7 @@ class TestStripGps:
         assert g.gps_count() == 12
         stripped = g.strip_gps()
         assert stripped.gps_count() == 0
-        for key in ("odo_rot", "odo_t", "anc_rows"):
+        for key in ("pose_rot", "pose_t", "prior_info"):
             assert np.array_equal(stripped.comp[key], g.comp[key])
         assert g.gps_count() == 12  # the input graph is unchanged
 
@@ -955,13 +963,15 @@ class TestValidation:
 
     def test_rejects_missing_odometry_link(self, rng):
         truth = truth_chain(rng, 3)
-        with pytest.raises(ValueError):
-            WindowGraph(list(enumerate(truth)), odometry_factors(truth)[:1], 5, *NOISE)
+        with pytest.raises(ValueError, match="exactly once"):
+            WindowGraph(list(enumerate(truth)),
+                        odometry_factors(truth)[:1] + [anchor_at(truth[0])], 5, *NOISE)
 
     def test_rejects_dangling_factor(self, rng):
         truth = truth_chain(rng, 3)
-        facs = odometry_factors(truth) + [GpsFactor(7, [0, 0, 2e7], 2e7)]
-        with pytest.raises(ValueError):
+        facs = (odometry_factors(truth) + [GpsFactor(7, [0, 0, 2e7], 2e7)]
+                + [anchor_at(truth[0])])
+        with pytest.raises(ValueError, match="outside the window"):
             WindowGraph(list(enumerate(truth)), facs, 5, *NOISE)
 
     def test_rejects_duplicate_odometry(self, rng):
@@ -972,9 +982,26 @@ class TestValidation:
 
     def test_rejects_second_anchor(self, rng):
         truth = truth_chain(rng, 3)
-        anchors = [AnchorFactor(k, truth[k], fmod.anchor_information()) for k in (0, 1)]
+        anchors = [anchor_at(truth[0]), anchor_at(truth[0])]
         with pytest.raises(ValueError, match="one anchor"):
             WindowGraph(list(enumerate(truth)), odometry_factors(truth) + anchors, 5, *NOISE)
+
+    @pytest.mark.parametrize("links", [2, 3])
+    def test_rejects_window_without_anchor(self, rng, links):
+        # Three nodes: with a third link, dangling past the newest node, the
+        # pose stack still has one row per node, so the anchor count alone
+        # rejects it.
+        truth = truth_chain(rng, 4)
+        facs = odometry_factors(truth[:links + 1]) + gps_factors(truth[:3], range(3))
+        with pytest.raises(ValueError, match="one anchor"):
+            WindowGraph(list(enumerate(truth[:3])), facs, 5, *NOISE)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_rejects_anchor_off_the_oldest_node(self, rng, step):
+        truth = truth_chain(rng, 3)
+        facs = odometry_factors(truth) + [anchor_at(truth[step], step)]
+        with pytest.raises(ValueError, match="oldest node"):
+            WindowGraph(list(enumerate(truth)), facs, 5, *NOISE)
 
     def test_rejects_overflow(self, rng):
         truth = truth_chain(rng, 6)
@@ -984,7 +1011,8 @@ class TestValidation:
     def test_estimate_of_rejects_steps_outside_window(self, rng):
         truth = truth_chain(rng, 3)
         g = WindowGraph(list(enumerate(truth, start=5)),
-                        odometry_factors(truth, start_index=5), 5, *NOISE)
+                        odometry_factors(truth, start_index=5) + [anchor_at(truth[0], 5)],
+                        5, *NOISE)
         assert np.array_equal(g.estimate_of(7).translation, truth[2].translation)
         for step in (3, 4, 8):
             with pytest.raises(ValueError, match="outside the window"):
