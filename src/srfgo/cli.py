@@ -1,8 +1,9 @@
 """Command line front end: scenario files, runs, sweeps, and reports.
 
-Every value a subcommand needs can come from a JSON config file
-(--config); explicitly passed flags override config entries, and config
-entries override built-in defaults.  Exit codes: 0 success, 1 bad
+Every option of run and sweep can also come from a JSON config file
+(--config), whose entries are parsed by the same flags; explicitly passed
+flags override config entries, and config entries override built-in
+defaults.  Exit codes: 0 success, 1 bad
 configuration (flags, config file, or parameter validation), 2 runtime
 failure during execution.
 """
@@ -36,13 +37,6 @@ RUN_DEFAULTS = {
 # size, base seed, and run count must arrive via flag or config.
 SWEEP_DEFAULTS = {**RUN_DEFAULTS, "window_size": None, "seed": None,
                   "runs": None, "workers": 1}
-# The type of each numeric flag; a config entry must hold a value of it.
-# Sweep window sizes are a comma list, checked as they are parsed.
-RUN_TYPES = {"duration": float, "speed": float, "dt": float, "seed": int,
-             "sigma_gps": float, "window_size": int, "window_shift": int,
-             "spoof_start": float}
-SWEEP_TYPES = {**{k: v for k, v in RUN_TYPES.items() if k != "window_size"},
-               "runs": int, "workers": int}
 
 
 class CliError(Exception):
@@ -74,6 +68,8 @@ def _scenario_flags(sub) -> None:
 
 
 def _run_flags(sub, sweep: bool) -> None:
+    # The command's own flags also parse its config entries (_settings).
+    sub.set_defaults(parser=sub)
     _scenario_flags(sub)
     sub.add_argument("--config", type=Path, default=None,
                      help="JSON file supplying any of this command's options")
@@ -87,16 +83,15 @@ def _run_flags(sub, sweep: bool) -> None:
                      if sweep else "sliding window capacity N")
     sub.add_argument("--window-shift", type=int, default=None,
                      help="nodes added per window advance (default 10)")
-    sub.add_argument("--ramp-rate", default=None,
+    sub.add_argument("--ramp-rate", default=None, type=None if sweep else float,
                      help="spoofing ramp rate in m/s; 0 or omitted = nominal"
                           + (" (comma list for sweeps)" if sweep else ""))
     sub.add_argument("--spoof-start", type=float, default=None,
                      help="attack onset time in seconds (default 100)")
     sub.add_argument("--spoof-direction", default=None,
                      help="attack direction as x,y,z (normalized; default east)")
-    if not sweep:
-        sub.add_argument("--trajectory", type=Path, default=None,
-                         help="reuse a trajectory CSV instead of generating one")
+    sub.add_argument("--trajectory", type=Path, default=None,
+                     help="reuse a trajectory CSV instead of generating one")
     sub.add_argument("--out", type=Path, default=None, help="output directory")
     if sweep:
         sub.add_argument("--runs", type=int, default=None,
@@ -154,36 +149,37 @@ def _load_config(path: Path | None) -> dict:
     return {str(k).replace("-", "_"): v for k, v in raw.items()}
 
 
-def _config_value(key: str, value, kind):
-    """A config entry read as its flag's text would be: a number or numeric
-    text, of the flag's type; an integer flag takes an integral number."""
-    fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, (str, int, float)) and not isinstance(value, bool) and not fractional:
-        try:
-            return kind(value)
-        except (ValueError, OverflowError):
-            pass
-    noun = "an integer" if kind is int else "a real number"
-    raise CliError(f"config entry {key!r} must be {noun}, got {value!r}")
+def _flag_text(key: str, value) -> str:
+    """A config entry as its flag's text: text as it is, a number as its
+    repr, an integral number as integer text."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return repr(value)
+    if isinstance(value, str):
+        return value
+    raise CliError(f"config entry {key!r} must be a number or text, got {value!r}")
 
 
-def _settings(args, defaults: dict, types: dict) -> dict:
-    """Merge precedence: explicit flag > config entry > default."""
+def _settings(args, defaults: dict) -> dict:
+    """Merge precedence: explicit flag > config entry > default.  Each config
+    entry is parsed by the command's own flag, as that flag's text."""
     config = _load_config(getattr(args, "config", None))
     unknown = set(config) - set(defaults)
     if unknown:
         raise CliError(f"unknown config keys: {sorted(unknown)}")
-    merged = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in config and key in types:
-            merged[key] = _config_value(key, config[key], types[key])
-        else:
-            merged[key] = config.get(key, default)
+    merged = dict(defaults)
+    for key, value in config.items():
+        text = _flag_text(key, value)
+        try:
+            parsed = args.parser.parse_args([f"--{key.replace('_', '-')}={text}"])
+        except CliError as err:
+            raise CliError(f"config entry {key!r}: {err}") from None
+        merged[key] = getattr(parsed, key)
+    merged.update({key: getattr(args, key) for key in defaults
+                   if getattr(args, key, None) is not None})
     given = [key for key in ("kind", "duration", "speed")
-             if getattr(args, key, None) is not None or config.get(key) is not None]
+             if getattr(args, key, None) is not None or key in config]
     if merged.get("trajectory") and given:
         raise CliError(f"a trajectory file fixes the trajectory; drop {', '.join(given)}")
     return merged
@@ -191,7 +187,7 @@ def _settings(args, defaults: dict, types: dict) -> dict:
 
 def _parse_direction(text: str) -> tuple:
     try:
-        parts = [float(v) for v in str(text).split(",")]
+        parts = [float(v) for v in text.split(",")]
     except ValueError:
         raise CliError(f"bad direction {text!r}; expected x,y,z") from None
     if len(parts) != 3:
@@ -212,10 +208,9 @@ def _parse_direction(text: str) -> tuple:
     return tuple(vec / norm)
 
 
-def _parse_rate(value) -> float | None:
-    if value is None:
+def _parse_rate(rate: float | None) -> float | None:
+    if rate is None:
         return None
-    rate = float(value)
     if not (math.isfinite(rate) and rate >= 0.0):
         raise CliError(f"ramp rate must be finite and >= 0, got {rate}")
     return rate if rate > 0.0 else None
@@ -224,7 +219,7 @@ def _parse_rate(value) -> float | None:
 def _parse_list(value, flag: str, kind) -> list:
     """Comma-separated values of one type, e.g. kind float or int."""
     try:
-        return [kind(v) for v in str(value).split(",")]
+        return [kind(v) for v in value.split(",")]
     except ValueError:
         raise CliError(f"bad {flag} list {value!r}") from None
 
@@ -260,7 +255,7 @@ def _execute_run(s: dict, seed: int, out_dir: Path):
 
 def cmd_simulate(args) -> int:
     s = _settings(args, {k: RUN_DEFAULTS[k]
-                         for k in ("kind", "duration", "speed", "dt", "seed")}, {})
+                         for k in ("kind", "duration", "speed", "dt", "seed")})
     poses = gen_trajectory(s["kind"], s["duration"], s["speed"], seed=s["seed"],
                            dt=s["dt"])
     out = Path(args.out)
@@ -274,11 +269,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    s = _settings(args, RUN_DEFAULTS, RUN_TYPES)
+    s = _settings(args, RUN_DEFAULTS)
     if s["mode"] not in MODES:
         raise CliError(f"--mode must be one of {MODES}, got {s['mode']!r}")
     seed = s["seed"]
-    out = Path(s["out"]) if s["out"] else Path(f"run-{s['mode']}-seed{seed}")
+    out = s["out"] or Path(f"run-{s['mode']}-seed{seed}")
     record = _execute_run(s, seed, out)
     summary = record.summary
     detected = summary["first_detection_time_s"]
@@ -302,14 +297,14 @@ def _rate_name(rate: float) -> str:
 
 
 def cmd_sweep(args) -> int:
-    s = _settings(args, SWEEP_DEFAULTS, SWEEP_TYPES)
+    s = _settings(args, SWEEP_DEFAULTS)
     for key in ("mode", "ramp_rate", "window_size", "seed", "runs"):
         if s[key] is None:
             flag = "--" + key.replace("_", "-")
             raise CliError(f"sweep requires {flag} (flag or config entry)")
     if s["out"] is None:
         raise CliError("sweep requires --out")
-    modes = str(s["mode"]).split(",")
+    modes = s["mode"].split(",")
     for mode in modes:
         if mode not in MODES:
             raise CliError(f"--mode must list values from {MODES}, got {mode!r}")
@@ -327,7 +322,7 @@ def cmd_sweep(args) -> int:
     for name in names:
         if names.count(name) > 1:
             raise CliError(f"sweep grid repeats cell {name}")
-    out = Path(s["out"])
+    out = s["out"]
 
     # Each run is paired with its cell, so a failure, of the run or of its
     # read-back, is filed under that cell only; workers receive the payload
@@ -452,10 +447,12 @@ def cmd_report(args) -> int:
                      "mean_error_m": summary["mean_error_m"],
                      "max_error_m": summary["max_error_m"],
                      "first_detection_time_s": summary["first_detection_time_s"],
-                     "failsafe": summary["failsafe"]})
+                     "failsafe": summary["failsafe"],
+                     "windows_not_converged": summary["windows_not_converged"]})
     for row in rows:
         print(f"{row['dir']}: [{row['mode']}] seed {row['seed']} "
-              f"mean {row['mean_error_m']:.3f} m max {row['max_error_m']:.3f} m")
+              f"mean {row['mean_error_m']:.3f} m max {row['max_error_m']:.3f} m "
+              f"windows not converged {row['windows_not_converged']}")
     out = Path(args.out) if args.out else root / "report.json"
     out.write_text(json.dumps({"root": str(root), "runs": rows},
                               indent=2, sort_keys=True) + "\n")

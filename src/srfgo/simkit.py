@@ -307,15 +307,6 @@ class Scenario:
         gps_period = 1.0 / (GPS_RATE_HZ * self.dt)
         if abs(gps_period - round(gps_period)) > 1e-9:
             raise ValueError("GPS rate must divide the node rate")
-        # The bias is zero up to t_start, so an onset at or after the last
-        # GPS epoch biases no range.
-        if self.spoof is not None:
-            every = self.gps_every_steps
-            last_epoch = self.steps // every * every * self.dt
-            if self.spoof.t_start >= last_epoch:
-                raise ValueError(
-                    f"spoof t_start {self.spoof.t_start:g} s must lie before the last "
-                    f"GPS epoch, at {last_epoch:g} s of the {duration:g} s trajectory")
         if not (math.isfinite(self.sigma_gps) and self.sigma_gps >= 0.0):
             raise ValueError(f"sigma_gps must be finite and >= 0, got {self.sigma_gps}")
         sig = np.asarray(self.sigma_icp, dtype=float)
@@ -330,16 +321,21 @@ class Scenario:
             if not np.isfinite(weight).all():
                 raise ValueError(f"{name} must be 0 or large enough that "
                                  f"1/{name}^2 is finite, got {value}")
-        # The satellites orbit at GPS_ORBIT_RADIUS_M from the origin.  NaN
-        # fails the test, and a norm that overflows lies past the orbit too.
-        with np.errstate(over="ignore", invalid="ignore"):
-            inside = np.linalg.norm(self.truth.translation, axis=1) < GPS_ORBIT_RADIUS_M
-        if not inside.all():
-            step = int(inside.argmin())
-            raise ValueError(
-                f"truth position at step {step} must be finite and inside the "
-                f"{GPS_ORBIT_RADIUS_M:g} m satellite orbit radius, got "
-                f"{self.truth.translation[step].tolist()}")
+        # Every position a range is taken from lies inside the satellites'
+        # orbit: the truth, and each spoofed GPS epoch's truth + bias.
+        _check_inside_orbit(self.truth.translation, lambda i: f"truth position at step {i}")
+        if self.spoof is not None:
+            # The bias is zero up to t_start, so an onset at or after the last
+            # GPS epoch biases no range.
+            steps = self.gps_steps
+            times = steps * self.dt
+            if self.spoof.t_start >= times[-1]:
+                raise ValueError(
+                    f"spoof t_start {self.spoof.t_start:g} s must lie before the last "
+                    f"GPS epoch, at {times[-1]:g} s of the {duration:g} s trajectory")
+            with np.errstate(over="ignore", invalid="ignore"):
+                spoofed = self.truth.translation[steps] + spoof_bias(times, self.spoof)
+            _check_inside_orbit(spoofed, lambda i: f"spoofed GPS position at {times[i]:g} s")
 
     @property
     def steps(self) -> int:
@@ -348,6 +344,24 @@ class Scenario:
     @property
     def gps_every_steps(self) -> int:
         return int(round(1.0 / (GPS_RATE_HZ * self.dt)))
+
+    @property
+    def gps_steps(self) -> np.ndarray:
+        """The node step of each GPS epoch."""
+        return np.arange(0, self.steps + 1, self.gps_every_steps)
+
+
+def _check_inside_orbit(positions: np.ndarray, name) -> None:
+    """Refuse (k, 3) positions unless each is finite and inside the
+    satellites' orbit radius, naming the first other one by name(row).  NaN
+    fails the test, and a norm that overflows lies past the orbit too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = np.linalg.norm(positions, axis=1) < GPS_ORBIT_RADIUS_M
+    if not inside.all():
+        row = int(inside.argmin())
+        raise ValueError(f"{name(row)} must be finite and inside the "
+                         f"{GPS_ORBIT_RADIUS_M:g} m satellite orbit radius, got "
+                         f"{positions[row].tolist()}")
 
 
 @dataclass(frozen=True)
@@ -368,7 +382,7 @@ def build_measurements(scenario: Scenario) -> MeasurementStream:
     odometry = PoseStack(*gen_odometry(scenario.truth.rotation, t, scenario.sigma_icp,
                                        make_rng(scenario.seed, ODOMETRY_STREAM)))
 
-    steps = np.arange(0, scenario.steps + 1, scenario.gps_every_steps)
+    steps = scenario.gps_steps
     times = steps * scenario.dt
     sats = sat_positions(times)
     positions = t[steps]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from srfgo import cli as cli_module
-from srfgo.cli import main
+from srfgo.cli import build_parser, main
 from srfgo.harness import read_run
 from srfgo.simkit import load_trajectory
 
@@ -109,6 +110,15 @@ class TestExitCodes:
         assert tree_bytes(tmp_path / "plain") == tree_bytes(tmp_path / "joined")
         assert tree_bytes(tmp_path / "plain") != tree_bytes(tmp_path / "east")
 
+    def test_ramp_past_the_satellites_is_config_error(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli("run", "--mode", "naive-fgo", "--duration", "180",
+                       "--window-size", "20", "--ramp-rate", "1e300",
+                       "--out", tmp_path / "out") == 1
+        assert "satellite orbit radius" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_ramp_rate(self, capsys):
         assert cli("run", "--mode", "sr-fgo", "--ramp-rate", "-1") == 1
         assert "ramp rate must be finite and >= 0" in capsys.readouterr().err
@@ -141,7 +151,9 @@ class TestExitCodes:
         (["--mode", "odometry-only", "--ramp-rate", "0,1", "--window-size", "20",
           "--spoof-start", "nan"], "t_start"),
         (["--mode", "naive-fgo", "--ramp-rate", "0", "--window-size", "20",
-          "--sigma-gps", "1e-200"], "1/sigma_gps^2 is finite")])
+          "--sigma-gps", "1e-200"], "1/sigma_gps^2 is finite"),
+        (["--mode", "naive-fgo", "--ramp-rate", "0,1e300", "--window-size", "20"],
+         "satellite orbit radius")])
     def test_sweep_rejects_invalid_cell_before_any_run(self, tmp_path, capsys,
                                                        monkeypatch, flags, message):
         # The configuration error `run` reports (exit 1), before any run.
@@ -248,7 +260,11 @@ class TestConfigTypes:
         ("run", "dt", None), ("run", "duration", "abc"), ("run", "seed", True),
         ("run", "speed", [10.0]), ("run", "sigma_gps", False), ("run", "spoof_start", "1,2"),
         ("run", "window_size", "20.0"), ("sweep", "runs", 1.9), ("sweep", "workers", "two"),
-        ("sweep", "window_shift", 2.5), ("sweep", "duration", None)])
+        ("sweep", "window_shift", 2.5), ("sweep", "duration", None),
+        ("run", "ramp_rate", True), ("run", "ramp_rate", [1]), ("run", "ramp_rate", "abc"),
+        ("run", "out", {}), ("run", "mode", ["naive-fgo"]), ("run", "kind", 7),
+        ("run", "spoof_direction", [1, 0, 0]), ("sweep", "mode", ["naive-fgo"]),
+        ("sweep", "trajectory", [])])
     def test_bad_entry_is_config_error_naming_its_key(self, tmp_path, capsys, monkeypatch,
                                                       command, key, value):
         def forbidden(cfg):
@@ -256,23 +272,58 @@ class TestConfigTypes:
 
         monkeypatch.setattr(cli_module, "run_pipeline", forbidden)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**({"runs": 1} if command == "sweep" else {}), key: value}))
+        # A run has a ramp, so that the spoofing entries apply.
+        base = {"runs": 1} if command == "sweep" else {"ramp_rate": 1}
+        cfg.write_text(json.dumps({**base, key: value}))
         out = tmp_path / "out"
         assert cli(*self.COMMANDS[command], "--config", cfg, "--out", out) == 1
-        assert f"error: config entry {key!r} must be" in capsys.readouterr().err
+        # Refused for its JSON type, or by its flag as that flag's text.
+        flag = "--" + key.replace("_", "-")
+        assert re.search(rf"error: config entry {key!r}( must be a number or text, got "
+                         rf"|: argument {flag}: invalid)", capsys.readouterr().err)
         assert not out.exists()
+
+    def test_numeric_trajectory_entry_is_a_file_name(self, tmp_path, capsys, monkeypatch):
+        # The file "5", not the process's file descriptor 5.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trajectory": 5}))
+        assert cli(*self.COMMANDS["run"], "--config", cfg, "--out", tmp_path / "out") == 1
+        assert "cannot read trajectory 5:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,defaults", [
+        ("run", cli_module.RUN_DEFAULTS), ("sweep", cli_module.SWEEP_DEFAULTS)])
+    def test_config_keys_are_the_flags(self, command, defaults):
+        # Every flag but --config has its config key, and every key its flag.
+        flags = set(vars(build_parser().parse_args([command]))) - {"command", "parser",
+                                                                   "config"}
+        assert flags == set(defaults)
 
     def test_numeric_text_and_integral_numbers_read_as_flags(self, tmp_path):
         flags = ("--duration", "180", "--speed", "12", "--dt", "0.1", "--seed", "3",
-                 "--sigma-gps", "7", "--window-size", "20", "--window-shift", "10")
-        assert cli("run", "--mode", "odometry-only", *flags, "--out", tmp_path / "flags") == 0
+                 "--sigma-gps", "7", "--window-size", "20", "--window-shift", "10",
+                 "--mode", "naive-fgo", "--kind", "straight", "--ramp-rate", "2",
+                 "--spoof-start", "120", "--spoof-direction", "0,-1,0")
+        assert cli("run", *flags, "--out", tmp_path / "flags") == 0
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"duration": "180", "speed": 12, "dt": "0.1", "seed": 3.0,
                                    "sigma_gps": "7", "window_size": "20",
-                                   "window_shift": 10.0}))
-        assert cli("run", "--mode", "odometry-only", "--config", cfg,
-                   "--out", tmp_path / "config") == 0
+                                   "window_shift": 10.0, "mode": "naive-fgo",
+                                   "kind": "straight", "ramp_rate": 2.0,
+                                   "spoof_start": 120, "spoof_direction": "0,-1,0",
+                                   "out": str(tmp_path / "config")}))
+        assert cli("run", "--config", cfg) == 0
         assert tree_bytes(tmp_path / "config") == tree_bytes(tmp_path / "flags")
+
+    def test_sweep_trajectory_flag_or_entry(self, tmp_path):
+        assert cli("simulate", "--duration", "180", "--out", tmp_path / "sim") == 0
+        path = tmp_path / "sim" / "trajectory.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"runs": 1, "trajectory": str(path)}))
+        assert cli(*self.COMMANDS["sweep"], "--runs", "1", "--trajectory", path,
+                   "--out", tmp_path / "flag") == 0
+        assert cli(*self.COMMANDS["sweep"], "--config", cfg, "--out", tmp_path / "entry") == 0
+        assert tree_bytes(tmp_path / "flag") == tree_bytes(tmp_path / "entry")
 
     def test_sweep_counts_from_text(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -504,6 +555,20 @@ class TestReport:
         report = json.loads((out / "report.json").read_text())
         assert len(report["runs"]) == 2
         assert {row["seed"] for row in report["runs"]} == {80, 81}
+
+    def test_rows_show_windows_not_converged(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli("run", "--mode", "naive-fgo", "--duration", "180",
+                   "--window-size", "20", "--seed", "4", "--out", out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        # A stalled solve is counted; the report must carry the run's count.
+        summary["windows_not_converged"] = 3
+        (out / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert cli("report", out) == 0
+        assert "windows not converged 3" in capsys.readouterr().out
+        [row] = json.loads((out / "report.json").read_text())["runs"]
+        assert row["windows_not_converged"] == 3
 
     def test_empty_directory_is_config_error(self, tmp_path):
         assert cli("report", tmp_path) == 1

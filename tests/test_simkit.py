@@ -484,6 +484,22 @@ class TestScenario:
             with pytest.raises(ValueError, match=f"truth position at step {step} "):
                 Scenario(truth=truth)
 
+    @pytest.mark.parametrize("rate,time", [(1e6, 127), (3.4e5, 179), (1e300, 101),
+                                           (1e308, 101)])
+    def test_spoofed_position_outside_orbit_rejected(self, rate, time):
+        # Each spoofed epoch's ranges are taken from truth + bias, which must
+        # lie inside the orbit as the truth does; from 102 s on, 1e308 m/s
+        # overflows the bias itself.  No numpy warning may print on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"spoofed GPS position at {time} s must "
+                               r"be finite and inside the 2\.6571e\+07 m"):
+                Scenario(truth=self._truth(180.0), spoof=SpoofProfile(ramp_rate=rate))
+
+    def test_spoofed_position_just_inside_orbit_allowed(self):
+        # 3.3e5 m/s for the 80 s from onset to the last epoch: 2.64e7 m.
+        Scenario(truth=self._truth(180.0), spoof=SpoofProfile(ramp_rate=3.3e5))
+
     def test_truth_just_inside_orbit_allowed(self):
         truth = self._truth()
         t = truth.translation.copy()
