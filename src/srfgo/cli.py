@@ -176,8 +176,8 @@ def _settings(args, defaults: dict) -> dict:
         except CliError as err:
             raise CliError(f"config entry {key!r}: {err}") from None
         merged[key] = getattr(parsed, key)
-    merged.update({key: getattr(args, key) for key in defaults
-                   if getattr(args, key, None) is not None})
+    merged.update({key: flag for key, flag in vars(args).items()
+                   if key in defaults and flag is not None})
     given = [key for key in ("kind", "duration", "speed")
              if getattr(args, key, None) is not None or key in config]
     if merged.get("trajectory") and given:

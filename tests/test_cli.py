@@ -283,13 +283,16 @@ class TestConfigTypes:
                          rf"|: argument {flag}: invalid)", capsys.readouterr().err)
         assert not out.exists()
 
-    def test_numeric_trajectory_entry_is_a_file_name(self, tmp_path, capsys, monkeypatch):
-        # The file "5", not the process's file descriptor 5.
+    def test_numeric_trajectory_entry_is_a_file_name(self, tmp_path, monkeypatch):
+        # The file "5", as --trajectory 5 reads it, not file descriptor 5.
         monkeypatch.chdir(tmp_path)
+        assert cli("simulate", "--duration", "180", "--out", tmp_path / "sim") == 0
+        (tmp_path / "sim" / "trajectory.csv").rename(tmp_path / "5")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trajectory": 5}))
-        assert cli(*self.COMMANDS["run"], "--config", cfg, "--out", tmp_path / "out") == 1
-        assert "cannot read trajectory 5:" in capsys.readouterr().err
+        assert cli(*self.COMMANDS["run"], "--config", cfg, "--out", tmp_path / "entry") == 0
+        assert cli(*self.COMMANDS["run"], "--trajectory", "5", "--out", tmp_path / "flag") == 0
+        assert tree_bytes(tmp_path / "entry") == tree_bytes(tmp_path / "flag")
 
     @pytest.mark.parametrize("command,defaults", [
         ("run", cli_module.RUN_DEFAULTS), ("sweep", cli_module.SWEEP_DEFAULTS)])
@@ -558,8 +561,8 @@ class TestReport:
 
     def test_rows_show_windows_not_converged(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert cli("run", "--mode", "naive-fgo", "--duration", "180",
-                   "--window-size", "20", "--seed", "4", "--out", out) == 0
+        assert cli("run", "--mode", "odometry-only", "--duration", "180",
+                   "--out", out) == 0
         summary = json.loads((out / "summary.json").read_text())
         # A stalled solve is counted; the report must carry the run's count.
         summary["windows_not_converged"] = 3
