@@ -22,7 +22,7 @@ import numpy as np
 from .harness import (MODES, WINDOW_SHIFT_DEFAULT, WINDOW_SIZE_DEFAULT, RunConfig,
                       read_run, run as run_pipeline, summarize_runs, write_run)
 from .liegroup import Pose, PoseStack, rotation_angle
-from .simkit import (DT_DEFAULT, SIGMA_GPS_DEFAULT, TRAJECTORY_KINDS, Scenario,
+from .simkit import (DT_DEFAULT, EAST, SIGMA_GPS_DEFAULT, TRAJECTORY_KINDS, Scenario,
                      SpoofProfile, gen_trajectory, load_trajectory,
                      save_trajectory)
 
@@ -30,7 +30,7 @@ RUN_DEFAULTS = {
     "kind": "circuit", "duration": 200.0, "speed": 10.0, "dt": DT_DEFAULT,
     "seed": 0, "sigma_gps": SIGMA_GPS_DEFAULT, "mode": None,
     "window_size": WINDOW_SIZE_DEFAULT, "window_shift": WINDOW_SHIFT_DEFAULT,
-    "ramp_rate": None, "spoof_start": 100.0, "spoof_direction": "1,0,0",
+    "ramp_rate": None, "spoof_start": 100.0, "spoof_direction": EAST,
     "trajectory": None, "out": None,
 }
 # Sweeps have no fallback for the grid axes: mode, ramp rate, window
@@ -73,22 +73,23 @@ def _run_flags(sub, sweep: bool) -> None:
     _scenario_flags(sub)
     sub.add_argument("--config", type=Path, default=None,
                      help="JSON file supplying any of this command's options")
-    sub.add_argument("--mode", default=None,
+    sub.add_argument("--mode", default=None, type=_list_of(str) if sweep else None,
+                     choices=None if sweep else MODES,
                      help="odometry-only | naive-fgo | sr-fgo"
                           + (" (comma list for sweeps)" if sweep else ""))
     sub.add_argument("--sigma-gps", type=float, default=None,
                      help="pseudorange noise std in meters (default 7)")
-    sub.add_argument("--window-size", default=None, type=None if sweep else int,
+    sub.add_argument("--window-size", default=None, type=_list_of(int) if sweep else int,
                      help="sliding window capacity N (comma list for sweeps)"
                      if sweep else "sliding window capacity N")
     sub.add_argument("--window-shift", type=int, default=None,
                      help="nodes added per window advance (default 10)")
-    sub.add_argument("--ramp-rate", default=None, type=None if sweep else float,
+    sub.add_argument("--ramp-rate", default=None, type=_list_of(_rate) if sweep else float,
                      help="spoofing ramp rate in m/s; 0 or omitted = nominal"
                           + (" (comma list for sweeps)" if sweep else ""))
     sub.add_argument("--spoof-start", type=float, default=None,
                      help="attack onset time in seconds (default 100)")
-    sub.add_argument("--spoof-direction", default=None,
+    sub.add_argument("--spoof-direction", type=_parse_direction, default=None,
                      help="attack direction as x,y,z (normalized; default east)")
     sub.add_argument("--trajectory", type=Path, default=None,
                      help="reuse a trajectory CSV instead of generating one")
@@ -186,15 +187,16 @@ def _settings(args, defaults: dict) -> dict:
 
 
 def _parse_direction(text: str) -> tuple:
+    """--spoof-direction's type: a unit vector from x,y,z."""
     try:
         parts = [float(v) for v in text.split(",")]
     except ValueError:
-        raise CliError(f"bad direction {text!r}; expected x,y,z") from None
+        raise argparse.ArgumentTypeError(f"bad direction {text!r}; expected x,y,z") from None
     if len(parts) != 3:
-        raise CliError(f"bad direction {text!r}; expected three components")
+        raise argparse.ArgumentTypeError(f"bad direction {text!r}; expected three components")
     vec = np.asarray(parts, dtype=float)
     if not np.isfinite(vec).all():
-        raise CliError(f"spoof direction must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"spoof direction must be finite, got {text!r}")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(vec))
     if not 0.0 < norm < math.inf:
@@ -202,26 +204,23 @@ def _parse_direction(text: str) -> tuple:
         # first, only here, so that every other direction keeps its bits.
         scale = float(np.max(np.abs(vec)))
         if scale == 0.0:
-            raise CliError("spoof direction must be nonzero")
+            raise argparse.ArgumentTypeError("spoof direction must be nonzero")
         vec = vec / scale
         norm = float(np.linalg.norm(vec))
     return tuple(vec / norm)
 
 
-def _parse_rate(rate: float | None) -> float | None:
-    if rate is None:
-        return None
-    if not (math.isfinite(rate) and rate >= 0.0):
-        raise CliError(f"ramp rate must be finite and >= 0, got {rate}")
-    return rate if rate > 0.0 else None
+def _list_of(kind):
+    """A sweep axis flag's type: comma-separated values, each read by kind."""
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = "list"  # argparse's error reads "invalid list value: '<text>'"
+    return parse
 
 
-def _parse_list(value, flag: str, kind) -> list:
-    """Comma-separated values of one type, e.g. kind float or int."""
-    try:
-        return [kind(v) for v in value.split(",")]
-    except ValueError:
-        raise CliError(f"bad {flag} list {value!r}") from None
+def _rate(text: str) -> float:
+    # -0 reads as 0: the two are one nominal sweep cell.
+    return float(text) + 0.0
 
 
 def _trajectory(s: dict, seed: int) -> PoseStack:
@@ -236,11 +235,11 @@ def _trajectory(s: dict, seed: int) -> PoseStack:
 
 
 def _run_config(s: dict, seed: int, truth) -> RunConfig:
-    rate = _parse_rate(s["ramp_rate"])
+    # No rate, or a rate of 0, is a nominal run; SpoofProfile refuses a bad one.
     spoof = None
-    if rate is not None:
-        spoof = SpoofProfile(t_start=s["spoof_start"], ramp_rate=rate,
-                             direction=_parse_direction(s["spoof_direction"]))
+    if s["ramp_rate"]:
+        spoof = SpoofProfile(t_start=s["spoof_start"], ramp_rate=s["ramp_rate"],
+                             direction=s["spoof_direction"])
     scenario = Scenario(truth=truth, dt=s["dt"], sigma_gps=s["sigma_gps"],
                         spoof=spoof, seed=seed)
     return RunConfig(scenario=scenario, mode=s["mode"],
@@ -270,8 +269,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_run(args) -> int:
     s = _settings(args, RUN_DEFAULTS)
-    if s["mode"] not in MODES:
-        raise CliError(f"--mode must be one of {MODES}, got {s['mode']!r}")
     seed = s["seed"]
     out = s["out"] or Path(f"run-{s['mode']}-seed{seed}")
     record = _execute_run(s, seed, out)
@@ -298,18 +295,10 @@ def _rate_name(rate: float) -> str:
 
 def cmd_sweep(args) -> int:
     s = _settings(args, SWEEP_DEFAULTS)
-    for key in ("mode", "ramp_rate", "window_size", "seed", "runs"):
+    for key in ("mode", "ramp_rate", "window_size", "seed", "runs", "out"):
         if s[key] is None:
             flag = "--" + key.replace("_", "-")
             raise CliError(f"sweep requires {flag} (flag or config entry)")
-    if s["out"] is None:
-        raise CliError("sweep requires --out")
-    modes = s["mode"].split(",")
-    for mode in modes:
-        if mode not in MODES:
-            raise CliError(f"--mode must list values from {MODES}, got {mode!r}")
-    rates = _parse_list(s["ramp_rate"], "--ramp-rate", float)
-    sizes = _parse_list(s["window_size"], "--window-size", int)
     runs, workers = s["runs"], s["workers"]
     if runs < 1 or workers < 1:
         raise CliError("--runs and --workers must be >= 1")
@@ -317,7 +306,7 @@ def cmd_sweep(args) -> int:
     # Cells named alike (rates 1 and 1.0, a mode or size listed twice) would
     # share run directories.  A rate is named by :g unless that loses digits.
     grid = [(f"{mode}-r{_rate_name(rate)}-N{size}", mode, rate, size)
-            for mode in modes for rate in rates for size in sizes]
+            for mode in s["mode"] for rate in s["ramp_rate"] for size in s["window_size"]]
     names = [name for name, *_ in grid]
     for name in names:
         if names.count(name) > 1:
@@ -429,6 +418,15 @@ def cmd_icp_demo(args) -> int:
     return 0
 
 
+# The summary.json keys that `srfgo report` gathers from each run.
+_REPORT_KEYS = ("mode", "seed", "spoof_ramp_rate_mps", "window_size", "mean_error_m",
+                "max_error_m", "first_detection_time_s", "failsafe", "windows_not_converged")
+
+
+def _shown(value, spec: str = "") -> str:
+    return "n/a" if value is None else format(value, spec)
+
+
 def cmd_report(args) -> int:
     root = Path(args.root)
     if not root.is_dir():
@@ -439,20 +437,18 @@ def cmd_report(args) -> int:
         raise CliError(f"no run summaries under {root}")
     rows = []
     for path in run_summaries:
-        summary = json.loads(path.read_text())
+        try:
+            summary = json.loads(path.read_text())
+        except json.JSONDecodeError as err:
+            raise CliError(f"{path} is not valid JSON: {err}") from None
+        # A key that a run directory predates reports as null.
         rows.append({"dir": str(path.parent.relative_to(root)),
-                     "mode": summary["mode"], "seed": summary["seed"],
-                     "spoof_ramp_rate_mps": summary["spoof_ramp_rate_mps"],
-                     "window_size": summary["window_size"],
-                     "mean_error_m": summary["mean_error_m"],
-                     "max_error_m": summary["max_error_m"],
-                     "first_detection_time_s": summary["first_detection_time_s"],
-                     "failsafe": summary["failsafe"],
-                     "windows_not_converged": summary["windows_not_converged"]})
+                     **{key: summary.get(key) for key in _REPORT_KEYS}})
     for row in rows:
-        print(f"{row['dir']}: [{row['mode']}] seed {row['seed']} "
-              f"mean {row['mean_error_m']:.3f} m max {row['max_error_m']:.3f} m "
-              f"windows not converged {row['windows_not_converged']}")
+        print(f"{row['dir']}: [{_shown(row['mode'])}] seed {_shown(row['seed'])} "
+              f"mean {_shown(row['mean_error_m'], '.3f')} m "
+              f"max {_shown(row['max_error_m'], '.3f')} m "
+              f"windows not converged {_shown(row['windows_not_converged'])}")
     out = Path(args.out) if args.out else root / "report.json"
     out.write_text(json.dumps({"root": str(root), "runs": rows},
                               indent=2, sort_keys=True) + "\n")

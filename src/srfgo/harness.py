@@ -27,9 +27,8 @@ outcome and fills in its action.  Modes:
 Run outputs are plain CSV/JSON; every float is written with repr precision
 so records round-trip losslessly and repeated runs are byte-identical.  The
 numeric CSV files (trajectory.csv, errors.csv, smoothed.csv) are written by
-one table writer from column stacks, a chunk of rows at a time with one
-%-format per chunk, and parsed back as whole arrays, with Python's own repr
-and float on every value.
+simkit's table writer from column stacks, every value as %r, and parsed back
+as whole arrays, with Python's own repr and float on every value.
 Wall-clock timing goes to a separate timing.json, which is the only
 non-deterministic output and holds nothing else: the mean and the total
 wall time of the window solves (mean_window_optimize_s, total_optimize_s).
@@ -51,7 +50,8 @@ from .detector import ALPHA, decide, mitigate, threshold
 from .detector import test_statistic as window_statistic
 from .factors import AnchorFactor, GpsFactor, OdometryFactor
 from .liegroup import compose, rotation_to_quaternion
-from .simkit import MeasurementStream, Scenario, build_measurements
+from .simkit import (TRAJECTORY_HEADER, MeasurementStream, Scenario,
+                     build_measurements, write_table)
 from .solver import WindowGraph
 
 MODES = ("odometry-only", "naive-fgo", "sr-fgo")
@@ -366,25 +366,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-# Rows converted to Python floats at a time while a CSV file is written, so
-# a long run never holds all its values, or all its lines, at once.
-_CSV_CHUNK_ROWS = 256
-_POSE_CSV_HEADER = "t,x,y,z,qx,qy,qz,qw"
-
-
-def _write_table(path: Path, header: str, *columns) -> None:
-    """A CSV of floats: the header, then one row per entry of the columns
-    (1-D arrays are one column, 2-D arrays one per entry), every value as
-    %r, which is repr(float), _CSV_CHUNK_ROWS rows at a time."""
-    stack = np.column_stack(columns)
-    line = ",".join(["%r"] * stack.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(stack), _CSV_CHUNK_ROWS):
-            chunk = stack[start:start + _CSV_CHUNK_ROWS]
-            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
-
-
 def _write_lines(path: Path, lines) -> None:
     with open(path, "w") as fh:
         fh.writelines(line + "\n" for line in lines)
@@ -394,11 +375,12 @@ def write_run(record: RunRecord, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    _write_table(out / "trajectory.csv", _POSE_CSV_HEADER, record.times_s,
-                 record.est_translations, record.est_quaternions)
-    _write_table(out / "errors.csv", "time_s,l2_error_m", record.times_s, record.errors)
-    _write_table(out / "smoothed.csv", _POSE_CSV_HEADER, record.smoothed_times_s,
-                 record.smoothed_translations, record.smoothed_quaternions)
+    write_table(out / "trajectory.csv", TRAJECTORY_HEADER, record.times_s,
+                record.est_translations, record.est_quaternions, fmt="%r")
+    write_table(out / "errors.csv", "time_s,l2_error_m", record.times_s, record.errors,
+                fmt="%r")
+    write_table(out / "smoothed.csv", TRAJECTORY_HEADER, record.smoothed_times_s,
+                record.smoothed_translations, record.smoothed_quaternions, fmt="%r")
 
     det_lines = ["time_s,q,tau,n,decision"]
     det_lines += [f"{_fmt(r['time_s'])},{_fmt(r['q'])},{_fmt(r['tau'])},"

@@ -10,6 +10,7 @@ construction (step halving, up to a stall).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,6 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .liegroup import Pose, compose, exp, inverse, skew
+from .simkit import write_table
 
 NORMAL_UNIT_TOLERANCE = 1e-6
 # Neighborhood rank test: lambda_1 below this fraction of lambda_2 means the
@@ -193,8 +195,15 @@ def gen_scene_cloud(patches: list[PlanePatch], pose: Pose, density: float,
     """Sample the scene surfaces and express the points in the sensor frame."""
     from .rngutil import CLOUD_STREAM, make_rng, normal
 
-    if density <= 0.0:
-        raise ValueError("density must be positive (points per square meter)")
+    # Written so that NaN fails each test.
+    if not (math.isfinite(density) and density > 0.0):
+        raise ValueError(f"density must be finite and positive (points per square "
+                         f"meter), got {density}")
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ValueError(f"noise std must be finite and >= 0, got {noise_std}")
+    if not (np.isfinite(pose.rotation).all() and np.isfinite(pose.translation).all()):
+        raise ValueError(f"sensor pose must be finite, got translation "
+                         f"{pose.translation.tolist()} and rotation {pose.rotation.tolist()}")
     rng = make_rng(seed, CLOUD_STREAM)
     sensor_inv = inverse(pose)
     chunks = []
@@ -220,13 +229,7 @@ def two_wall_scene() -> list[PlanePatch]:
 
 
 def save_cloud(path, cloud: PointCloud) -> None:
-    with open(path, "w") as fh:
-        if cloud.normals is None:
-            fh.write("x,y,z\n")
-            for p in cloud.points:
-                fh.write(f"{p[0]:.9f},{p[1]:.9f},{p[2]:.9f}\n")
-        else:
-            fh.write("x,y,z,nx,ny,nz\n")
-            for p, n in zip(cloud.points, cloud.normals):
-                fh.write(f"{p[0]:.9f},{p[1]:.9f},{p[2]:.9f},"
-                         f"{n[0]:.9f},{n[1]:.9f},{n[2]:.9f}\n")
+    if cloud.normals is None:
+        write_table(path, "x,y,z", cloud.points, fmt="%.9f")
+    else:
+        write_table(path, "x,y,z,nx,ny,nz", cloud.points, cloud.normals, fmt="%.9f")

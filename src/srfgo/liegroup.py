@@ -424,16 +424,24 @@ def rotation_to_quaternion(rot: np.ndarray) -> np.ndarray:
     return q.reshape(rot.shape[:-2] + (4,))
 
 
-def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix from [qx, qy, qz, qw]; renormalizes when the norm is
-    within QUATERNION_NORM_TOL of one, rejects otherwise."""
-    q = np.asarray(q, dtype=float).reshape(4)
-    n = np.linalg.norm(q)
-    if abs(n - 1.0) > QUATERNION_NORM_TOL:
-        raise ValueError(f"quaternion norm {n:.6f} outside 1 +/- {QUATERNION_NORM_TOL:g}")
-    x, y, z, w = q / n
-    return np.array([
-        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
-        [2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)],
-        [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)],
-    ])
+def quaternion_to_rotation(q: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """Rotations (..., 3, 3) from quaternions (..., 4), [qx, qy, qz, qw].
+    Each is renormalized when its norm is within QUATERNION_NORM_TOL of one;
+    otherwise the first other one is rejected by its row, counted in the
+    flattened stack from first_row."""
+    q = np.ascontiguousarray(q, dtype=float)
+    flat = q.reshape(-1, 4)
+    # Row-wise q.q as a 1x4 by 4x1 product: the same sum as the 1-D norm.
+    n = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0])
+    far = np.abs(n[:, 0] - 1.0) > QUATERNION_NORM_TOL
+    if far.any():
+        row = int(far.argmax())
+        raise ValueError(f"row {first_row + row}: quaternion norm {n[row, 0]:.6f} "
+                         f"outside 1 +/- {QUATERNION_NORM_TOL:g}")
+    x, y, z, w = (flat / n).T
+    rot = np.stack([
+        1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w),
+        2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w),
+        2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y),
+    ], axis=-1)
+    return rot.reshape(q.shape[:-1] + (3, 3))

@@ -60,6 +60,8 @@ GPS_ORBIT_RADIUS_M = EARTH_RADIUS_M + GPS_ORBIT_ALTITUDE_M
 GPS_ANGULAR_RATE = 2.0 * math.pi / 43080.0
 
 EAST = (1.0, 0.0, 0.0)
+# No draw of rngutil.normal lies below -MAX_NORMAL_DRAW: ndtri(1e-300) = -37.047.
+MAX_NORMAL_DRAW = 37.05
 
 TRAJECTORY_KINDS = ("straight", "circuit", "random-smooth-turn")
 CIRCUIT_RADIUS_M = 200.0
@@ -135,28 +137,44 @@ def gen_trajectory(kind: str, duration_s: float, speed_mps: float, seed: int,
     return _yaw_stack(cos, sin, xs, ys)
 
 
-def _snap_unit_quaternion(q: np.ndarray) -> np.ndarray:
-    # Fixed point of quantize -> normalize -> quantize, so that a file written
-    # at 1e-9 precision survives the loader's renormalization byte-for-byte.
-    current = q
-    quantized = np.round(current * 1e9) / 1e9
+def _snap_unit_quaternions(q: np.ndarray) -> np.ndarray:
+    # Fixed point of quantize -> normalize -> quantize, row by row, so that a
+    # file written at 1e-9 precision survives the loader's renormalization
+    # byte-for-byte.  A row at its fixed point stays there, so iterating the
+    # whole stack until every row settles equals iterating each row alone.
+    quantized = np.round(q * 1e9) / 1e9
     for _ in range(10):
-        renormalized = quantized / np.linalg.norm(quantized)
-        again = np.round(renormalized * 1e9) / 1e9
+        # Row-wise q.q as a 1x4 by 4x1 product: the same sum as the 1-D norm.
+        norms = np.sqrt((quantized[:, None, :] @ quantized[:, :, None])[:, 0])
+        again = np.round(quantized / norms * 1e9) / 1e9
         if np.array_equal(again, quantized):
             break
         quantized = again
     return quantized
 
 
-def save_trajectory(path, poses: PoseStack, dt: float = DT_DEFAULT) -> None:
-    lines = [TRAJECTORY_HEADER]
-    quats = rotation_to_quaternion(poses.rotation)
-    for k, (position, q) in enumerate(zip(poses.translation.tolist(), quats)):
-        q = _snap_unit_quaternion(q)
-        lines.append(",".join(f"{v:.9f}" for v in (k * dt, *position, *q)))
+# Rows converted to Python floats at a time while a table is written, so a
+# long table never holds all its values, or all its lines, at once.
+_CSV_CHUNK_ROWS = 256
+
+
+def write_table(path, header: str, *columns, fmt: str) -> None:
+    """A CSV of floats: the header, then one row per entry of the columns
+    (1-D arrays are one column, 2-D arrays one per entry), every value as
+    the %-format fmt, _CSV_CHUNK_ROWS rows at a time."""
+    stack = np.column_stack(columns)
+    line = ",".join([fmt] * stack.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, len(stack), _CSV_CHUNK_ROWS):
+            chunk = stack[start:start + _CSV_CHUNK_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def save_trajectory(path, poses: PoseStack, dt: float = DT_DEFAULT) -> None:
+    quats = _snap_unit_quaternions(rotation_to_quaternion(poses.rotation))
+    write_table(path, TRAJECTORY_HEADER, np.arange(len(poses)) * dt,
+                poses.translation, quats, fmt="%.9f")
 
 
 def load_trajectory(path, dt: float = DT_DEFAULT) -> PoseStack:
@@ -169,8 +187,7 @@ def load_trajectory(path, dt: float = DT_DEFAULT) -> PoseStack:
         raise ValueError(f"expected header {TRAJECTORY_HEADER!r}")
     if len(lines) == 1:
         raise ValueError("trajectory file has no rows")
-    rot = np.empty((len(lines) - 1, 3, 3))
-    positions = []
+    rows = []
     last_t = -math.inf
     for k, line in enumerate(lines[1:]):
         row_num = k + 2
@@ -183,7 +200,7 @@ def load_trajectory(path, dt: float = DT_DEFAULT) -> PoseStack:
             raise ValueError(f"row {row_num}: {err}") from None
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"row {row_num}: non-finite value")
-        t, x, y, z, qx, qy, qz, qw = values
+        t = values[0]
         if t <= last_t:
             raise ValueError(f"row {row_num}: timestamps must increase")
         if abs(t - k * dt) > 1e-6:
@@ -191,9 +208,10 @@ def load_trajectory(path, dt: float = DT_DEFAULT) -> PoseStack:
             raise ValueError(f"row {row_num}: t={t:g} s is not at {k} x dt; "
                              f"the file {found}, but dt is {dt:g} s")
         last_t = t
-        rot[k] = quaternion_to_rotation(np.array([qx, qy, qz, qw]))
-        positions.append((x, y, z))
-    return PoseStack(rot, np.array(positions))
+        rows.append(values)
+    table = np.array(rows)
+    return PoseStack(quaternion_to_rotation(table[:, 4:], first_row=2),
+                     np.ascontiguousarray(table[:, 1:4]))
 
 
 def sat_positions(t) -> np.ndarray:
@@ -324,18 +342,26 @@ class Scenario:
         # Every position a range is taken from lies inside the satellites'
         # orbit: the truth, and each spoofed GPS epoch's truth + bias.
         _check_inside_orbit(self.truth.translation, lambda i: f"truth position at step {i}")
+        steps = self.gps_steps
+        times = steps * self.dt
+        receiver = self.truth.translation[steps]
         if self.spoof is not None:
             # The bias is zero up to t_start, so an onset at or after the last
             # GPS epoch biases no range.
-            steps = self.gps_steps
-            times = steps * self.dt
             if self.spoof.t_start >= times[-1]:
                 raise ValueError(
                     f"spoof t_start {self.spoof.t_start:g} s must lie before the last "
                     f"GPS epoch, at {times[-1]:g} s of the {duration:g} s trajectory")
             with np.errstate(over="ignore", invalid="ignore"):
-                spoofed = self.truth.translation[steps] + spoof_bias(times, self.spoof)
-            _check_inside_orbit(spoofed, lambda i: f"spoofed GPS position at {times[i]:g} s")
+                receiver = receiver + spoof_bias(times, self.spoof)
+            _check_inside_orbit(receiver, lambda i: f"spoofed GPS position at {times[i]:g} s")
+        # A range is at least the orbit radius less the receiver's distance
+        # from the origin, and no noise draw lies below -MAX_NORMAL_DRAW
+        # sigmas: below this bound, every pseudorange is positive.
+        bound = (GPS_ORBIT_RADIUS_M - np.linalg.norm(receiver, axis=1).max()) / MAX_NORMAL_DRAW
+        if not self.sigma_gps < bound:
+            raise ValueError(f"sigma_gps must lie below {bound:g} m, or a noise draw could "
+                             f"make a pseudorange non-positive, got {self.sigma_gps:g}")
 
     @property
     def steps(self) -> int:

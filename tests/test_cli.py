@@ -81,6 +81,14 @@ class TestExitCodes:
         assert cli("run", "--mode", "sr-fgo", "--ramp-rate", "1",
                    "--spoof-direction", "0,0,0") == 1
 
+    def test_bad_spoof_direction_refused_without_ramp(self, tmp_path, capsys):
+        # The flag parses its value, used or not.
+        assert cli("run", "--mode", "odometry-only", "--duration", "180",
+                   "--spoof-direction", "garbage", "--out", tmp_path / "run") == 1
+        assert ("argument --spoof-direction: bad direction 'garbage'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("text,expected", [
         ("1e-200,0,0", (1.0, 0.0, 0.0)),
         ("1e308,1e308,0", (0.7071067811865475, 0.7071067811865475, 0.0)),
@@ -133,7 +141,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("modes,rates,sizes,cell", [
         ("odometry-only", "1,1.0", "20", "odometry-only-r1-N20"),
         ("odometry-only,odometry-only", "0", "20", "odometry-only-r0-N20"),
-        ("odometry-only", "0", "20,020", "odometry-only-r0-N20")])
+        ("odometry-only", "0", "20,020", "odometry-only-r0-N20"),
+        ("odometry-only", "0,-0", "20", "odometry-only-r0-N20")])
     def test_sweep_rejects_repeated_cell(self, tmp_path, capsys, modes, rates,
                                          sizes, cell):
         # Two cells of one name would share their run directories.
@@ -153,7 +162,11 @@ class TestExitCodes:
         (["--mode", "naive-fgo", "--ramp-rate", "0", "--window-size", "20",
           "--sigma-gps", "1e-200"], "1/sigma_gps^2 is finite"),
         (["--mode", "naive-fgo", "--ramp-rate", "0,1e300", "--window-size", "20"],
-         "satellite orbit radius")])
+         "satellite orbit radius"),
+        (["--mode", "odometry-only", "--ramp-rate", "0", "--window-size", "20",
+          "--sigma-gps", "1e150"], "or a noise draw could make a pseudorange non-positive"),
+        (["--mode", "naive-fgo,kalman", "--ramp-rate", "0", "--window-size", "20"],
+         "mode must be one of")])
     def test_sweep_rejects_invalid_cell_before_any_run(self, tmp_path, capsys,
                                                        monkeypatch, flags, message):
         # The configuration error `run` reports (exit 1), before any run.
@@ -264,7 +277,8 @@ class TestConfigTypes:
         ("run", "ramp_rate", True), ("run", "ramp_rate", [1]), ("run", "ramp_rate", "abc"),
         ("run", "out", {}), ("run", "mode", ["naive-fgo"]), ("run", "kind", 7),
         ("run", "spoof_direction", [1, 0, 0]), ("sweep", "mode", ["naive-fgo"]),
-        ("sweep", "trajectory", [])])
+        ("sweep", "trajectory", []), ("sweep", "ramp_rate", "0,x"),
+        ("sweep", "window_size", "20,2.5")])
     def test_bad_entry_is_config_error_naming_its_key(self, tmp_path, capsys, monkeypatch,
                                                       command, key, value):
         def forbidden(cfg):
@@ -573,6 +587,30 @@ class TestReport:
         [row] = json.loads((out / "report.json").read_text())["runs"]
         assert row["windows_not_converged"] == 3
 
+    def test_missing_key_reports_null(self, tmp_path, capsys):
+        # A run directory written before a summary key existed.
+        out = tmp_path / "run"
+        assert cli("run", "--mode", "odometry-only", "--duration", "180",
+                   "--out", out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["windows_not_converged"], summary["mean_error_m"]
+        (out / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert cli("report", out) == 0
+        assert "mean n/a m max " in capsys.readouterr().out
+        [row] = json.loads((out / "report.json").read_text())["runs"]
+        assert row["windows_not_converged"] is None and row["mean_error_m"] is None
+        assert row["mode"] == "odometry-only"
+
+    def test_summary_not_json_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli("run", "--mode", "odometry-only", "--duration", "180",
+                   "--out", out) == 0
+        (out / "summary.json").write_text("{not json")
+        capsys.readouterr()
+        assert cli("report", tmp_path) == 1
+        assert f"error: {out / 'summary.json'} is not valid JSON" in capsys.readouterr().err
+
     def test_empty_directory_is_config_error(self, tmp_path):
         assert cli("report", tmp_path) == 1
 
@@ -589,6 +627,21 @@ class TestIcpDemo:
         assert result["translation_error_m"] < 0.05
         assert result["rotation_error_deg"] < 0.5
         assert (out / "source.csv").exists() and (out / "target.csv").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--noise", "nan", "noise std must be finite and >= 0, got nan"),
+        ("--noise", "-1", "noise std must be finite and >= 0, got -1.0"),
+        ("--density", "inf", "density must be finite and positive (points per square "
+                             "meter), got inf"),
+        ("--density", "0", "density must be finite and positive"),
+        ("--yaw-deg", "nan", "sensor pose must be finite, got translation [0.5, 0.0, 0.0] "
+                             "and rotation [[nan, nan, 0.0]"),
+        ("--displacement", "inf", "sensor pose must be finite, got translation "
+                                  "[inf, 0.0, 0.0]")])
+    def test_refuses_values_it_cannot_use(self, tmp_path, capsys, flag, value, message):
+        assert cli("icp-demo", flag, value, "--out", tmp_path / "demo") == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "demo").exists()
 
 
 class TestConsoleEntry:

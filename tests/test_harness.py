@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from srfgo import harness
+from srfgo import harness, simkit
 from srfgo.detector import test_statistic as window_statistic
 from srfgo.harness import (MODES, RunConfig, RunRecord, detection_stats, l2_errors,
                            read_run, run, summarize, summarize_runs, write_run)
@@ -437,7 +437,7 @@ class TestSerialization:
                     ("t,x,y,z,qx,qy,qz,qw", (v[:, 0], v[:, 1:4], v[:, 4:]),
                      reference_pose_csv_lines),
                     ("time_s,l2_error_m", (v[:, 0], v[:, 1]), reference_error_csv_lines)):
-                harness._write_table(path, header, *columns)
+                simkit.write_table(path, header, *columns, fmt="%r")
                 assert path.read_text() == "\n".join(reference(*columns)) + "\n"
                 table = np.column_stack(columns)
                 assert (harness._read_float_csv(path, table.shape[1]).tobytes()
@@ -446,7 +446,7 @@ class TestSerialization:
     def test_run_files_match_per_value_repr(self, tmp_path, spoofed_sr):
         # trajectory.csv and errors.csv each write the time column, over
         # more than one chunk of rows.
-        assert len(spoofed_sr.times_s) > 2 * harness._CSV_CHUNK_ROWS
+        assert len(spoofed_sr.times_s) > 2 * simkit._CSV_CHUNK_ROWS
         write_run(spoofed_sr, tmp_path / "r")
         lines = reference_pose_csv_lines(spoofed_sr.times_s, spoofed_sr.est_translations,
                                          spoofed_sr.est_quaternions)

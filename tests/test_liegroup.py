@@ -310,6 +310,19 @@ class TestQuaternions:
             back = liegroup.quaternion_to_rotation(q)
             assert np.allclose(back, rot, atol=1e-9)
 
+    def test_stack_matches_one_at_a_time(self, rng):
+        q = rng.normal(size=(2, 50, 4))
+        q *= (1.0 + rng.uniform(-9e-4, 9e-4, (2, 50, 1))) / np.linalg.norm(q, axis=-1,
+                                                                             keepdims=True)
+        one_at_a_time = np.array([liegroup.quaternion_to_rotation(row)
+                                  for row in q.reshape(-1, 4)])
+        stacked = liegroup.quaternion_to_rotation(q)
+        assert stacked.shape == (2, 50, 3, 3)
+        assert stacked.tobytes() == one_at_a_time.tobytes()
+        q[1, 7, 3] += 0.01
+        with pytest.raises(ValueError, match="row 62: quaternion norm"):
+            liegroup.quaternion_to_rotation(q, first_row=5)
+
     def test_norm_tolerance(self):
         q = np.array([0.0, 0.0, 0.0, 1.0005])
         rot = liegroup.quaternion_to_rotation(q)

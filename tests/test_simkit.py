@@ -9,7 +9,7 @@ import pytest
 
 from srfgo import simkit
 from srfgo.liegroup import (Pose, PoseStack, compose, compose_arrays, exp, inverse,
-                            se3_exp_arrays)
+                            rotation_to_quaternion, se3_exp_arrays)
 from srfgo.rngutil import (GPS_STREAM, ODOMETRY_STREAM, TRAJECTORY_STREAM, make_rng,
                            normal)
 from srfgo.simkit import (CIRCUIT_RADIUS_M, EARTH_RADIUS_M, GPS_ORBIT_ALTITUDE_M,
@@ -133,6 +133,36 @@ class TestTrajectoryIo:
         save_trajectory(second, load_trajectory(first))
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("kind,seed,dt", [("random-smooth-turn", 4, 0.1),
+                                              ("circuit", 0, 0.2), ("straight", 1, 0.1)])
+    def test_files_match_per_row_reference(self, tmp_path, kind, seed, dt):
+        # Per row: snap the quaternion to its fixed point at 1e-9, write each
+        # value as %.9f; read back, renormalize by the 1-D norm and convert.
+        poses = gen_trajectory(kind, 300.0, 10.0, seed=seed, dt=dt)
+        lines = ["t,x,y,z,qx,qy,qz,qw"]
+        for k, q in enumerate(rotation_to_quaternion(poses.rotation)):
+            quantized = np.round(q * 1e9) / 1e9
+            for _ in range(10):
+                again = np.round(quantized / np.linalg.norm(quantized) * 1e9) / 1e9
+                if np.array_equal(again, quantized):
+                    break
+                quantized = again
+            values = (k * dt, *poses.translation[k].tolist(), *quantized.tolist())
+            lines.append(",".join(f"{v:.9f}" for v in values))
+        path = tmp_path / "t.csv"
+        save_trajectory(path, poses, dt=dt)
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+        loaded = load_trajectory(path, dt=dt)
+        for k, line in enumerate(lines[1:]):
+            q = np.array([float(v) for v in line.split(",")[4:]])
+            x, y, z, w = q / np.linalg.norm(q)
+            rot = np.array([
+                [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - z * w), 2.0 * (x * z + y * w)],
+                [2.0 * (x * y + z * w), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - x * w)],
+                [2.0 * (x * z - y * w), 2.0 * (y * z + x * w), 1.0 - 2.0 * (x * x + y * y)]])
+            assert loaded.rotation[k].tobytes() == rot.tobytes()
+
     def test_quantization_accuracy(self, tmp_path):
         poses = gen_trajectory("circuit", 200.0, 10.0, seed=3)
         path = tmp_path / "t.csv"
@@ -155,6 +185,12 @@ class TestTrajectoryIo:
         path.write_text("t,x,y,z,qx,qy,qz,qw\n"
                         "0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.9\n")
         with pytest.raises(ValueError):
+            load_trajectory(path)
+        # The first bad row of the file is named; the header is row 1.
+        path.write_text("t,x,y,z,qx,qy,qz,qw\n0.0,0,0,0,0,0,0,1\n0.1,0,0,0,0,0,0,1.01\n"
+                        "0.2,0,0,0,0,0,0,0.9\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "row 3: quaternion norm 1.010000 outside 1 +/- 0.001")):
             load_trajectory(path)
 
     def test_small_norm_error_renormalized(self, tmp_path):
@@ -537,6 +573,28 @@ class TestScenario:
         assert times[-1] == 200.0
         bias = spoof_bias(times, scn.spoof)
         assert np.count_nonzero(bias) == 1 and bias[-1, 0] == 2.0
+
+    @pytest.mark.parametrize("ramp_rate,sigma,bound", [
+        (None, 1e150, "717117"), (None, 7.2e5, "717117"), (3.3e5, 1e4, "4566.8")])
+    def test_sigma_that_can_draw_a_non_positive_range_rejected(self, ramp_rate, sigma,
+                                                               bound):
+        # A range is at least the orbit radius less the receiver's norm, the
+        # spoofed one when spoofed, and no noise draw lies below -37.05 sigma.
+        spoof = SpoofProfile(ramp_rate=ramp_rate) if ramp_rate else None
+        with pytest.raises(ValueError, match=re.escape(
+                f"sigma_gps must lie below {bound} m, or a noise draw could make a "
+                f"pseudorange non-positive, got {sigma:g}")):
+            Scenario(truth=self._truth(180.0), sigma_gps=sigma, spoof=spoof)
+
+    def test_sigma_below_the_range_bound_allowed(self):
+        truth = self._truth(180.0)
+        margin = GPS_ORBIT_RADIUS_M - np.linalg.norm(truth.translation, axis=1).max()
+        sigma = np.nextafter(margin / simkit.MAX_NORMAL_DRAW, 0.0)
+        stream = build_measurements(Scenario(truth=truth, sigma_gps=sigma, seed=3))
+        assert (stream.gps_ranges > 0.0).all()
+        # The largest draw's magnitude, from the smallest uniform normal() returns.
+        from srfgo.rngutil import _ndtri
+        assert 37.04 < -_ndtri(1e-300) <= simkit.MAX_NORMAL_DRAW
 
     def test_zero_and_tiny_sigma_allowed(self):
         Scenario(truth=self._truth(), sigma_gps=0.0, sigma_icp=(0.0,) * 6)
