@@ -441,6 +441,8 @@ def cmd_report(args) -> int:
             summary = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             raise CliError(f"{path} is not valid JSON: {err}") from None
+        if not isinstance(summary, dict):
+            raise CliError(f"{path} must hold a JSON object")
         # A key that a run directory predates reports as null.
         rows.append({"dir": str(path.parent.relative_to(root)),
                      **{key: summary.get(key) for key in _REPORT_KEYS}})

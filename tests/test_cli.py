@@ -602,14 +602,17 @@ class TestReport:
         assert row["windows_not_converged"] is None and row["mean_error_m"] is None
         assert row["mode"] == "odometry-only"
 
-    def test_summary_not_json_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text,message", [("{not json", "is not valid JSON"),
+                                              ("[1, 2]", "must hold a JSON object")])
+    def test_summary_not_json_object_is_config_error(self, tmp_path, capsys, text,
+                                                     message):
         out = tmp_path / "run"
         assert cli("run", "--mode", "odometry-only", "--duration", "180",
                    "--out", out) == 0
-        (out / "summary.json").write_text("{not json")
+        (out / "summary.json").write_text(text)
         capsys.readouterr()
         assert cli("report", tmp_path) == 1
-        assert f"error: {out / 'summary.json'} is not valid JSON" in capsys.readouterr().err
+        assert f"error: {out / 'summary.json'} {message}" in capsys.readouterr().err
 
     def test_empty_directory_is_config_error(self, tmp_path):
         assert cli("report", tmp_path) == 1

@@ -10,8 +10,8 @@ import pytest
 from srfgo import simkit
 from srfgo.liegroup import (Pose, PoseStack, compose, compose_arrays, exp, inverse,
                             rotation_to_quaternion, se3_exp_arrays)
-from srfgo.rngutil import (GPS_STREAM, ODOMETRY_STREAM, TRAJECTORY_STREAM, make_rng,
-                           normal)
+from srfgo.rngutil import (GPS_STREAM, ODOMETRY_STREAM, TRAJECTORY_STREAM, _ndtri,
+                           make_rng, normal)
 from srfgo.simkit import (CIRCUIT_RADIUS_M, EARTH_RADIUS_M, GPS_ORBIT_ALTITUDE_M,
                           GPS_ORBIT_RADIUS_M, SIGMA_ICP_DEFAULT, TRAJECTORY_KINDS,
                           Scenario, SpoofProfile, build_measurements, gen_odometry,
@@ -593,7 +593,6 @@ class TestScenario:
         stream = build_measurements(Scenario(truth=truth, sigma_gps=sigma, seed=3))
         assert (stream.gps_ranges > 0.0).all()
         # The largest draw's magnitude, from the smallest uniform normal() returns.
-        from srfgo.rngutil import _ndtri
         assert 37.04 < -_ndtri(1e-300) <= simkit.MAX_NORMAL_DRAW
 
     def test_zero_and_tiny_sigma_allowed(self):
