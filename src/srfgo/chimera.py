@@ -45,7 +45,7 @@ class AuthEvent:
 
 class AuthResult(NamedTuple):
     action: str            # "gps-readmitted" | "gps-excluded" (latched)
-    graph: "WindowGraph"   # mitigated copy on failure, input graph otherwise
+    graph: "WindowGraph"   # mitigated (dead-reckoned) on failure, else the input
     trust_until: int       # node step through which crossings do not latch
 
 
@@ -55,8 +55,8 @@ def on_authentication(event: AuthEvent, graph: "WindowGraph",
 
     Success overrides the detector: the latch clears even if a (now
     disproven) detection set it, and GPS is trusted for the next window's
-    worth of steps.  Failure latches: it strips GPS from the window, and GPS
-    stays excluded until the next successful authentication.
+    worth of steps.  Failure latches: it strips GPS from the window, which
+    coasts on dead reckoning, unsolved, until the next successful one.
     """
     if event.time_index % epoch_steps != 0:
         raise ValueError(

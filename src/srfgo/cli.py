@@ -24,7 +24,7 @@ from .harness import (MODES, WINDOW_SHIFT_DEFAULT, WINDOW_SIZE_DEFAULT, RunConfi
 from .liegroup import Pose, PoseStack, rotation_angle
 from .simkit import (DT_DEFAULT, EAST, SIGMA_GPS_DEFAULT, TRAJECTORY_KINDS, Scenario,
                      SpoofProfile, gen_trajectory, load_trajectory,
-                     save_trajectory)
+                     save_trajectory, yaw_stack)
 
 RUN_DEFAULTS = {
     "kind": "circuit", "duration": 200.0, "speed": 10.0, "dt": DT_DEFAULT,
@@ -95,9 +95,10 @@ def _run_flags(sub, sweep: bool) -> None:
                      help="reuse a trajectory CSV instead of generating one")
     sub.add_argument("--out", type=Path, default=None, help="output directory")
     if sweep:
-        sub.add_argument("--runs", type=int, default=None,
+        positive = _checked(int, lambda v: v >= 1, ">= 1")
+        sub.add_argument("--runs", type=positive, default=None,
                          help="Monte Carlo runs per grid cell")
-        sub.add_argument("--workers", type=int, default=None,
+        sub.add_argument("--workers", type=positive, default=None,
                          help="parallel worker processes (default 1)")
 
 
@@ -117,15 +118,15 @@ def build_parser() -> _Parser:
     _run_flags(sweep, sweep=True)
 
     demo = commands.add_parser("icp-demo", help="register synthetic wall scans")
-    demo.add_argument("--displacement", type=float, default=0.5,
-                      help="true forward offset in meters")
-    demo.add_argument("--yaw-deg", type=float, default=3.0,
-                      help="true yaw offset in degrees")
+    demo.add_argument("--displacement", type=_checked(float, math.isfinite, "finite"),
+                      default=0.5, help="true forward offset in meters")
+    demo.add_argument("--yaw-deg", type=_checked(float, math.isfinite, "finite"),
+                      default=3.0, help="true yaw offset in degrees")
     demo.add_argument("--noise", type=float, default=0.005,
                       help="per-point Gaussian noise std in meters")
     demo.add_argument("--density", type=float, default=25.0,
                       help="sampled points per square meter")
-    demo.add_argument("--seed", type=int, default=10)
+    demo.add_argument("--seed", type=_checked(int, lambda v: v >= 0, ">= 0"), default=10)
     demo.add_argument("--out", type=Path, default=None,
                       help="optional directory for clouds and result JSON")
 
@@ -218,6 +219,17 @@ def _list_of(kind):
     return parse
 
 
+def _checked(kind, ok, rule: str):
+    """A flag's type: a value read by kind that ok accepts, else refused by rule."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # a bad number reads "invalid float value"
+    return parse
+
+
 def _rate(text: str) -> float:
     # -0 reads as 0: the two are one nominal sweep cell.
     return float(text) + 0.0
@@ -300,8 +312,6 @@ def cmd_sweep(args) -> int:
             flag = "--" + key.replace("_", "-")
             raise CliError(f"sweep requires {flag} (flag or config entry)")
     runs, workers = s["runs"], s["workers"]
-    if runs < 1 or workers < 1:
-        raise CliError("--runs and --workers must be >= 1")
     base_seed = s["seed"]
     # Cells named alike (rates 1 and 1.0, a mode or size listed twice) would
     # share run directories.  A rate is named by :g unless that loses digits.
@@ -383,9 +393,7 @@ def cmd_icp_demo(args) -> int:
     from .icp import estimate_normals, gen_scene_cloud, register, save_cloud, two_wall_scene
 
     yaw = math.radians(args.yaw_deg)
-    c, v = math.cos(yaw), math.sin(yaw)
-    rot = np.array([[c, -v, 0.0], [v, c, 0.0], [0.0, 0.0, 1.0]])
-    truth = Pose(rot, np.array([args.displacement, 0.0, 0.0]))
+    truth = yaw_stack([math.cos(yaw)], [math.sin(yaw)], args.displacement, 0.0)[0]
 
     scene = two_wall_scene()
     target = gen_scene_cloud(scene, Pose.identity(), args.density, args.noise,

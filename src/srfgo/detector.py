@@ -154,12 +154,6 @@ def decide(q: float, tau: float, latched: bool, monitoring: bool = True) -> str:
 
 
 def mitigate(graph: "WindowGraph") -> "WindowGraph":
-    """Drop all GPS from the window and re-optimize on odometry alone.
-
-    A window that already has no GPS is returned unchanged.
-    """
-    if not graph.gps_count():
-        return graph
-    stripped = graph.strip_gps()
-    stripped.optimize()
-    return stripped
+    """Drop the window's GPS and coast: strip_gps dead-reckons it to its
+    optimum, unsolved.  A window without GPS is returned unchanged."""
+    return graph.strip_gps() if graph.gps_count() else graph

@@ -8,9 +8,10 @@ anchor, already at their optimum, so it keeps its estimates unsolved
 the batch count, and windows_not_converged, the optimized windows whose
 solve ended short of convergence: stalled, cholesky-failure or
 max-iterations).  Then the spoofing detector takes one trial, and at every
-authentication epoch sr-fgo applies the outcome to the window; then the
-batch estimates are recorded (causal estimates: what the vehicle would have
-reported at that moment).  The estimates are arrays, rotations (n+1, 3, 3)
+authentication epoch sr-fgo applies the outcome to the window, mitigation
+dead-reckoning it unsolved like a coasting window; then the batch estimates
+are recorded (causal estimates: what the vehicle would have reported at
+that moment).  The estimates are arrays, rotations (n+1, 3, 3)
 and translations (n+1, 3), one row per time step, like the truth and the
 odometry they are read against: the run takes rows straight from those
 stacks and from the GPS epoch arrays, and makes a Pose view only for a

@@ -69,7 +69,7 @@ CIRCUIT_RADIUS_M = 200.0
 TRAJECTORY_HEADER = "t,x,y,z,qx,qy,qz,qw"
 
 
-def _yaw_stack(cos, sin, x, y) -> PoseStack:
+def yaw_stack(cos, sin, x, y) -> PoseStack:
     """Planar poses at (x, y, 0), each yawed by the heading whose cosine and
     sine are given."""
     cos, sin = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
@@ -101,14 +101,14 @@ def gen_trajectory(kind: str, duration_s: float, speed_mps: float, seed: int,
         # rejects by step.
         with np.errstate(over="ignore"):
             x = speed_mps * times
-        return _yaw_stack(np.ones(steps + 1), np.zeros(steps + 1), x, 0.0)
+        return yaw_stack(np.ones(steps + 1), np.zeros(steps + 1), x, 0.0)
 
     if kind == "circuit":
         thetas = (speed_mps / CIRCUIT_RADIUS_M * times).tolist()
         cos = np.array([math.cos(theta) for theta in thetas])
         sin = np.array([math.sin(theta) for theta in thetas])
-        return _yaw_stack(cos, sin, CIRCUIT_RADIUS_M * sin,
-                          CIRCUIT_RADIUS_M * (1.0 - cos))
+        return yaw_stack(cos, sin, CIRCUIT_RADIUS_M * sin,
+                         CIRCUIT_RADIUS_M * (1.0 - cos))
 
     # random-smooth-turn: Ornstein-Uhlenbeck yaw rate, Euler-integrated.
     if seed < 0:
@@ -134,7 +134,7 @@ def gen_trajectory(kind: str, duration_s: float, speed_mps: float, seed: int,
         heading += yaw_rate * dt
     cos.append(math.cos(heading))
     sin.append(math.sin(heading))
-    return _yaw_stack(cos, sin, xs, ys)
+    return yaw_stack(cos, sin, xs, ys)
 
 
 def _snap_unit_quaternions(q: np.ndarray) -> np.ndarray:

@@ -11,10 +11,9 @@ The normal equations H delta = -b are block-tridiagonal in 6x6 blocks; we
 assemble the blocks from those kernels, applied to every factor at once,
 write them straight into LAPACK's upper band storage, ab[11 + i - j, j] =
 H[i, j] for i <= j, through flat indices computed once per window size, and
-solve with a banded Cholesky factorization, scipy.linalg.solveh_banded.
-scipy.linalg is imported at a window's first banded solve, not with this
-module, so the commands that solve nothing (simulate, report, odometry-only
-runs) load no scipy module.
+solve with a banded Cholesky factorization, scipy.linalg.solveh_banded,
+loaded with a run's first window, outside any timed solve: the commands
+that solve nothing (simulate, report, odometry-only runs) load no scipy.
 The odometry and anchor residuals are both log(a^-1 b), so they share one
 pose stack ``pose_rot``/``pose_t``: row 0 is the anchor's prior on node 0,
 with information ``prior_info``, and row k + 1 is odometry link k, checked
@@ -23,7 +22,8 @@ pred_0, pred_1, ...] against the stack as stored, and one J_l^-1 call
 linearizes it with the SO(3) V^-1 and angle terms its logs computed.  The
 window grows by odometry alone: ``append`` and ``slide`` take no anchor,
 each new odometry row adds one node, dead-reckoned by liegroup.compose from
-the one before, and ``slide`` writes the new oldest node's prior into row 0.
+the one before, ``slide`` writes the new oldest node's prior into row 0, and
+``strip_gps`` dead-reckons every node from row 0, a GPS-free window's optimum.
 Levenberg-Marquardt damping wraps the Gauss-Newton step: lambda starts at
 DAMPING_INIT, divides by 10 on an accepted step and multiplies by 10 on a
 rejected one, so accepted objectives never increase.  Each iteration first
@@ -166,6 +166,7 @@ class WindowGraph:
         if not 0.0 < self.gps_sigma < np.inf:  # also rejects NaN
             raise ValueError(f"GPS sigma must be finite and positive, got {gps_sigma}")
         self.window_capacity = int(window_capacity)
+        import scipy.linalg  # noqa: F401 - loaded here, before any timed solve
         self.base = idx[0] if idx else 0
         self.rot = np.array([p.rotation for _, p in nodes]).reshape(-1, 3, 3)
         self.t = np.array([p.translation for _, p in nodes]).reshape(-1, 3)
@@ -293,9 +294,7 @@ class WindowGraph:
         ab[dst] = np.concatenate([diag.reshape(-1), upper.reshape(-1)])[src]
         ab = ab.reshape(12, 6 * n)
         ab[11] += damping
-        # Loaded at a window's first solve, so that commands which solve
-        # nothing never import scipy; the function is looked up on the module
-        # at every call, so a patch of it there sees every solve.
+        # Looked up on the module at every call, so a patch there sees every solve.
         import scipy.linalg
         # One node keeps bandwidth 11 too: LAPACK ignores entries outside H.
         return scipy.linalg.solveh_banded(ab, rhs, lower=False)
@@ -358,22 +357,23 @@ class WindowGraph:
     # -- window maintenance ------------------------------------------------
 
     def _extend(self, base: int, rot: np.ndarray, t: np.ndarray, comp: dict,
-                new_factors: Sequence) -> "WindowGraph":
-        """New graph over (rot, t, comp) plus new_factors, whose odometry
-        must continue the chain from the newest node: each odometry row adds
-        one node, dead-reckoned from the one before by that row's transform.
-        The window keeps its one anchor; new_factors may hold none."""
-        new = _compile(new_factors, base, base + len(t) - 1)
+                new_factors: Sequence = ()) -> "WindowGraph":
+        """New graph over comp plus new_factors, whose odometry must continue
+        the chain and which may hold no anchor.  Nodes (rot, t) keep their
+        estimates; each pose row past them adds one, dead-reckoned from the
+        one before: the one propagation of appending, coasting and mitigation."""
+        new = _compile(new_factors, base, base + len(comp["pose_t"]) - 1)
         if len(new["prior_info"]):
             raise ValueError("append and slide take no anchor")
+        comp = {key: np.concatenate([value, new[key]]) for key, value in comp.items()}
         pose, rots, ts = Pose(rot[-1], t[-1]), [rot], [t]
-        for rot_k, t_k in zip(new["pose_rot"], new["pose_t"]):
+        for rot_k, t_k in zip(comp["pose_rot"][len(t):], comp["pose_t"][len(t):]):
             pose = liegroup.compose(pose, Pose._of(rot_k, t_k))
             rots.append(pose.rotation[None])
             ts.append(pose.translation[None])
         graph = copy.copy(self)
         graph.base, graph.rot, graph.t = base, np.concatenate(rots), np.concatenate(ts)
-        graph.comp = {key: np.concatenate([value, new[key]]) for key, value in comp.items()}
+        graph.comp = comp
         graph._validate()
         return graph
 
@@ -404,7 +404,7 @@ class WindowGraph:
                             new_factors)
 
     def strip_gps(self) -> "WindowGraph":
-        """Same window with every GPS factor removed."""
+        """Same window without GPS, at its optimum: dead-reckoned from pose row 0."""
         comp = {key: value[:0] if key.startswith("gps") else value
                 for key, value in self.comp.items()}
-        return self._extend(self.base, self.rot, self.t, comp, ())
+        return self._extend(self.base, comp["pose_rot"][:1], comp["pose_t"][:1], comp)

@@ -48,7 +48,7 @@ class TestOnAuthentication:
         assert result.graph.gps_count() == 0
         assert g.gps_count() == 3
 
-    def test_failed_auth_reoptimizes_like_mitigate(self):
+    def test_failed_auth_dead_reckons_like_mitigate(self):
         g = _window_with_gps()
         g.optimize()  # the GPS bias pulls the estimates off the odometry chain
         result = on_authentication(AuthEvent(1800, "failed"), g, 1800)
@@ -56,6 +56,18 @@ class TestOnAuthentication:
         assert np.array_equal(result.graph.rot, expected.rot)
         assert np.array_equal(result.graph.t, expected.t)
         assert not np.array_equal(result.graph.t, g.t)
+
+    def test_mitigation_runs_no_solve(self, monkeypatch):
+        g = _window_with_gps()
+        g.optimize()
+
+        def no_solve(graph):
+            raise AssertionError("mitigation solved a window")
+
+        monkeypatch.setattr(WindowGraph, "optimize", no_solve)
+        assert mitigate(g).gps_count() == 0
+        result = on_authentication(AuthEvent(1800, "failed"), g, 1800)
+        assert result.action == "gps-excluded" and result.graph.gps_count() == 0
 
     def test_authentic_auth_clears_latch_and_readmits(self):
         g = _window_with_gps()

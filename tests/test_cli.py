@@ -52,6 +52,14 @@ class TestExitCodes:
                    "--seed", "1", "--runs", "1", "--out", "x") == 1
         assert "--window-size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--runs", "--workers"])
+    def test_sweep_count_below_one_names_its_flag(self, capsys, flag):
+        counts = {"--runs": "1", "--workers": "1", flag: "0"}
+        assert cli("sweep", "--mode", "odometry-only", "--ramp-rate", "0",
+                   "--window-size", "20", "--seed", "1",
+                   *(v for item in counts.items() for v in item), "--out", "x") == 1
+        assert f"error: argument {flag}: must be >= 1, got 0" in capsys.readouterr().err
+
     def test_sweep_missing_seed(self, capsys):
         assert cli("sweep", "--mode", "odometry-only", "--ramp-rate", "0",
                    "--window-size", "100", "--runs", "1", "--out", "x") == 1
@@ -637,10 +645,13 @@ class TestIcpDemo:
         ("--density", "inf", "density must be finite and positive (points per square "
                              "meter), got inf"),
         ("--density", "0", "density must be finite and positive"),
-        ("--yaw-deg", "nan", "sensor pose must be finite, got translation [0.5, 0.0, 0.0] "
-                             "and rotation [[nan, nan, 0.0]"),
-        ("--displacement", "inf", "sensor pose must be finite, got translation "
-                                  "[inf, 0.0, 0.0]")])
+        # The pose and seed flags are refused as they are parsed, naming
+        # the flag, before any math or numpy call sees them.
+        ("--yaw-deg", "inf", "argument --yaw-deg: must be finite, got inf"),
+        ("--yaw-deg", "nan", "argument --yaw-deg: must be finite, got nan"),
+        ("--displacement", "nan", "argument --displacement: must be finite, got nan"),
+        ("--displacement", "inf", "argument --displacement: must be finite, got inf"),
+        ("--seed", "-1", "argument --seed: must be >= 0, got -1")])
     def test_refuses_values_it_cannot_use(self, tmp_path, capsys, flag, value, message):
         assert cli("icp-demo", flag, value, "--out", tmp_path / "demo") == 1
         assert f"error: {message}" in capsys.readouterr().err
@@ -710,3 +721,20 @@ class TestRunPathImports:
             "print(code, before, [m in sys.modules for m in"
             " ('scipy.linalg', 'scipy.spatial', 'scipy.special')])\n")
         assert self._last_line(script, tmp_path / "run") == "0 False [True, False, False]"
+
+    def test_graph_run_loads_scipy_linalg_before_its_first_solve(self, tmp_path):
+        # The import is not timed as part of the first window's solve.
+        script = (
+            "import sys\n"
+            "from srfgo import cli\n"
+            "from srfgo.solver import WindowGraph\n"
+            "loaded, optimize = [], WindowGraph.optimize\n"
+            "def first_sees_scipy_linalg(graph):\n"
+            "    loaded.append('scipy.linalg' in sys.modules)\n"
+            "    return optimize(graph)\n"
+            "WindowGraph.optimize = first_sees_scipy_linalg\n"
+            "code = cli.main(['run', '--mode', 'naive-fgo', '--duration', '180',"
+            " '--window-size', '20', '--seed', '1', '--out', sys.argv[1]])\n"
+            "print(code, loaded[0], len(loaded))\n")
+        code, first, solves = self._last_line(script, tmp_path / "run").split()
+        assert (code, first) == ("0", "True") and int(solves) > 1

@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc
 
 from srfgo import factors as fmod
 from srfgo.detector import ALPHA, chi2_inverse_cdf, decide, mitigate, threshold
 from srfgo.detector import test_statistic as window_statistic
 from srfgo.factors import AnchorFactor, GpsFactor, OdometryFactor
-from srfgo.liegroup import Pose, compose, inverse
+from srfgo.liegroup import Pose, compose, exp, inverse
 from srfgo.rngutil import GPS_STREAM, make_rng, normal
 from srfgo.solver import WindowGraph
 from conftest import NOISE, SIGMA_GPS
@@ -185,40 +186,53 @@ class TestDecide:
 
 
 class TestMitigate:
-    def _spoofed_window(self, rng):
-        # Noiseless odometry chain; GPS carries a +100 m range bias.
-        poses = [Pose(np.eye(3), np.array([0.5 * k, 0.0, 0.0])) for k in range(6)]
-        facs = [OdometryFactor(k, k + 1, compose(inverse(poses[k]), poses[k + 1]))
-                for k in range(5)]
-        facs.append(AnchorFactor(0, poses[0], fmod.anchor_information()))
+    @staticmethod
+    def _spoofed_window(nodes=6, odometry_noise=0.0, bias=100.0, seed=0):
+        """A window at its spoofed optimum: an odometry chain, each link off
+        the truth by a tangent of scale odometry_noise, with GPS on its
+        first and last node whose ranges carry a `bias` m offset; and the
+        anchor and odometry factors it was built from."""
+        rng = np.random.default_rng(seed)
+        poses = [Pose(np.eye(3), np.array([0.5 * k, 0.0, 0.0])) for k in range(nodes)]
+        odometry = [OdometryFactor(k, k + 1, compose(
+            compose(inverse(poses[k]), poses[k + 1]),
+            exp(odometry_noise * rng.standard_normal(6)))) for k in range(nodes - 1)]
+        anchor = AnchorFactor(0, poses[0], fmod.anchor_information())
         sats = [np.array([2.0e7, 0.0, 0.0]), np.array([0.0, 2.0e7, 0.0]),
                 np.array([0.0, 0.0, 2.0e7]), np.array([1.5e7, 0.0, 1.5e7])]
-        for k in (0, 5):
-            for s in sats:
-                true_range = float(np.linalg.norm(poses[k].translation - s))
-                facs.append(GpsFactor(k, s, true_range + 100.0))
-        return WindowGraph(list(enumerate(poses)), facs, 10, *NOISE), poses
-
-    def test_matches_direct_strip_and_optimize(self, rng):
-        g, poses = self._spoofed_window(rng)
+        gps = [GpsFactor(k, s, float(np.linalg.norm(poses[k].translation - s)) + bias)
+               for k in (0, nodes - 1) for s in sats]
+        g = WindowGraph(list(enumerate(poses)), [*odometry, anchor, *gps], 20, *NOISE)
         g.optimize()
+        return g, [anchor, *odometry]
 
-        reference = g.strip_gps()
-        reference.optimize()
+    @settings(max_examples=40, deadline=None)
+    @given(nodes=st.integers(2, 20), odometry_noise=st.floats(0.0, 0.05),
+           bias=st.floats(-200.0, 200.0), seed=st.integers(0, 2 ** 16))
+    def test_matches_direct_strip_and_optimize(self, nodes, odometry_noise, bias, seed):
+        g, odometry_and_anchor = self._spoofed_window(nodes, odometry_noise, bias, seed)
+        rot, t = g.rot.copy(), g.t.copy()
+        # The reference is built from factors, not from strip_gps: the spoofed
+        # optimum's estimates, the anchor and the odometry, no GPS, LM-solved.
+        reference = WindowGraph([(k, g.estimate_of(k)) for k in range(nodes)],
+                                odometry_and_anchor, 20, *NOISE)
+        assert reference.optimize().converged
 
         cleaned = mitigate(g)
         assert cleaned.gps_count() == 0
-        assert g.gps_count() == 8  # mitigation leaves the input window as it was
-        for k in range(6):
-            d = np.linalg.norm(cleaned.estimate_of(k).translation
-                               - reference.estimate_of(k).translation)
-            assert d < 1e-6
-            # The biased GPS is gone, so the odometry-only optimum is truth.
-            assert np.linalg.norm(cleaned.estimate_of(k).translation
-                                  - poses[k].translation) < 1e-6
+        # Mitigation leaves the input window as it was.
+        assert g.gps_count() == 8
+        assert np.array_equal(g.rot, rot) and np.array_equal(g.t, t)
+        # The reference stops once its next step is under STEP_NORM_TOL,
+        # 1e-8, so it lies within about that of the optimum.
+        assert np.linalg.norm(cleaned.t - reference.t, axis=1).max() < 1e-8
+        # Dead reckoning is the stripped window's optimum: its own solve
+        # ends on its first trial step, taking none.
+        report = cleaned.optimize()
+        assert report.iterations == 0 and report.converged
 
-    def test_idempotent(self, rng):
-        g, _ = self._spoofed_window(rng)
+    def test_idempotent(self):
+        g, _ = self._spoofed_window()
         once = mitigate(g)
         twice = mitigate(once)
         assert twice is once  # no GPS left, graph unchanged

@@ -1,6 +1,7 @@
 """Normal estimation and point-to-plane registration on synthetic scenes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,15 @@ class TestSceneGeneration:
         cloud = gen_scene_cloud([patch], sensor, 100.0, 0.0, seed=2)
         # Wall at x=10 seen from x=9 is one meter ahead.
         assert np.allclose(cloud.points[:, 0], 1.0)
+
+    @pytest.mark.parametrize("rotation,translation,shown", [
+        (_yaw(3.0), [math.inf, 0.0, 0.0], "translation [inf, 0.0, 0.0]"),
+        (np.full((3, 3), math.nan), [0.5, 0.0, 0.0], "rotation [[nan, nan, nan]")])
+    def test_refuses_non_finite_sensor_pose(self, rotation, translation, shown):
+        with pytest.raises(ValueError, match=r"sensor pose must be finite, got .*"
+                                              + re.escape(shown)):
+            gen_scene_cloud(two_wall_scene(), Pose(rotation, np.array(translation)),
+                            25.0, 0.0, seed=1)
 
 
 class TestRegister:

@@ -1,6 +1,11 @@
 """Run files pinned across commits: three short runs through the command
 line must write the same bytes as they did when their digests below were
-recorded, at commit 5a8df1a.
+recorded, at commit 5a8df1a.  The sr-fgo digests of errors.csv,
+smoothed.csv, summary.json and trajectory.csv were re-recorded in the commit
+after 0b9b13d, when mitigation stopped solving the GPS-stripped window and
+began to dead-reckon it from the anchor's prior, its exact optimum: the
+estimates moved by about 1e-9 m, and auth.csv and detections.csv kept their
+bytes.
 
 A change that means to alter run outputs updates these digests and says
 why.  The digests hold only for the numpy and scipy they were recorded
@@ -31,10 +36,10 @@ DIGESTS = {
     "sr-fgo": {
         "auth.csv": "63e77dedb47bf061be14a836ce4ec6b9e24006968f3db345f32b75aa1c59ae80",
         "detections.csv": "4f5a345ff4b46d6e75a6d291876d064da3a0af94b6f3afbb7b58166aa764322f",
-        "errors.csv": "d67f71bea06d2fd86648145eb2ca2f7aaa3b26d94be50de30c434cc67f80790d",
-        "smoothed.csv": "c6c48d1b3761804d8293369ec2d96fc9ba1b7d476f0f95da8c928f73a19515a1",
-        "summary.json": "f9236a3dd086db201b69a66b01ad84fb4956a575944a8b922464269b38255927",
-        "trajectory.csv": "5ba8fb8f80e33b3b4a88271280219b8b8023e3e64618925c0cad708a03b95921",
+        "errors.csv": "c531a15fcc413a4ca885c5a6538ed1332049fed715a4c0e90927ba5505b2a439",
+        "smoothed.csv": "db2b661f86bfea8e2d6f0ca6aed3e8de718b6664a15d39e3f1b9ce2565357350",
+        "summary.json": "c81b0a968d366f6e5464edfb38fed08350cc72896178d2999b65304f051321d3",
+        "trajectory.csv": "93c3c797dd9f5fd38f1ea37971f85d2f14594c182397d78b1ab9b0924c5e49e7",
     },
     "naive-fgo": {
         "auth.csv": "0066b5ae184f1dff40876394f63e5e869d5cea84e467a19f712a370696667544",
